@@ -26,7 +26,7 @@ from .geodesics import (
 from .groups import IDENTITY, LatticeSpec, g_mul_f, parse_group_element
 from .metric import TangentVector
 from .quotients import classify_geodesic, project_geodesic, verdict_to_json
-from .scalar import Scalar, parse_scalar
+from .scalar import DivisionByZero, Scalar, parse_scalar
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

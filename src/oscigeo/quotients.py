@@ -47,7 +47,7 @@ from .groups import (
     lattice_contains,
 )
 from .metric import CausalType, TangentVector, causal_type
-from .scalar import Scalar
+from .scalar import Scalar, common_denominator_rows
 
 __all__ = [
     "VerdictKind",
@@ -165,26 +165,17 @@ def _solve_rational(A: Fraction, B: Fraction, r: int, cycle: int) -> int | None:
     return _first_at_least_one(*combined)
 
 
-def _pad(coeffs, n):
-    return [coeffs[i] if i < len(coeffs) else Fraction(0) for i in range(n)]
-
-
 def _solve_irrational(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
     """Least admissible m when A is irrational: at most one candidate.
 
     A m - B can be rational for at most one rational m, because A is
     irrational.  Writing A = P/D and B = Q/D over a common denominator,
     A m - B integer means P(x) m - Q(x) = rho D(x) as polynomials for an
-    integer rho; the coefficient rows form a linear system in (m, rho)
-    solved by Cramer's rule and verified row by row.
+    integer rho; the integer coefficient rows form a linear system in
+    (m, rho) solved by Cramer's rule and verified row by row.
     """
-    from .scalar import _pmul  # dense polynomial product
-
-    P = _pmul(A.num, B.den)
-    Q = _pmul(B.num, A.den)
-    D = _pmul(A.den, B.den)
-    n = max(len(P), len(Q), len(D))
-    Pp, Qp, Dp = _pad(P, n), _pad(Q, n), _pad(D, n)
+    Pp, Qp, Dp = common_denominator_rows(A, B)
+    n = len(Pp)
     pivot = None
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,14 +189,15 @@ def _solve_irrational(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
         # P proportional to D would make A rational; unreachable here
         return None
     i, j, det = pivot
-    m_hat = (Dp[i] * Qp[j] - Qp[i] * Dp[j]) / det
-    rho = (Pp[i] * Qp[j] - Qp[i] * Pp[j]) / det
+    # m = m_num / det and rho = rho_num / det
+    m_num = Dp[i] * Qp[j] - Qp[i] * Dp[j]
+    rho_num = Pp[i] * Qp[j] - Qp[i] * Pp[j]
     for p, d, q in zip(Pp, Dp, Qp):
-        if p * m_hat - rho * d != q:
+        if p * m_num - rho_num * d != q * det:
             return None
-    if m_hat.denominator != 1 or rho.denominator != 1:
+    if m_num % det or rho_num % det:
         return None
-    m = m_hat.numerator
+    m = m_num // det
     if m < 1 or m % cycle != r % cycle:
         return None
     return m
@@ -223,10 +215,6 @@ def _solve_membership(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
 # ---------------------------------------------------------------------------
 # the classifier
 # ---------------------------------------------------------------------------
-
-def _is_integer_scalar(s: Scalar) -> bool:
-    return s.is_rational() and s.rational_value().denominator == 1
-
 
 def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     """a0 = 0: exp(TX) = (0, a1 T, a2 T, a3 T); intersect the step lattices."""
@@ -265,7 +253,7 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     for r, (m_rot, s_r) in enumerate(table):
         u1 = (m_rot[0][0] * a1 + m_rot[0][1] * a2) / a0
         u2 = (m_rot[1][0] * a1 + m_rot[1][1] * a2) / a0
-        if not (_is_integer_scalar(u1) and _is_integer_scalar(u2)):
+        if not (u1.is_integer() and u2.is_integer()):
             continue
         B = sq * s_r / (2 * a0 * a0) / h
         m = _solve_membership(A, B, r, cycle)

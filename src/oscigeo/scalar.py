@@ -1,19 +1,32 @@
 """Exact arithmetic in Q(pi).
 
-A Scalar is a rational function p(pi)/q(pi) with Fraction coefficients,
-where pi is treated as a transcendental symbol.  Values are kept in
-canonical form (numerator and denominator coprime, denominator monic),
-so equality is structural and zero-testing is free.
+A Scalar is a rational function p(pi)/q(pi), where pi is treated as a
+transcendental symbol.  p and q are dense tuples of Python ints in
+ascending degree (the zero polynomial is the empty tuple), kept in one
+canonical form:
 
-Sign queries evaluate the rational function on shrinking rational
-enclosures of pi.  A nonzero polynomial with rational coefficients
-cannot vanish at a transcendental point, so the refinement always
-terminates; this is what turns comparisons, floors and lattice
+  * p and q are coprime as polynomials;
+  * the gcd of all coefficients of p and q together is 1;
+  * the leading coefficient of q is positive (zero is ((), (1,))).
+
+Equality is therefore structural and zero-testing is free.  A rational
+a/b is ((a,), (b,)) and costs one integer gcd per operation; no
+Fraction is built on the arithmetic path.  The read-only views ``num``
+and ``den`` give the same value as Fraction tuples with a monic
+denominator.
+
+Sign queries evaluate the polynomials on shrinking rational enclosures
+A/10^d of pi, in integers: with p+ and p- the parts of p with positive
+and negative coefficients, p lies in [p+(lo) - p-(hi), p+(hi) - p-(lo)]
+on the positive interval [lo, hi].  A nonzero polynomial with rational
+coefficients cannot vanish at a transcendental point, so the refinement
+always terminates; this is what turns comparisons, floors and lattice
 membership into exact decisions.
 
-Polynomials are dense tuples of Fractions in ascending degree; the zero
-polynomial is the empty tuple.  Degrees stay tiny in this engine, so
-density costs nothing and keeps the gcd trivial.
+The text parser bounds the work a short input can ask for: exponents
+and the degree of every parsed value stay within MAX_DEGREE, numerals
+and the coefficients of a power within MAX_DIGITS digits.  Inputs
+beyond these limits raise a ValueError that names the limit.
 """
 
 from __future__ import annotations
@@ -29,12 +42,20 @@ __all__ = [
     "NotRational",
     "PI",
     "PI_HALF",
+    "MAX_DEGREE",
+    "MAX_DIGITS",
     "parse_scalar",
+    "common_denominator_rows",
     "in_lattice_1d",
     "is_integer_multiple",
     "quarter_turns",
     "pi_enclosure",
 ]
+
+# parser limits: exponents and degrees, and digits per numeral or power coefficient
+MAX_DEGREE = 64
+MAX_DIGITS = 1000
+_MAX_BITS = math.ceil(MAX_DIGITS * math.log2(10))
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -45,99 +66,146 @@ class NotRational(ValueError):
     """A rational value was requested from a non-constant Scalar."""
 
 
-Coeffs = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 ScalarLike = Union["Scalar", int, Fraction, str]
 
+_gcd = math.gcd
+
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Q
+# dense polynomial helpers over Z
 # ---------------------------------------------------------------------------
 
-def _trim(c) -> Coeffs:
-    c = list(c)
-    while c and c[-1] == 0:
+def _strip(c: list[int]) -> Poly:
+    while c and not c[-1]:
         c.pop()
-    return tuple(Fraction(v) for v in c)
+    return tuple(c)
 
 
-def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
+def _padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, v in enumerate(b):
         out[i] += v
-    return _trim(out)
+    return _strip(out)
 
 
-def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-v for v in a)
+def _pscale(a: Poly, k: int) -> Poly:
+    return tuple(k * v for v in a)
 
 
-def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
+def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    if len(a) == 1:
+        return _pscale(b, a[0])
+    if len(b) == 1:
+        return _pscale(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
                 out[i + j] += u * v
-    return _trim(out)
+    return tuple(out)
 
 
-def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _pprimitive(a: Poly) -> Poly:
+    """a divided by its content, with a positive leading coefficient."""
+    c = _gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(v // c for v in a)
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """A pseudo-remainder of a by b: some lc(b)^k * a mod b, over Z."""
     r = list(a)
     lead = b[-1]
-    while len(r) >= len(b) and any(r):
-        if r[-1] == 0:
-            r.pop()
+    nb = len(b)
+    while len(r) >= nb:
+        c = r.pop()
+        if not c:
             continue
-        shift = len(r) - len(b)
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i, v in enumerate(b):
-            r[shift + i] -= factor * v
-        r.pop()
-    return _trim(q), _trim(r)
+        shift = len(r) - nb + 1
+        if lead != 1:
+            r = [v * lead for v in r]
+        for i in range(nb - 1):
+            r[shift + i] -= c * b[i]
+    return _strip(r)
 
 
-def _pmonic(a: Coeffs) -> Coeffs:
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(v / lead for v in a)
+def _pgcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd of two non-constant polynomials (primitive remainder sequence)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _pprimitive(a), _pprimitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _pprimitive(r)
+    return (1,)
 
 
-def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+def _pquo(a: Poly, b: Poly) -> Poly:
+    """Exact quotient a / b over Z; b divides a."""
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    q = [0] * (len(a) - nb + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + nb - 1] // lead
+        q[shift] = c
+        if c:
+            for i, v in enumerate(b):
+                r[shift + i] -= c * v
+    return tuple(q)
 
 
-def _peval_float(a: Coeffs, x: float) -> float:
+def _peval_float(a, x: float) -> float:
     out = 0.0
     for v in reversed(a):
-        out = out * x + float(v)
+        out = out * x + v
     return out
 
 
-def _peval_exact(a: Coeffs, x: Fraction) -> Fraction:
+def _peval_exact(a: Poly, x: Fraction) -> Fraction:
     out = Fraction(0)
     for v in reversed(a):
         out = out * x + v
     return out
 
 
-def _peval_interval(a: Coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    # interval Horner; the argument interval may have any sign
-    out_lo = out_hi = Fraction(0)
-    for v in reversed(a):
-        products = (out_lo * lo, out_lo * hi, out_hi * lo, out_hi * hi)
-        out_lo = min(products) + v
-        out_hi = max(products) + v
-    return out_lo, out_hi
+def _psign_on(a: Poly, lo: int, hi: int, scale: int) -> int:
+    """Sign of a on [lo/scale, hi/scale] (0 < lo), or 0 if not decided.
+
+    Evaluates the positive-coefficient part p+ and the negated
+    negative-coefficient part p- at both ends, homogenized by
+    scale^deg so that everything stays in integers; both parts increase
+    on the positive interval.
+    """
+    pos_lo = pos_hi = neg_lo = neg_hi = 0
+    power = 1
+    for c in reversed(a):
+        pos_lo *= lo
+        pos_hi *= hi
+        neg_lo *= lo
+        neg_hi *= hi
+        if c > 0:
+            t = c * power
+            pos_lo += t
+            pos_hi += t
+        elif c < 0:
+            t = c * power
+            neg_lo -= t
+            neg_hi -= t
+        power *= scale
+    if pos_lo > neg_hi:
+        return 1
+    if pos_hi < neg_lo:
+        return -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,66 +226,116 @@ def _arccot(x: int, one: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds of pi with gap about 10**-digits."""
+# digits start at 40 and double, so a handful of entries covers every refinement
+@lru_cache(maxsize=16)
+def _pi_scaled(digits: int) -> tuple[int, int, int]:
+    """(lo, hi, 10**digits) with lo/10**digits < pi < hi/10**digits."""
     guard = 10 ** 12
     one = 10 ** digits * guard
     approx = 4 * (4 * _arccot(5, one) - _arccot(239, one))
     scaled = approx // guard
-    denom = 10 ** digits
     # series truncation plus flooring stays far below the guard scale
-    return Fraction(scaled - 2, denom), Fraction(scaled + 2, denom)
+    return scaled - 2, scaled + 2, 10 ** digits
+
+
+def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds of pi with gap about 10**-digits."""
+    lo, hi, denom = _pi_scaled(digits)
+    return Fraction(lo, denom), Fraction(hi, denom)
 
 
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
 
+def _int_coeffs(value) -> tuple[Poly, int]:
+    """Integer coefficients and a positive common denominator of an input polynomial."""
+    if isinstance(value, (int, Fraction)):
+        value = (value,)
+    elif not isinstance(value, (tuple, list)):
+        raise TypeError(f"cannot build polynomial from {value!r}")
+    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in value]
+    den = math.lcm(*(v.denominator for v in fracs))
+    return _strip([v.numerator * (den // v.denominator) for v in fracs]), den
+
+
+def _new(n: Poly, d: Poly) -> "Scalar":
+    out = object.__new__(Scalar)
+    out._n = n
+    out._d = d
+    return out
+
+
+def _canonical(n: Poly, d: Poly) -> "Scalar":
+    """The canonical Scalar n / d for integer polynomials n and nonzero d."""
+    if not n:
+        return ZERO
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n = _pquo(n, g)
+            d = _pquo(d, g)
+    c = _gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(v // c for v in n)
+        d = tuple(v // c for v in d)
+    return _new(n, d)
+
+
+def _coerce(value) -> "Scalar":
+    kind = type(value)
+    if kind is Scalar:
+        return value
+    if kind is int:
+        return _new((value,), (1,)) if value else ZERO
+    if kind is Fraction:
+        return _new((value.numerator,), (value.denominator,)) if value else ZERO
+    if isinstance(value, (int, Fraction)):
+        return Scalar(value)
+    if isinstance(value, str):
+        return parse_scalar(value)
+    raise TypeError(f"cannot interpret {value!r} as a Scalar")
+
+
 class Scalar:
     """An exact element of Q(pi), a reduced fraction of polynomials in pi."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num=0, den=1):
-        n = self._as_coeffs(num)
-        d = self._as_coeffs(den)
+        n, n_den = _int_coeffs(num)
+        d, d_den = _int_coeffs(den)
         if not d:
             raise DivisionByZero("scalar denominator is zero")
-        if not n:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        # constants and unit denominators need no polynomial gcd
-        if len(d) > 1 and len(n) > 1:
-            g = _pgcd(n, d)
-            if len(g) > 1:
-                n = _pdivmod(n, g)[0]
-                d = _pdivmod(d, g)[0]
-        lead = d[-1]
-        if lead != 1:
-            n = tuple(v / lead for v in n)
-            d = tuple(v / lead for v in d)
-        self.num, self.den = n, d
+        # (n / n_den) / (d / d_den)
+        if d_den != 1:
+            n = _pscale(n, d_den)
+        if n_den != 1:
+            d = _pscale(d, n_den)
+        s = _canonical(n, d)
+        self._n, self._d = s._n, s._d
 
-    @staticmethod
-    def _as_coeffs(value) -> Coeffs:
-        if isinstance(value, (int, Fraction)):
-            return _trim([Fraction(value)])
-        if isinstance(value, (tuple, list)):
-            return _trim(value)
-        raise TypeError(f"cannot build polynomial from {value!r}")
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        """Numerator coefficients over the monic denominator, as Fractions."""
+        lead = self._d[-1]
+        return tuple(Fraction(v, lead) for v in self._n)
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        """Monic denominator coefficients, as Fractions."""
+        lead = self._d[-1]
+        return tuple(Fraction(v, lead) for v in self._d)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def coerce(cls, value: ScalarLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        if isinstance(value, str):
-            return parse_scalar(value)
-        raise TypeError(f"cannot interpret {value!r} as a Scalar")
+        return _coerce(value)
 
     @classmethod
     def pi(cls) -> "Scalar":
@@ -226,113 +344,113 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise NotRational(f"{self} is not a rational constant")
-        if not self.num:
+        if not self._n:
             return Fraction(0)
-        return self.num[0] / self.den[0]
+        return Fraction(self._n[0], self._d[0])
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.rational_value().denominator == 1
+        return len(self._n) <= 1 and self._d == (1,)
 
     # -- field arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = Scalar.coerce(other)
-        return Scalar(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        o = other if type(other) is Scalar else _coerce(other)
+        return _add(self._n, self._d, o._n, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(Scalar)
-        out.num, out.den = _pneg(self.num), self.den
-        return out
+        return _new(tuple(-v for v in self._n), self._d)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        o = other if type(other) is Scalar else _coerce(other)
+        return _add(self._n, self._d, tuple(-v for v in o._n), o._d)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = Scalar.coerce(other)
-        return Scalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        o = other if type(other) is Scalar else _coerce(other)
+        return _mul(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Scalar.coerce(other)
-        if o.is_zero():
+        o = other if type(other) is Scalar else _coerce(other)
+        if not o._n:
             raise DivisionByZero("scalar division by zero")
-        return Scalar(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _mul(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) / self
+        return _coerce(other) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("scalar exponent must be an integer")
+        n, d = self._n, self._d
         if exponent < 0:
-            return Scalar(1) / self ** (-exponent)
-        out = Scalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            if not n:
+                raise DivisionByZero("scalar division by zero")
+            n, d, exponent = d, n, -exponent
+            if d[-1] < 0:
+                n, d = tuple(-v for v in n), tuple(-v for v in d)
+        # powers of a canonical pair stay coprime, primitive and positive-led
+        pn, pd = (1,), (1,)
+        while exponent:
+            if exponent & 1:
+                pn, pd = _pmul(pn, n), _pmul(pd, d)
+            exponent >>= 1
+            if exponent:
+                n, d = _pmul(n, n), _pmul(d, d)
+        return _new(pn, pd) if pn else ZERO
 
     # -- comparisons (exact) -------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            o = Scalar.coerce(other)
-            return self.num == o.num and self.den == o.den
+            o = _coerce(other)
+            return self._n == o._n and self._d == o._d
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def sign(self) -> int:
         """Exact sign of the value at pi: -1, 0 or +1."""
-        if self.is_zero():
+        n, d = self._n, self._d
+        if not n:
             return 0
-        if self.is_rational():
-            v = self.rational_value()
-            return (v > 0) - (v < 0)
+        if len(n) == 1 and len(d) == 1:
+            return 1 if n[0] > 0 else -1
         digits = 40
         while True:
-            lo, hi = pi_enclosure(digits)
-            nlo, nhi = _peval_interval(self.num, lo, hi)
-            dlo, dhi = _peval_interval(self.den, lo, hi)
-            if (nlo > 0 or nhi < 0) and (dlo > 0 or dhi < 0):
-                ns = 1 if nlo > 0 else -1
-                ds = 1 if dlo > 0 else -1
-                return ns * ds
+            lo, hi, scale = _pi_scaled(digits)
+            ns = _psign_on(n, lo, hi, scale)
+            if ns:
+                ds = _psign_on(d, lo, hi, scale)
+                if ds:
+                    return ns * ds
             digits *= 2
 
     def __lt__(self, other):
-        return (self - Scalar.coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - Scalar.coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - Scalar.coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - Scalar.coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -340,8 +458,7 @@ class Scalar:
     def floor(self) -> int:
         """Exact floor of the value at pi."""
         if self.is_rational():
-            v = self.rational_value()
-            return v.numerator // v.denominator
+            return self._n[0] // self._d[0] if self._n else 0
         m = math.floor(float(self))
         while (self - m).sign() < 0:
             m -= 1
@@ -352,31 +469,75 @@ class Scalar:
     # -- conversions ---------------------------------------------------------
 
     def __float__(self) -> float:
-        return _peval_float(self.num, math.pi) / _peval_float(self.den, math.pi)
+        n, d = self._n, self._d
+        lead = d[-1]
+        if len(d) == 1 and len(n) <= 1:
+            return n[0] / lead if n else 0.0
+        # Horner on the monic form, each coefficient rounded once
+        return _peval_float([v / lead for v in n], math.pi) / _peval_float(
+            [v / lead for v in d], math.pi
+        )
 
     def eval_fraction(self, x: Fraction) -> Fraction:
         """Exact evaluation at a rational argument (reference evaluations)."""
-        d = _peval_exact(self.den, x)
+        d = _peval_exact(self._d, x)
         if d == 0:
             raise DivisionByZero(f"denominator of {self} vanishes at {x}")
-        return _peval_exact(self.num, x) / d
+        return _peval_exact(self._n, x) / d
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == (Fraction(1),):
-            return _format_poly(self.num)
-        return f"({_format_poly(self.num)})/({_format_poly(self.den)})"
+        n, d = self._n, self._d
+        lead = d[-1]
+        if len(d) == 1:
+            return _format_poly(n, lead)
+        return f"({_format_poly(n, lead)})/({_format_poly(d, lead)})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
+def _add(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
+    if len(an) <= 1 and len(bn) <= 1 and len(ad) == 1 and len(bd) == 1:
+        a, b = ad[0], bd[0]
+        x = (an[0] * b if an else 0) + (bn[0] * a if bn else 0)
+        if not x:
+            return ZERO
+        y = a * b
+        g = _gcd(x, y)
+        return _new((x // g,), (y // g,))
+    if ad == bd:
+        return _canonical(_padd(an, bn), ad)
+    return _canonical(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+
+
+def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
+    """(an / ad) * (bn / bd); bd may be a numerator of either sign."""
+    if not an or not bn:
+        return ZERO
+    if len(an) == 1 and len(bn) == 1 and len(ad) == 1 and len(bd) == 1:
+        x, y = an[0] * bn[0], ad[0] * bd[0]
+        if y < 0:
+            x, y = -x, -y
+        g = _gcd(x, y)
+        return _new((x // g,), (y // g,))
+    return _canonical(_pmul(an, bn), _pmul(ad, bd))
+
+
+ZERO = _new((), (1,))
+ONE = _new((1,), (1,))
 PI = Scalar.pi()
 PI_HALF = PI / 2
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+
+def common_denominator_rows(a: Scalar, b: Scalar) -> tuple[Poly, Poly, Poly]:
+    """Integer coefficient rows (P, Q, D) of one length with a = P/D and b = Q/D."""
+    P = _pmul(a._n, b._d)
+    Q = _pmul(b._n, a._d)
+    D = _pmul(a._d, b._d)
+    size = max(len(P), len(Q), len(D))
+    return tuple(row + (0,) * (size - len(row)) for row in (P, Q, D))
 
 
 # ---------------------------------------------------------------------------
@@ -385,41 +546,51 @@ ONE = Scalar(1)
 
 def in_lattice_1d(s: ScalarLike, step: Fraction) -> bool:
     """True iff s is rational and an integer multiple of the rational step."""
-    step = Fraction(step)
-    if step <= 0:
+    if type(step) is not Fraction:
+        step = Fraction(step)
+    if step.numerator <= 0:
         raise ValueError("lattice step must be positive")
-    s = Scalar.coerce(s)
+    s = _coerce(s)
     if not s.is_rational():
         return False
-    return (s.rational_value() / step).denominator == 1
+    if not s._n:
+        return True
+    # (n / d) / (p / q) is an integer iff d p divides n q
+    return (s._n[0] * step.denominator) % (s._d[0] * step.numerator) == 0
 
 
 def is_integer_multiple(s: ScalarLike, step: ScalarLike) -> bool:
     """True iff s/step is an integer; step may be any nonzero Scalar."""
-    s = Scalar.coerce(s)
-    step = Scalar.coerce(step)
-    return (s / step).is_integer()
+    return (_coerce(s) / _coerce(step)).is_integer()
 
 
 def quarter_turns(s: ScalarLike) -> int | None:
     """The integer j with s = j*pi/2, or None if s is not such a multiple."""
-    u = Scalar.coerce(s) * 2 / PI
-    if not u.is_integer():
+    s = _coerce(s)
+    n, d = s._n, s._d
+    if not n:
+        return 0
+    # j*pi/2 in canonical form is ((0, c), (e,)) with 2c/e an integer
+    if len(n) != 2 or n[0] or len(d) != 1:
         return None
-    return int(u.rational_value())
+    j, r = divmod(2 * n[1], d[0])
+    return None if r else j
 
 
 # ---------------------------------------------------------------------------
 # textual form: "p(pi)/q(pi)" with integer-fraction coefficients
 # ---------------------------------------------------------------------------
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _format_coeff(c: int, lead: int) -> str:
+    """Text of the nonnegative rational c/lead, lead > 0."""
+    g = _gcd(c, lead)
+    if g == lead:
+        return str(c // g)
+    return f"{c // g}/{lead // g}"
 
 
-def _format_poly(coeffs: Coeffs) -> str:
+def _format_poly(coeffs: Poly, lead: int) -> str:
+    """Text of the polynomial coeffs / lead, lead > 0."""
     if not coeffs:
         return "0"
     parts = []
@@ -427,12 +598,12 @@ def _format_poly(coeffs: Coeffs) -> str:
         c = coeffs[power]
         if c == 0:
             continue
-        mag = abs(c)
+        mag = -c if c < 0 else c
         if power == 0:
-            body = _format_coeff(mag)
+            body = _format_coeff(mag, lead)
         else:
             sym = "pi" if power == 1 else f"pi^{power}"
-            body = sym if mag == 1 else f"{_format_coeff(mag)}*{sym}"
+            body = sym if mag == lead else f"{_format_coeff(mag, lead)}*{sym}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -460,6 +631,10 @@ class _Tokenizer:
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
+                if j - i > MAX_DIGITS:
+                    raise ValueError(
+                        f"numeral of {j - i} digits is above the limit MAX_DIGITS = {MAX_DIGITS}"
+                    )
                 self.tokens.append(text[i:j])
                 i = j
                 continue
@@ -488,6 +663,35 @@ class _Tokenizer:
         return tok
 
 
+def _degree(value: Scalar) -> int:
+    return max(len(value._n), len(value._d)) - 1
+
+
+def _bounded(value: Scalar) -> Scalar:
+    deg = _degree(value)
+    if deg > MAX_DEGREE:
+        raise ValueError(f"parsed value of degree {deg} is above the limit MAX_DEGREE = {MAX_DEGREE}")
+    return value
+
+
+def _bounded_power(value: Scalar, exponent: int) -> Scalar:
+    """value ** exponent, refused before any work when it would leave the limits."""
+    e = abs(exponent)
+    if e > MAX_DEGREE:
+        raise ValueError(f"exponent {exponent} is above the limit MAX_DEGREE = {MAX_DEGREE}")
+    deg = _degree(value) * e
+    if deg > MAX_DEGREE:
+        raise ValueError(f"power of degree {deg} is above the limit MAX_DEGREE = {MAX_DEGREE}")
+    # coefficients of p^e are at most (len(p) * max|c|)^e
+    coeffs = value._n + value._d
+    bits = max(abs(c).bit_length() for c in coeffs) + len(coeffs).bit_length()
+    if bits * e > _MAX_BITS:
+        raise ValueError(
+            f"power {exponent} would give coefficients above the limit MAX_DIGITS = {MAX_DIGITS} digits"
+        )
+    return value ** exponent
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the textual form; the printer and parser round-trip exactly."""
     tk = _Tokenizer(text)
@@ -502,7 +706,7 @@ def _parse_sum(tk: _Tokenizer) -> Scalar:
     while tk.peek() in ("+", "-"):
         op = tk.next()
         rhs = _parse_term(tk)
-        value = value + rhs if op == "+" else value - rhs
+        value = _bounded(value + rhs if op == "+" else value - rhs)
     return value
 
 
@@ -511,7 +715,7 @@ def _parse_term(tk: _Tokenizer) -> Scalar:
     while tk.peek() in ("*", "/"):
         op = tk.next()
         rhs = _parse_factor(tk)
-        value = value * rhs if op == "*" else value / rhs
+        value = _bounded(value * rhs if op == "*" else value / rhs)
     return value
 
 
@@ -531,7 +735,7 @@ def _parse_factor(tk: _Tokenizer) -> Scalar:
         if not tok.isdigit():
             raise ValueError(f"exponent must be an integer, got {tok!r}")
         exponent = -int(tok) if exp_negate else int(tok)
-        value = value ** exponent
+        value = _bounded_power(value, exponent)
     return -value if negate else value
 
 
@@ -545,5 +749,5 @@ def _parse_atom(tk: _Tokenizer) -> Scalar:
     if tok == "pi":
         return PI
     if tok.isdigit():
-        return Scalar(int(tok))
+        return _coerce(int(tok))
     raise ValueError(f"unexpected token {tok!r} in scalar text {tk.text!r}")

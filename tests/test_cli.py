@@ -201,3 +201,25 @@ def test_printed_scalars_reparse():
     causal, verdict = classify_geodesic(L, X)
     payload = verdict_to_json(causal, verdict)
     assert parse_scalar(payload["minimal_T"]) == verdict.minimal_T
+
+
+def test_division_by_zero_in_vector_is_usage_error():
+    proc = run_cli(
+        ["classify", "--lattice", "k=1,twist=full", "--vector", "a0=1/0,a1=0,a2=0,a3=1"]
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_parser_limit_is_usage_error(capsys):
+    import time
+
+    vector = "a0=1,a1=0,a2=0,a3=1/(pi^400+1)"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        parse_vector(vector)
+    assert time.perf_counter() - start < 0.1
+    code = main(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
+    assert code == 2
+    assert "MAX_DEGREE = 64" in capsys.readouterr().err

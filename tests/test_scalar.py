@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oscigeo.scalar import (
+    MAX_DIGITS,
     DivisionByZero,
     NotRational,
     PI,
@@ -204,3 +205,54 @@ def test_pow():
     assert PI ** 0 == Scalar(1)
     assert PI ** 3 == PI * PI * PI
     assert PI ** -1 == Scalar(1) / PI
+
+
+def test_parser_limit_on_exponent():
+    assert parse_scalar("pi^64") == PI ** 64
+    assert parse_scalar("pi^-64") == PI ** -64
+    with pytest.raises(ValueError, match="exponent 65 .*MAX_DEGREE"):
+        parse_scalar("pi^65")
+    with pytest.raises(ValueError, match="exponent -400 .*MAX_DEGREE"):
+        parse_scalar("1/(2+pi^-400)")
+
+
+def test_parser_limit_on_degree():
+    assert parse_scalar("pi^32*pi^32 + 1") == PI ** 64 + 1
+    with pytest.raises(ValueError, match="degree 65 .*MAX_DEGREE"):
+        parse_scalar("pi^64*pi")
+    with pytest.raises(ValueError, match="degree 66 .*MAX_DEGREE"):
+        parse_scalar("(pi^2+1)^33")
+    with pytest.raises(ValueError, match="degree 65 .*MAX_DEGREE"):
+        parse_scalar("1/(pi^64+1) + 1/(pi+2)")
+
+
+def test_parser_limit_on_digits():
+    big = "9" * MAX_DIGITS
+    assert parse_scalar(big) == Scalar(int(big))
+    with pytest.raises(ValueError, match="MAX_DIGITS"):
+        parse_scalar("1/" + big + "9")
+    # nested powers would otherwise grow coefficients without bound
+    with pytest.raises(ValueError, match="MAX_DIGITS"):
+        parse_scalar("((9^64)^64)^64")
+
+
+def test_verify_suite_inputs_parse():
+    from oscigeo.verify import _rand_scalar, run_suites
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        for max_deg in (1, 2, 3):
+            for _ in range(50):
+                s = _rand_scalar(rng, max_deg)
+                assert parse_scalar(str(s)) == s
+    assert all(r.passed for r in run_suites(["scalar"], seed=0))
+
+
+def test_num_den_views_are_monic_fractions():
+    s = Scalar((Fraction(1, 3), 2), (Fraction(-4, 5), Fraction(2, 7)))
+    assert s.den[-1] == 1
+    assert all(type(c) is Fraction for c in s.num + s.den)
+    assert Scalar(s.num, s.den) == s
+    assert Scalar(0).num == () and Scalar(0).den == (Fraction(1),)
+    with pytest.raises(AttributeError):
+        s.num = (Fraction(1),)

@@ -1,0 +1,122 @@
+"""Scalar arithmetic and sign decisions checked against sympy and mpmath.
+
+Both libraries are independent of oscigeo's integer polynomial core:
+sympy cancels rational functions in a symbol, mpmath evaluates at pi
+with 100 significant digits.
+"""
+
+import math
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from oscigeo.scalar import PI, Scalar
+
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def rand_scalar(rng, max_deg=3):
+    while True:
+        num = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, max_deg + 1))]
+        den = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, max_deg + 1))]
+        if any(den):
+            return Scalar(tuple(num), tuple(den))
+
+
+def _sympy_poly(sympy, x, coeffs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+
+
+def _sympy_value(sympy, x, s):
+    return _sympy_poly(sympy, x, s.num) / _sympy_poly(sympy, x, s.den)
+
+
+def test_field_ops_match_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = rand_scalar(rng), rand_scalar(rng)
+        sa, sb = _sympy_value(sympy, x, a), _sympy_value(sympy, x, b)
+        for op in OPS:
+            if op is operator.truediv and b.is_zero():
+                continue
+            got = op(a, b)
+            assert sympy.cancel(op(sa, sb) - _sympy_value(sympy, x, got)) == 0, (op, a, b)
+
+
+def test_canonical_form_matches_sympy():
+    # numerator and denominator over one integer scale: coprime, content 1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(12)
+    for _ in range(100):
+        a, b, c = rand_scalar(rng), rand_scalar(rng), rand_scalar(rng)
+        for s in (a * b + c, a + a, a / 3 - a / 2):
+            if not s.is_zero():
+                _check_canonical(sympy, x, s)
+
+
+def _check_canonical(sympy, x, s):
+    # structural equality with a fresh construction sees non-canonical content
+    assert Scalar(s.num, s.den) == s
+    scale = math.lcm(*(c.denominator for c in s.num + s.den))
+    num = [int(c * scale) for c in s.num]
+    den = [int(c * scale) for c in s.den]
+    assert math.gcd(*num, *den) == 1
+    P = sympy.Poly(list(reversed(num)), x, domain="ZZ")
+    Q = sympy.Poly(list(reversed(den)), x, domain="ZZ")
+    assert sympy.gcd(P, Q).degree() == 0
+    assert den[-1] > 0
+
+
+def _mp_value(mp, s):
+    def ev(coeffs):
+        out = mp.mpf(0)
+        for c in reversed(coeffs):
+            out = out * mp.pi + mp.mpf(c.numerator) / c.denominator
+        return out
+
+    return ev(s.num) / ev(s.den)
+
+
+def _mp_sign(mp, s):
+    v = _mp_value(mp, s)
+    # 100 digits leave this far from any rounding doubt for the values below
+    assert abs(v) > mp.mpf(10) ** -90
+    return 1 if v > 0 else -1
+
+
+def test_sign_matches_mpmath_random():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        rng = random.Random(13)
+        for _ in range(300):
+            s = rand_scalar(rng)
+            if s.is_zero():
+                assert s.sign() == 0
+                continue
+            assert s.sign() == _mp_sign(mpmath.mp, s), s
+
+
+def test_sign_matches_mpmath_tiny_margins():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(110):
+        digits = mpmath.nstr(mpmath.mp.pi, 105, strip_zeros=False).replace(".", "")
+    with mpmath.workdps(100):
+        for k in (5, 20, 39, 41, 60, 79, 85):
+            # truncations of pi's expansion, from below and from above
+            below = Fraction(int(digits[: k + 1]), 10**k)
+            above = below + Fraction(1, 10**k)
+            for c in (below, above):
+                for s in (
+                    PI - c,
+                    c - PI,
+                    PI * PI - c * c,
+                    (PI - c) * (PI + 7),
+                    Scalar(1) / (PI - c),
+                    (PI**3 - c**3) / (PI**2 + 1),
+                ):
+                    assert s.sign() == _mp_sign(mpmath.mp, s), (k, s)

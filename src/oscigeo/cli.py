@@ -16,14 +16,8 @@ import sys
 
 import numpy as np
 
-from .geodesics import (
-    InvalidStep,
-    closed_form_batch,
-    integrate_geodesic,
-    path_to_csv,
-    path_to_json,
-)
-from .groups import IDENTITY, LatticeSpec, g_mul_f, parse_group_element
+from .geodesics import integrate_geodesic, path_to_csv, path_to_json, sample_geodesic
+from .groups import IDENTITY, LatticeSpec, parse_group_element
 from .metric import TangentVector
 from .quotients import classify_geodesic, project_geodesic, verdict_to_json
 from .scalar import DivisionByZero, Scalar, parse_scalar
@@ -143,27 +137,17 @@ def cmd_classify(args) -> int:
 def cmd_trace(args) -> int:
     vector = parse_vector(args.vector)
     base = IDENTITY if args.base is None else parse_group_element(args.base)
-    if args.step <= 0:
-        raise InvalidStep(f"step must be positive, got {args.step}")
+    header = "s,t,x,y,z"
     if args.quotient:
         if args.lattice is None:
             raise ValueError("--quotient requires --lattice")
         lattice = LatticeSpec.parse(args.lattice)
         samples = project_geodesic(lattice, base, vector, args.s_end, args.step)
-        header = "s,t,x,y,z"
     else:
-        n = max(int(round(args.s_end / args.step)), 0)
-        a = vector.to_float()
-        base_f = base.to_float()
-        closed = np.empty((n + 1, 5))
-        for i in range(n + 1):
-            s = i * args.step
-            closed[i, 0] = s
-            closed[i, 1:5] = g_mul_f(base_f, closed_form_batch(a[None, :], s)[0])
+        closed = sample_geodesic(base, vector, args.s_end, args.step)
         if args.rk4 or args.rk4_check:
             rk4 = integrate_geodesic(base, vector, args.s_end, args.step)
         samples = rk4 if args.rk4 else closed
-        header = "s,t,x,y,z"
         if args.rk4_check:
             diff = np.max(np.abs(closed[:, 1:5] - rk4[:, 1:5]), axis=1)
             samples = np.column_stack([samples, diff])

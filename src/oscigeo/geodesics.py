@@ -34,27 +34,27 @@ from typing import IO
 import numpy as np
 
 from .groups import (
+    _QUARTER_TRIG,
     ExactRotationUnavailable,
     GroupElement,
     g_mul,
     g_mul_f,
 )
-from .metric import TangentVector, metric_matrix_f, x_frame_f
+from .metric import TangentVector, x_frame_f
 from .scalar import Scalar, ScalarLike, quarter_turns
 
 __all__ = [
     "InvalidStep",
     "GeodesicCurve",
     "geodesic_eval",
-    "geodesic_point_f",
     "exp_map",
-    "exp_map_f",
     "exp_map_packed_f",
     "integrate_geodesic",
     "integrate_states",
     "rk4_states",
     "initial_state",
     "closed_form_batch",
+    "sample_geodesic",
     "speed_f",
     "path_to_csv",
     "path_to_json",
@@ -62,13 +62,9 @@ __all__ = [
 
 _A0_FLOAT_CUTOFF = 1e-12
 
-# sin and cos of j quarter turns, j mod 4
-_QSIN = (0, 1, 0, -1)
-_QCOS = (1, 0, -1, 0)
-
 
 class InvalidStep(ValueError):
-    """The integrator was asked for a non-positive step."""
+    """A sampling or integration step that is not positive and finite."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,7 @@ def _eval_from_identity(X: TangentVector, s: Scalar) -> GroupElement:
         raise ExactRotationUnavailable(
             f"exact geodesic evaluation needs a0*s in (pi/2)Z, got {a0 * s}"
         )
-    sin = Scalar(_QSIN[j % 4])
-    cos = Scalar(_QCOS[j % 4])
+    cos, sin = (Scalar(c) for c in _QUARTER_TRIG[j % 4])
     x = (a1 / a0) * sin + (a2 / a0) * cos - a2 / a0
     y = -(a1 / a0) * cos + (a2 / a0) * sin + a1 / a0
     sq = a1 * a1 + a2 * a2
@@ -114,16 +109,6 @@ def exp_map(X: TangentVector) -> GroupElement:
 # float layer
 # ---------------------------------------------------------------------------
 
-def exp_map_f(a, s: float = 1.0) -> np.ndarray:
-    """Componentwise closed form at parameter s; a is (a0, a1, a2, a3)."""
-    a = np.asarray(a, dtype=float)
-    return closed_form_batch(a[None, :], s)[0]
-
-
-def geodesic_point_f(base, a, s: float) -> np.ndarray:
-    return g_mul_f(np.asarray(base, dtype=float), exp_map_f(a, s))
-
-
 def exp_map_packed_f(a) -> np.ndarray:
     """The packed vector form of exp: middle coordinates via (R(a0)J - J)/a0."""
     a0, a1, a2, a3 = np.asarray(a, dtype=float)
@@ -137,26 +122,36 @@ def exp_map_packed_f(a) -> np.ndarray:
     return np.array([a0, v[0], v[1], z])
 
 
-def closed_form_batch(a: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized closed form from the identity: a is (m, 4), result (m, 4)."""
+def closed_form_batch(a, s) -> np.ndarray:
+    """Componentwise closed form exp(sX) from the identity, vectorized.
+
+    a holds directions (a0, a1, a2, a3) along its last axis, shape (..., 4);
+    s broadcasts against a[..., 0], and the result has the broadcast shape
+    plus a last axis of 4.
+    """
     a = np.asarray(a, dtype=float)
-    a0, a1, a2, a3 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    out = np.empty_like(a)
+    s = np.asarray(s, dtype=float)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     line = np.abs(a0) < _A0_FLOAT_CUTOFF
-    rot = ~line
-    out[line, 0] = 0.0
-    out[line, 1] = a1[line] * s
-    out[line, 2] = a2[line] * s
-    out[line, 3] = a3[line] * s
-    if np.any(rot):
-        b0, b1, b2, b3 = a0[rot], a1[rot], a2[rot], a3[rot]
-        sn, cs = np.sin(b0 * s), np.cos(b0 * s)
-        sq = b1 * b1 + b2 * b2
-        out[rot, 0] = b0 * s
-        out[rot, 1] = (b1 / b0) * sn + (b2 / b0) * cs - b2 / b0
-        out[rot, 2] = -(b1 / b0) * cs + (b2 / b0) * sn + b1 / b0
-        out[rot, 3] = 0.5 * ((sq / b0 + 2 * b3) * s - (sq / (b0 * b0)) * sn)
-    return out
+    b0 = np.where(line, 1.0, a0)
+    sn, cs = np.sin(b0 * s), np.cos(b0 * s)
+    sq = a1 * a1 + a2 * a2
+    return np.stack([
+        np.where(line, 0.0, b0 * s),
+        np.where(line, a1 * s, (a1 / b0) * sn + (a2 / b0) * cs - a2 / b0),
+        np.where(line, a2 * s, -(a1 / b0) * cs + (a2 / b0) * sn + a1 / b0),
+        np.where(line, a3 * s, 0.5 * ((sq / b0 + 2 * a3) * s - (sq / (b0 * b0)) * sn)),
+    ], axis=-1)
+
+
+def sample_geodesic(h: GroupElement, X: TangentVector, s_end: float, step: float) -> np.ndarray:
+    """Closed-form samples (s, t, x, y, z) of h exp(sX) at s = i * step, i = 0..n.
+
+    n = round(s_end / step), at least 0, so s_end <= 0 gives the single
+    row at s = 0.
+    """
+    s = np.arange(_step_count(s_end, step) + 1) * step
+    return np.column_stack([s, g_mul_f(h.to_float(), closed_form_batch(X.to_float(), s))])
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +201,12 @@ def initial_state(h, X) -> np.ndarray:
 
 
 def _step_count(s_end: float, step: float) -> int:
-    if step <= 0:
-        raise InvalidStep(f"integration step must be positive, got {step}")
-    n = int(round(s_end / step))
-    return max(n, 0)
+    if not 0 < step < math.inf:
+        raise InvalidStep(f"step must be positive and finite, got {step}")
+    ratio = s_end / step
+    if not math.isfinite(ratio):
+        raise InvalidStep(f"s_end / step must be finite, got {s_end} / {step}")
+    return max(int(round(ratio)), 0)
 
 
 def integrate_states(h, X, s_end: float, step: float, every: int = 1) -> np.ndarray:
@@ -231,14 +228,11 @@ def integrate_geodesic(h, X, s_end: float, step: float, every: int = 1) -> np.nd
 
 
 def speed_f(states: np.ndarray) -> np.ndarray:
-    """<gamma', gamma'> per sampled state row (s plus 8 state columns)."""
-    pos = states[:, 1:5]
-    vel = states[:, 5:9]
-    out = np.empty(len(states))
-    for i in range(len(states)):
-        G = metric_matrix_f(pos[i])
-        out[i] = vel[i] @ G @ vel[i]
-    return out
+    """<gamma', gamma'> of (..., 8) states (t, x, y, z, t', x', y', z')."""
+    x, y = states[..., 1], states[..., 2]
+    vt, vx, vy, vz = states[..., 4], states[..., 5], states[..., 6], states[..., 7]
+    # v^T G(p) v expanded from the coordinate metric
+    return vx * vx + vy * vy + vt * (y * vx - x * vy) + 2 * vt * vz
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,14 @@ operation, not by the element type.
 Exact rotations exist only at quarter-turn angles t in (pi/2)Z, where
 the rotation matrix has entries in {-1, 0, 1}; every lattice, normalizer
 and periodicity decision needs only these.  The float layer (functions
-with an ``_f`` suffix, operating on length-4 numpy arrays) covers
-arbitrary angles for tracing and numeric verification.
+with an ``_f`` suffix, taking (..., 4) numpy arrays and broadcasting over
+the leading axes) covers arbitrary angles for tracing and numeric
+verification.
+
+Both coset normal forms reduce into one fundamental domain: t in
+[0, t_step), v in R(t mod pi/2)[0, 1)^2 and z in [0, 1/2k).  The box for
+v is a fundamental domain of the lattice's v-shifts R(t)Z^2 = R(t mod
+pi/2)Z^2 at every angle, and at quarter turns it is [0, 1)^2.
 
 Quotient conventions: all quotient-level operations on G use right
 cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
@@ -56,7 +62,6 @@ __all__ = [
     "rotation_f",
     "g_mul_f",
     "g_inv_f",
-    "n_mul_f",
     "coset_normal_form_f",
     "parse_group_element",
 ]
@@ -66,7 +71,7 @@ class ExactRotationUnavailable(ValueError):
     """An exact rotation was requested at an angle outside (pi/2)Z."""
 
 
-# entries of R(j * pi/2) for j mod 4: (cos, sin)
+# (cos, sin) of j quarter turns, j mod 4
 _QUARTER_TRIG = (
     (Fraction(1), Fraction(0)),
     (Fraction(0), Fraction(1)),
@@ -197,33 +202,30 @@ def n_inv(a: GroupElement) -> GroupElement:
 # float layer
 # ---------------------------------------------------------------------------
 
+def _rotate(t, x, y):
+    """R(t)(x, y), elementwise over broadcast arrays."""
+    c, s = np.cos(t), np.sin(t)
+    return c * x - s * y, s * x + c * y
+
+
 def g_mul_f(p, q) -> np.ndarray:
+    """Float product in G of (..., 4) arrays, broadcast against each other."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    w = rotation_f(p[0]) @ q[1:3]
-    return np.array([
-        p[0] + q[0],
-        p[1] + w[0],
-        p[2] + w[1],
-        p[3] + q[3] + 0.5 * (p[1] * w[1] - p[2] * w[0]),
-    ])
+    wx, wy = _rotate(p[..., 0], q[..., 1], q[..., 2])
+    return np.stack([
+        p[..., 0] + q[..., 0],
+        p[..., 1] + wx,
+        p[..., 2] + wy,
+        p[..., 3] + q[..., 3] + 0.5 * (p[..., 1] * wy - p[..., 2] * wx),
+    ], axis=-1)
 
 
 def g_inv_f(p) -> np.ndarray:
+    """Float inverse in G of a (..., 4) array."""
     p = np.asarray(p, dtype=float)
-    w = rotation_f(-p[0]) @ p[1:3]
-    return np.array([-p[0], -w[0], -w[1], -p[3]])
-
-
-def n_mul_f(p, q) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.array([
-        p[0] + q[0],
-        p[1] + q[1],
-        p[2] + q[2],
-        p[3] + q[3] + 0.5 * (p[1] * q[2] - p[2] * q[1]),
-    ])
+    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
+    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +336,14 @@ def _frac_scalar(s: Scalar, step: Fraction) -> tuple[Scalar, int]:
 def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     """Canonical representative of the right coset g*Lam in G/Lam.
 
-    Reduces t into [0, t_step), then v into [0, 1)^2, then z into
-    [0, 1/2k), each by a right multiplication with a lattice element.
-    The t-reduction never touches v or z; the v-reduction needs the
-    rotation R(t') at the reduced t', hence requires t' in (pi/2)Z
-    whenever v actually moves (otherwise the result would leave Q(pi)).
+    The domain is the one ``coset_normal_form_f`` shares: t in
+    [0, t_step), v in R(t' mod pi/2)[0, 1)^2 at the reduced t', z in
+    [0, 1/2k), each reached by a right multiplication with a lattice
+    element.  The t-reduction never touches v or z.  Exact rotations
+    exist only at quarter turns t' in (pi/2)Z, where the v-box is
+    [0, 1)^2; so v is reduced into [0, 1)^2, and a v that has to move at
+    any other t' raises ExactRotationUnavailable (the shift would leave
+    Q(pi)).
     """
     # t-reduction by (-m*t_step, 0, 0): only t changes
     m = (g.t / L.t_step).floor()
@@ -392,35 +397,34 @@ def n_coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
     return n_lattice_contains(L, n_mul(g1, n_inv(g2)))
 
 
-def coset_normal_form_f(L: LatticeSpec, p, eps: float = 1e-9) -> np.ndarray:
-    """Float reduction of a point to a canonical coset representative.
+# a float within this fraction of a step below a box's upper boundary
+# snaps to the lower one, so that lattice-exact inputs reduce stably
+_BOX_SNAP = 1e-9
 
-    t is reduced mod t_step; the v-shift is read off in the rotated-back
-    chart w = R(-t') v, whose fractional part is coset-canonical for all
-    three families; z is reduced mod 1/2k.  Values within eps of an upper
-    box boundary snap to the lower one so that lattice-exact inputs
-    reduce stably.
+
+def _snap_frac(value, step: float):
+    f = value / step
+    f = f - np.floor(f + _BOX_SNAP)
+    return np.maximum(f, 0.0) * step
+
+
+def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
+    """Float reduction of (..., 4) points to canonical coset representatives.
+
+    Reduces into the domain of ``coset_normal_form``: t into [0, t_step),
+    then v into R(d)[0, 1)^2 with d = t mod pi/2, read off in the chart
+    w = R(-d) v, then z into [0, 1/2k).  R(t)Z^2 = R(d)Z^2, so the
+    v-shift is a lattice element at every angle, and at quarter turns the
+    box is [0, 1)^2 and the result agrees with the exact normal form.
     """
     p = np.asarray(p, dtype=float)
-    t_step = float(L.t_step)
-    z_step = float(L.z_step)
-
-    def snap_frac(value, step):
-        f = value / step
-        f -= math.floor(f + eps)
-        if f < 0.0:
-            f = 0.0
-        return f * step
-
-    t1 = snap_frac(p[0], t_step)
-    v = p[1:3]
-    w = rotation_f(-t1) @ v
-    shift = -np.floor(w + eps)
-    w_new = rotation_f(t1) @ shift
-    z = p[3] + 0.5 * (v[0] * w_new[1] - v[1] * w_new[0])
-    v = v + w_new
-    z = snap_frac(z, z_step)
-    return np.array([t1, v[0], v[1], z])
+    x, y = p[..., 1], p[..., 2]
+    t1 = _snap_frac(p[..., 0], float(L.t_step))
+    d = _snap_frac(t1, math.pi / 2)
+    wx, wy = _rotate(-d, x, y)
+    sx, sy = _rotate(d, -np.floor(wx + _BOX_SNAP), -np.floor(wy + _BOX_SNAP))
+    z = _snap_frac(p[..., 3] + 0.5 * (x * sy - y * sx), float(L.z_step))
+    return np.stack([t1, x + sx, y + sy, z], axis=-1)
 
 
 # ---------------------------------------------------------------------------

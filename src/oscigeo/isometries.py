@@ -43,6 +43,7 @@ from .groups import (
     GroupElement,
     LatticeSpec,
     Rotation,
+    _cross,
     g_inv,
     g_mul,
     g_mul_f,
@@ -51,6 +52,7 @@ from .groups import (
     rotation_f,
 )
 from .metric import (
+    FRAME,
     FRAME_GRAM,
     TangentVector,
     bracket,
@@ -160,14 +162,6 @@ def ad_matrix_group(t: Scalar, v: tuple[Scalar, Scalar]) -> Matrix4:
 # exact certification of differentials
 # ---------------------------------------------------------------------------
 
-_FRAME = (
-    TangentVector.of(1, 0, 0, 0),
-    TangentVector.of(0, 1, 0, 0),
-    TangentVector.of(0, 0, 1, 0),
-    TangentVector.of(0, 0, 0, 1),
-)
-
-
 def _column(A: Matrix4, j: int) -> TangentVector:
     return TangentVector(A[0][j], A[1][j], A[2][j], A[3][j])
 
@@ -197,10 +191,10 @@ def ambrose_hicks_check(A: Matrix4) -> bool:
                 return False
     for i in range(4):
         for j in range(4):
-            inner = bracket(_FRAME[i], _FRAME[j])
+            inner = bracket(FRAME[i], FRAME[j])
             img = bracket(cols[i], cols[j])
             for k in range(4):
-                lhs = _apply(A, bracket(inner, _FRAME[k]))
+                lhs = _apply(A, bracket(inner, FRAME[k]))
                 rhs = bracket(img, cols[k])
                 if lhs != rhs:
                     return False
@@ -225,10 +219,6 @@ def inner_aut(g: GroupElement, x: GroupElement) -> GroupElement:
         - _cross(r0v, rv0) / 2
     )
     return GroupElement(x.t, v[0], v[1], z)
-
-
-def _cross(v, w) -> Scalar:
-    return v[0] * w[1] - v[1] * w[0]
 
 
 def chi_f(g, x) -> np.ndarray:
@@ -302,27 +292,30 @@ def left_translation_f(g) -> Callable[[np.ndarray], np.ndarray]:
 # numeric certification of point maps
 # ---------------------------------------------------------------------------
 
+# central-difference step, and the half-width of the cube points are drawn from
+_FD_STEP = 1e-6
+_SAMPLE_BOX = 2.0
+
+
 def is_isometry_numeric(
     point_map: Callable[[np.ndarray], np.ndarray],
     samples: int = 50,
     seed: int = 0,
     tol: float = 1e-6,
-    fd_step: float = 1e-6,
-    box: float = 2.0,
 ) -> bool:
     """Pull the metric back through a central-difference Jacobian.
 
     True iff J^T G(f(p)) J matches G(p) entrywise within tol at every
-    sampled point.
+    point sampled from the cube [-2, 2]^4.
     """
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        p = rng.uniform(-box, box, 4)
+        p = rng.uniform(-_SAMPLE_BOX, _SAMPLE_BOX, 4)
         jac = np.empty((4, 4))
         for i in range(4):
             e = np.zeros(4)
-            e[i] = fd_step
-            jac[:, i] = (point_map(p + e) - point_map(p - e)) / (2 * fd_step)
+            e[i] = _FD_STEP
+            jac[:, i] = (point_map(p + e) - point_map(p - e)) / (2 * _FD_STEP)
         pulled = jac.T @ metric_matrix_f(point_map(p)) @ jac
         if np.max(np.abs(pulled - metric_matrix_f(p))) > tol:
             return False

@@ -38,12 +38,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geodesics import closed_form_batch, exp_map
+from .geodesics import exp_map, sample_geodesic
 from .groups import (
+    _QUARTER_TRIG,
     GroupElement,
     LatticeSpec,
     coset_normal_form_f,
-    g_mul_f,
     lattice_contains,
 )
 from .metric import CausalType, TangentVector, causal_type
@@ -58,11 +58,6 @@ __all__ = [
     "verdict_to_json",
     "rotation_residue_table",
 ]
-
-# sin/cos of j quarter turns
-_QSIN = (0, 1, 0, -1)
-_QCOS = (1, 0, -1, 0)
-
 
 class VerdictKind(enum.Enum):
     PERIODIC = "periodic"
@@ -103,12 +98,8 @@ def rotation_residue_table(L: LatticeSpec, a0_sign: int):
     table = []
     for r in range(cycle):
         j = (a0_sign * q * r) % 4
-        c, s = _QCOS[j], _QSIN[j]
-        m_r = (
-            (Fraction(s), Fraction(c - 1)),
-            (Fraction(1 - c), Fraction(s)),
-        )
-        table.append((m_r, Fraction(s)))
+        c, s = _QUARTER_TRIG[j]
+        table.append((((s, c - 1), (1 - c, s)), s))
     return table
 
 
@@ -323,17 +314,6 @@ def project_geodesic(
     Each sample is h exp(sX) reduced to the canonical coset
     representative; trace output only, never used for decisions.
     """
-    from .geodesics import InvalidStep
-
-    if step <= 0:
-        raise InvalidStep(f"sampling step must be positive, got {step}")
-    n = max(int(round(s_end / step)), 0)
-    base = h.to_float()
-    a = X.to_float()[None, :]
-    rows = np.empty((n + 1, 5))
-    for i in range(n + 1):
-        s = i * step
-        point = g_mul_f(base, closed_form_batch(a, s)[0])
-        rows[i, 0] = s
-        rows[i, 1:5] = coset_normal_form_f(L, point)
+    rows = sample_geodesic(h, X, s_end, step)
+    rows[:, 1:5] = coset_normal_form_f(L, rows[:, 1:5])
     return rows

@@ -5,16 +5,22 @@ import sys
 
 import pytest
 
+import oscigeo
 from oscigeo.cli import main, parse_vector
 from oscigeo.scalar import PI, Scalar
 from oscigeo.metric import TangentVector
 
+# the child interpreter imports the same package as the tests, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(oscigeo.__file__))
+
 
 def run_cli(args, **kwargs):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "oscigeo", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 
@@ -139,6 +145,13 @@ def test_trace_json_format(capsys):
     data = json.loads(out)
     assert len(data) == 3 and len(data[0]) == 5
     assert abs(data[2][2] - 0.2) < 1e-15
+
+
+def test_trace_non_finite_step_is_usage_error(capsys):
+    quotient = ["--quotient", "--lattice", "k=1,twist=full"]
+    for extra in (["--step", "inf"], ["--s-end", "inf"], ["--step", "inf", *quotient]):
+        code = main(["trace", "--vector", "1,0,0,0", "--output", "-", *extra])
+        assert code == 2 and capsys.readouterr().err.startswith("error:"), extra
 
 
 def test_trace_unwritable_output(capsys):

@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from oscigeo.scalar import PI, PI_HALF, Scalar
-from oscigeo.groups import ExactRotationUnavailable, GroupElement, IDENTITY, g_mul, g_mul_f
+from oscigeo.groups import (
+    ExactRotationUnavailable,
+    GroupElement,
+    IDENTITY,
+    LatticeSpec,
+    Twist,
+    coset_normal_form_f,
+    g_inv_f,
+    g_mul,
+    g_mul_f,
+)
 from oscigeo.metric import TangentVector
 from oscigeo.geodesics import (
     GeodesicCurve,
     InvalidStep,
     closed_form_batch,
     exp_map,
-    exp_map_f,
     exp_map_packed_f,
     geodesic_eval,
     initial_state,
@@ -22,6 +31,7 @@ from oscigeo.geodesics import (
     path_to_csv,
     path_to_json,
     rk4_states,
+    sample_geodesic,
     speed_f,
 )
 
@@ -86,8 +96,8 @@ def test_exp_one_parameter_law_float():
     for _ in range(30):
         a = rng.uniform(-2, 2, 4)
         s, u = rng.uniform(-2, 2, 2)
-        lhs = g_mul_f(exp_map_f(a, s), exp_map_f(a, u))
-        rhs = exp_map_f(a, s + u)
+        lhs = g_mul_f(closed_form_batch(a, s), closed_form_batch(a, u))
+        rhs = closed_form_batch(a, s + u)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -97,7 +107,38 @@ def test_packed_exp_matches_componentwise():
         a = rng.uniform(-2, 2, 4)
         if abs(a[0]) < 0.05:
             a[0] = 0.7
-        assert np.max(np.abs(exp_map_f(a) - exp_map_packed_f(a))) < 1e-12
+        assert np.max(np.abs(closed_form_batch(a, 1.0) - exp_map_packed_f(a))) < 1e-12
+
+
+def test_float_layer_broadcasts_like_single_points():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-2, 2, (12, 4))
+    a[::3, 0] = 0.0  # line directions among the rotating ones
+    s = rng.uniform(-3, 3, 12)
+    p = rng.uniform(-3, 3, (12, 4))
+    L = LatticeSpec(2, Twist.HALF)
+    rows = {
+        "closed_form": (closed_form_batch(a, s), [closed_form_batch(a[i], s[i]) for i in range(12)]),
+        "closed_form_scalar_s": (
+            closed_form_batch(a, 0.7), [closed_form_batch(a[i], 0.7) for i in range(12)]
+        ),
+        "closed_form_s_grid": (closed_form_batch(a[1], s), [closed_form_batch(a[1], v) for v in s]),
+        "g_mul": (g_mul_f(p, a), [g_mul_f(p[i], a[i]) for i in range(12)]),
+        "g_mul_one_base": (g_mul_f(p[0], a), [g_mul_f(p[0], a[i]) for i in range(12)]),
+        "g_inv": (g_inv_f(p), [g_inv_f(p[i]) for i in range(12)]),
+        "coset_normal_form": (coset_normal_form_f(L, p), [coset_normal_form_f(L, q) for q in p]),
+    }
+    for name, (batch, single) in rows.items():
+        assert batch.shape == (12, 4), name
+        np.testing.assert_allclose(batch, np.array(single), rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def test_sampling_rejects_bad_step():
+    X = TangentVector.of(1, 0, 0, 0)
+    for s_end, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, np.inf), (1.0, np.nan), (np.inf, 1e-3)):
+        with pytest.raises(InvalidStep):
+            sample_geodesic(IDENTITY, X, s_end, step)
+    assert sample_geodesic(IDENTITY, X, -1.0, 0.1).shape == (1, 5)
 
 
 def test_integrator_rejects_bad_step():
@@ -118,7 +159,7 @@ def test_integrator_reversal():
 
 def test_speed_conservation():
     states = integrate_states(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]), 10.0, 1e-3, every=100)
-    speeds = speed_f(states)
+    speeds = speed_f(states[:, 1:])
     assert np.max(np.abs(speeds - speeds[0])) / max(1.0, abs(speeds[0])) < 1e-8
 
 
@@ -143,7 +184,7 @@ def test_closed_form_left_invariance_float_vs_exact():
     X = TangentVector.of(2, 1, Fraction(1, 2), Fraction(-3, 4))
     for s in (PI_HALF, PI, 3 * PI_HALF):
         exact = geodesic_eval(GeodesicCurve(h, X), s).to_float()
-        approx = g_mul_f(h.to_float(), exp_map_f(X.to_float(), float(s)))
+        approx = g_mul_f(h.to_float(), closed_form_batch(X.to_float(), float(s)))
         assert np.max(np.abs(exact - approx)) < 1e-12
 
 

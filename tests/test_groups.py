@@ -325,6 +325,19 @@ def test_float_normal_form_is_coset_canonical():
             assert np.max(d) < 1e-9
 
 
+def test_float_normal_form_matches_exact_at_quarter_turns():
+    # both forms reduce v into [0, 1)^2 at quarter turns, on every family
+    rng = random.Random(12)
+    for k in (1, 2, 3):
+        for twist in Twist:
+            L = LatticeSpec(k, twist)
+            for _ in range(40):
+                g = rand_quarter(rng)
+                g = GroupElement(PI_HALF * rng.randint(-8, 8), g.x, g.y, g.z)
+                exact = coset_normal_form(L, g).to_float()
+                assert np.max(np.abs(coset_normal_form_f(L, g.to_float()) - exact)) < 1e-9, (L, g)
+
+
 def test_group_element_parse_print_roundtrip():
     g = GroupElement.of(2 * PI, (Fraction(1, 2), -3), Fraction(-5, 4))
     assert parse_group_element(str(g)) == g

@@ -44,6 +44,7 @@ from .metric import TangentVector, x_frame_f
 from .scalar import Scalar, ScalarLike, quarter_turns
 
 __all__ = [
+    "MAX_SAMPLES",
     "InvalidStep",
     "GeodesicCurve",
     "geodesic_eval",
@@ -62,9 +63,14 @@ __all__ = [
 
 _A0_FLOAT_CUTOFF = 1e-12
 
+# most steps one sampling or integration call may take: every sample is held
+# in memory at once, so a larger request is refused instead of attempted
+MAX_SAMPLES = 10**7
+
 
 class InvalidStep(ValueError):
-    """A sampling or integration step that is not positive and finite."""
+    """A sampling or integration step that is not positive and finite, or
+    one that would take more than MAX_SAMPLES steps."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,13 @@ def _eval_from_identity(X: TangentVector, s: Scalar) -> GroupElement:
         raise ExactRotationUnavailable(
             f"exact geodesic evaluation needs a0*s in (pi/2)Z, got {a0 * s}"
         )
-    cos, sin = (Scalar(c) for c in _QUARTER_TRIG[j % 4])
-    x = (a1 / a0) * sin + (a2 / a0) * cos - a2 / a0
-    y = -(a1 / a0) * cos + (a2 / a0) * sin + a1 / a0
-    sq = a1 * a1 + a2 * a2
-    z = ((sq / a0 + 2 * a3) * s - (sq / (a0 * a0)) * sin) / 2
+    cos, sin = _QUARTER_TRIG[j % 4]
+    # two divisions by a0 in all: (a1^2 + a2^2)/a0 = p a1 + q a2 and
+    # (a1^2 + a2^2)/a0^2 = p^2 + q^2
+    p, q = a1 / a0, a2 / a0
+    x = p * sin + q * (cos - 1)
+    y = q * sin - p * (cos - 1)
+    z = ((p * a1 + q * a2 + 2 * a3) * s - (p * p + q * q) * sin) / 2
     return GroupElement(a0 * s, x, y, z)
 
 
@@ -206,7 +214,12 @@ def _step_count(s_end: float, step: float) -> int:
     ratio = s_end / step
     if not math.isfinite(ratio):
         raise InvalidStep(f"s_end / step must be finite, got {s_end} / {step}")
-    return max(int(round(ratio)), 0)
+    n = max(int(round(ratio)), 0)
+    if n > MAX_SAMPLES:
+        raise InvalidStep(
+            f"s_end / step asks for {n} steps, above the limit MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+    return n
 
 
 def integrate_states(h, X, s_end: float, step: float, every: int = 1) -> np.ndarray:

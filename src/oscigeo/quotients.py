@@ -54,6 +54,7 @@ __all__ = [
     "PeriodicityVerdict",
     "classify_geodesic",
     "minimal_period",
+    "PeriodUnverified",
     "project_geodesic",
     "verdict_to_json",
     "rotation_residue_table",
@@ -207,15 +208,22 @@ def _solve_membership(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
 # the classifier
 # ---------------------------------------------------------------------------
 
+def _period_units(L: LatticeSpec, X: TangentVector) -> list[Scalar]:
+    """Lengths every period of exp(sX) is an integer multiple of.
+
+    t_step/|a0| from the t-coordinate when a0 != 0; for a line, step/|a_i|
+    for each nonzero component.
+    """
+    if not X.a0.is_zero():
+        return [L.t_step / abs(X.a0)]
+    steps = (L.v_step, L.v_step, L.z_step)
+    return [Scalar(step) / abs(a) for a, step in zip((X.a1, X.a2, X.a3), steps) if not a.is_zero()]
+
+
 def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     """a0 = 0: exp(TX) = (0, a1 T, a2 T, a3 T); intersect the step lattices."""
-    constraints: list[Scalar] = []
-    steps = (Fraction(1), Fraction(1), L.z_step)
-    for a, step in zip((X.a1, X.a2, X.a3), steps):
-        if not a.is_zero():
-            constraints.append(Scalar(step) / abs(a))
     generator: Scalar | None = None
-    for c in constraints:
+    for c in _period_units(L, X):
         if generator is None:
             generator = c
             continue
@@ -266,13 +274,51 @@ def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, Per
     return causal, _classify_rotating(L, X)
 
 
+class PeriodUnverified(ArithmeticError):
+    """A periodic verdict whose minimality proof needs a witness factored
+    beyond the trial-division limit."""
+
+
+# trial divisors run up to this bound, so a cofactor left below its square is prime
+_TRIAL_LIMIT = 10**6
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division up to _TRIAL_LIMIT."""
+    primes = []
+    rest = n
+    d = 2
+    while d * d <= rest:
+        if d > _TRIAL_LIMIT:
+            raise PeriodUnverified(
+                f"cannot prove the period minimal: the {n.bit_length()}-bit witness leaves a "
+                f"cofactor with no prime factor up to _TRIAL_LIMIT = {_TRIAL_LIMIT}"
+            )
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        primes.append(rest)
+    return primes
+
+
 def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Scalar | None:
     """The minimal period, or None when the geodesic never closes.
 
-    With verify=True a Periodic verdict is confirmed exactly: exp(T X)
-    must lie in the lattice and no admissible T' < T may, scanning the
-    t-step multiples (a0 != 0) or the single-coordinate period lattices
-    (a0 = 0).
+    With verify=True a Periodic verdict is proved exactly.  exp(T X) must
+    lie in the lattice.  Since s -> exp(sX) is a homomorphism, the periods
+    form a group T0 Z and T = c T0 for an integer c.  Every period is an
+    integer multiple of each of the _period_units (t_step/|a0| when
+    a0 != 0, step/|a_i| per nonzero component of a line), so c divides
+    n = gcd of the T/unit, and T is minimal iff exp((T/p) X) is not in the
+    lattice for each prime p | n.  That costs omega(n) exact evaluations,
+    omega counting the distinct prime factors (n is the witness m when
+    a0 != 0).
+    A wrong verdict raises AssertionError; a witness with a cofactor of
+    _TRIAL_LIMIT**2 or more and no prime factor up to _TRIAL_LIMIT raises
+    PeriodUnverified.
     """
     causal, verdict = classify_geodesic(L, X)
     if verdict.kind is not VerdictKind.PERIODIC:
@@ -282,23 +328,15 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
         return T
     if not lattice_contains(L, exp_map(X.scale(T))):
         raise AssertionError(f"verdict T = {T} fails exact lattice membership")
-    if verdict.witness_m is not None:
-        abs_a0 = abs(X.a0)
-        for m in range(1, verdict.witness_m):
-            T_smaller = L.t_step * m / abs_a0
-            if lattice_contains(L, exp_map(X.scale(T_smaller))):
-                raise AssertionError(f"smaller admissible period {T_smaller} exists")
-    else:
-        steps = (Fraction(1), Fraction(1), L.z_step)
-        for a, step in zip((X.a1, X.a2, X.a3), steps):
-            if a.is_zero():
-                continue
-            unit = Scalar(step) / abs(a)
-            j = 1
-            while (unit * j - T).sign() < 0:
-                if lattice_contains(L, exp_map(X.scale(unit * j))):
-                    raise AssertionError(f"smaller admissible period {unit * j} exists")
-                j += 1
+    n = 0
+    for unit in _period_units(L, X):
+        ratio = T / unit
+        if not (ratio.is_integer() and ratio.sign() > 0):
+            raise AssertionError(f"verdict T = {T} is not a positive multiple of the unit {unit}")
+        n = math.gcd(n, ratio.rational_value().numerator)
+    for p in _prime_factors(n):
+        if lattice_contains(L, exp_map(X.scale(T / p))):
+            raise AssertionError(f"smaller admissible period {T / p} exists")
     return T
 
 

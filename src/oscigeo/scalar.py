@@ -137,6 +137,11 @@ def _prem(a: Poly, b: Poly) -> Poly:
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd of two non-constant polynomials (primitive remainder sequence)."""
+    for mono, other in ((a, b), (b, a)):
+        if not any(mono[:-1]):
+            # mono = c x^k: the gcd is the power of x dividing other, at most x^k
+            low = next(i for i, v in enumerate(other) if v)
+            return (0,) * min(low, len(mono) - 1) + (1,)
     if len(a) < len(b):
         a, b = b, a
     a, b = _pprimitive(a), _pprimitive(b)

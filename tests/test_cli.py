@@ -154,6 +154,13 @@ def test_trace_non_finite_step_is_usage_error(capsys):
         assert code == 2 and capsys.readouterr().err.startswith("error:"), extra
 
 
+def test_trace_beyond_max_samples_is_usage_error(capsys):
+    code = main(["trace", "--vector", "1,0,0,0", "--s-end", "1e12", "--step", "1e-6"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_SAMPLES = 10000000" in err
+
+
 def test_trace_unwritable_output(capsys):
     code = main(["trace", "--vector", "1,0,0,0", "--s-end", "1", "--step", "0.5",
                  "--output", "/nonexistent-dir/x.csv"])

@@ -19,8 +19,10 @@ from oscigeo.groups import (
 )
 from oscigeo.metric import TangentVector
 from oscigeo.geodesics import (
+    MAX_SAMPLES,
     GeodesicCurve,
     InvalidStep,
+    _step_count,
     closed_form_batch,
     exp_map,
     exp_map_packed_f,
@@ -139,6 +141,15 @@ def test_sampling_rejects_bad_step():
         with pytest.raises(InvalidStep):
             sample_geodesic(IDENTITY, X, s_end, step)
     assert sample_geodesic(IDENTITY, X, -1.0, 0.1).shape == (1, 5)
+
+
+def test_step_count_limit():
+    # checked without allocating: a request at the limit is accepted, one past it refused
+    assert _step_count(MAX_SAMPLES * 1e-3, 1e-3) == MAX_SAMPLES
+    X = TangentVector.of(1, 0, 0, 0)
+    for run in (sample_geodesic, integrate_geodesic):
+        with pytest.raises(InvalidStep, match="MAX_SAMPLES"):
+            run(IDENTITY, X, (MAX_SAMPLES + 1) * 1e-3, 1e-3)
 
 
 def test_integrator_rejects_bad_step():

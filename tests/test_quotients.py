@@ -18,7 +18,10 @@ from oscigeo.groups import (
 )
 from oscigeo.metric import CausalType, TangentVector
 from oscigeo.geodesics import InvalidStep, exp_map
+from oscigeo.cli import parse_vector
+from oscigeo import quotients
 from oscigeo.quotients import (
+    PeriodUnverified,
     PeriodicityVerdict,
     VerdictKind,
     classify_geodesic,
@@ -239,6 +242,100 @@ def test_minimal_period_divides_returns():
         T = verdict.minimal_T
         for mult in (2, 3):
             assert lattice_contains(L10, exp_map(X.scale(T * mult)))
+
+
+# the brute-force scan is an oracle for witnesses up to this many period units
+_SCAN_LIMIT = 300
+
+
+def _scan_unit(L, X):
+    """A length every admissible period is an integer multiple of."""
+    if X.a0.is_zero():
+        a, step = next(
+            (a, step) for a, step in zip((X.a1, X.a2, X.a3), (1, 1, L.z_step)) if not a.is_zero()
+        )
+        return Scalar(step) / abs(a)
+    return L.t_step / abs(X.a0)
+
+
+def _scan_minimal_period(L, X):
+    """The least admissible period of at most _SCAN_LIMIT units, or None."""
+    unit = _scan_unit(L, X)
+    for j in range(1, _SCAN_LIMIT + 1):
+        if lattice_contains(L, exp_map(X.scale(unit * j))):
+            return unit * j
+    return None
+
+
+def _random_line(rng):
+    comps = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)]
+    if not any(comps):
+        comps[2] = Fraction(1)
+    if rng.random() < 0.2:
+        comps[rng.randrange(3)] *= PI
+    return TangentVector.of(0, *comps)
+
+
+def _random_closing_rotation(rng):
+    # a3 off the null value by r/pi keeps A = (z-slope)/h rational, so the
+    # witness grows with the denominator of r instead of staying at 1, 2 or 4
+    X = random_null(rng, allow_line=False)
+    r = Fraction(rng.randint(-9, 9), rng.randint(1, 40))
+    return TangentVector.of(X.a0, X.a1, X.a2, X.a3 + r / PI)
+
+
+def test_minimal_period_agrees_with_the_scan_oracle():
+    rng = random.Random(6)
+    compared = 0
+    for L in ALL_FAMILIES:
+        directions = [random_null(rng, allow_line=False) for _ in range(2)]
+        directions += [_random_closing_rotation(rng) for _ in range(4)]
+        directions += [_random_line(rng) for _ in range(3)]
+        for X in directions:
+            T = minimal_period(L, X)
+            scanned = _scan_minimal_period(L, X)
+            if scanned is None:
+                assert T is None or (T / _scan_unit(L, X)).rational_value() > _SCAN_LIMIT
+            else:
+                assert T == scanned, (L, X)
+                compared += 1
+    assert compared >= 60
+
+
+def test_minimal_period_rejects_a_doubled_verdict(monkeypatch):
+    classify = quotients.classify_geodesic
+
+    def doubled(L, X):
+        causal, v = classify(L, X)
+        m = None if v.witness_m is None else 2 * v.witness_m
+        return causal, PeriodicityVerdict(v.kind, v.minimal_T * 2, m)
+
+    monkeypatch.setattr(quotients, "classify_geodesic", doubled)
+    cases = [
+        (L1H, TangentVector.of(1, Fraction(1, 3), 0, Fraction(-1, 18))),
+        (L10, TangentVector.of(0, 0, 0, 1)),
+        (L10, TangentVector.of(0, Fraction(1, 2), 0, Fraction(1, 3))),
+    ]
+    for L, X in cases:
+        with pytest.raises(AssertionError):
+            minimal_period(L, X)
+
+
+def test_minimal_period_large_witnesses():
+    def central(m):
+        return parse_vector(f"a0=1,a1=0,a2=0,a3=1/(4*{m}*pi)")
+
+    assert minimal_period(L10, central(10**9)) == 2000000000 * PI
+    assert minimal_period(L10, central(999999937)) == 2 * 999999937 * PI
+    # 1000003 * 1000033: both prime factors lie beyond the trial-division limit
+    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
+        minimal_period(L10, central(1000036000099))
+
+
+def test_prime_factors_small():
+    for n in range(1, 2000):
+        naive = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert quotients._prime_factors(n) == naive
 
 
 def test_lattice_chain_divisibility():

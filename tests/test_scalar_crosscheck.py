@@ -59,6 +59,25 @@ def test_canonical_form_matches_sympy():
                 _check_canonical(sympy, x, s)
 
 
+def test_monomial_factors_cancel_like_sympy():
+    # c pi^k against a polynomial with a power of pi as factor: the gcd fast path
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(13)
+    for _ in range(20):
+        a = rand_scalar(rng)
+        if a.is_zero():
+            continue
+        for k in range(4):
+            mono = Scalar((0,) * k + (Fraction(rng.randint(1, 9), rng.randint(1, 9)),))
+            lifted = a * PI ** rng.randint(0, 3)
+            for num, den in ((lifted, mono), (mono, lifted)):
+                got = num / den
+                expect = _sympy_value(sympy, x, num) / _sympy_value(sympy, x, den)
+                assert sympy.cancel(expect - _sympy_value(sympy, x, got)) == 0
+                _check_canonical(sympy, x, got)
+
+
 def _check_canonical(sympy, x, s):
     # structural equality with a fresh construction sees non-canonical content
     assert Scalar(s.num, s.den) == s

@@ -14,14 +14,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .geodesics import integrate_geodesic, path_to_csv, path_to_json, sample_geodesic
 from .groups import IDENTITY, LatticeSpec, parse_group_element
 from .metric import TangentVector
-from .quotients import classify_geodesic, project_geodesic, verdict_to_json
+from .quotients import classify_geodesic, verdict_to_json
 from .scalar import DivisionByZero, Scalar, parse_scalar
-from .verify import run_suites, suite_names
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -97,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         default=None,
-        help=f"suite to run (repeatable); available: {', '.join(suite_names())}",
+        help="suite to run (repeatable); default: every suite",
     )
     p_verify.add_argument(
         "--seed", type=int, default=None, help="suite seed; default OSCIGEO_SEED or 0"
@@ -135,6 +131,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    import numpy as np
+
+    from . import floats
+
     vector = parse_vector(args.vector)
     base = IDENTITY if args.base is None else parse_group_element(args.base)
     header = "s,t,x,y,z"
@@ -142,37 +142,38 @@ def cmd_trace(args) -> int:
         if args.lattice is None:
             raise ValueError("--quotient requires --lattice")
         lattice = LatticeSpec.parse(args.lattice)
-        samples = project_geodesic(lattice, base, vector, args.s_end, args.step)
+        samples = floats.project_geodesic(lattice, base, vector, args.s_end, args.step)
     else:
-        closed = sample_geodesic(base, vector, args.s_end, args.step)
+        closed = floats.sample_geodesic(base, vector, args.s_end, args.step)
         if args.rk4 or args.rk4_check:
-            rk4 = integrate_geodesic(base, vector, args.s_end, args.step)
+            rk4 = floats.integrate_geodesic(base, vector, args.s_end, args.step)
         samples = rk4 if args.rk4 else closed
         if args.rk4_check:
             diff = np.max(np.abs(closed[:, 1:5] - rk4[:, 1:5]), axis=1)
             samples = np.column_stack([samples, diff])
             header = "s,t,x,y,z,diff"
 
+    def write(stream) -> None:
+        if args.format == "json":
+            floats.path_to_json(samples, stream)
+        else:
+            floats.path_to_csv(samples, stream, header=header)
+
     try:
         if args.output == "-":
-            _write_samples(samples, sys.stdout, args.format, header)
+            write(sys.stdout)
         else:
             with open(args.output, "w", newline="") as stream:
-                _write_samples(samples, stream, args.format, header)
+                write(stream)
     except OSError as exc:
         print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def _write_samples(samples, stream, fmt: str, header: str) -> None:
-    if fmt == "json":
-        path_to_json(samples, stream)
-    else:
-        path_to_csv(samples, stream, header=header)
-
-
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     seed = _default_seed(args.seed)
     names = args.suite if args.suite else None
     try:

@@ -1,0 +1,411 @@
+"""The float layer: sampling, tracing and the numeric oracles.
+
+Every function here takes numpy float arrays of points (t, x, y, z) or
+directions (a0, a1, a2, a3) along the last axis, shape (..., 4), and
+broadcasts over the leading axes; one point is the shape (4,).  Exact
+values enter through their ``to_float()`` tuples.  Floats never feed a
+decision: the exact modules import no numpy, and this module is the
+float view that ``trace``, the verification suites and the tests check
+them against.
+
+Contents: the group law of G and the coset normal form, the coordinate
+metric and the frames, the isometry maps and the finite-difference
+isometry test, closed-form geodesics and their sampling, the RK4 oracle
+and CSV/JSON output of sampled paths.
+
+The RK4 oracle integrates the coordinate second-order system
+
+  t'' = 0,  x'' = -t' y',  y'' = t' x',  z'' = 1/2 t' (x x' + y y')
+
+with fixed-step classical RK4 (deterministic, no adaptivity).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from typing import IO, Callable
+
+import numpy as np
+
+from .groups import GroupElement, LatticeSpec
+from .metric import TangentVector
+
+_A0_FLOAT_CUTOFF = 1e-12
+
+# most steps one sampling or integration call may take: every sample is held
+# in memory at once, so a larger request is refused instead of attempted
+MAX_SAMPLES = 10**7
+
+
+class InvalidStep(ValueError):
+    """A sampling or integration step that is not positive and finite, or
+    one that would take more than MAX_SAMPLES steps."""
+
+
+def _stack(*columns) -> np.ndarray:
+    """Columns broadcast against each other, stacked along a new last axis."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _rotate(t, x, y):
+    """R(t)(x, y), elementwise over broadcast arrays."""
+    c, s = np.cos(t), np.sin(t)
+    return c * x - s * y, s * x + c * y
+
+
+# ---------------------------------------------------------------------------
+# group law and coset normal form
+# ---------------------------------------------------------------------------
+
+def g_mul_f(p, q) -> np.ndarray:
+    """Float product in G of (..., 4) arrays, broadcast against each other."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    wx, wy = _rotate(p[..., 0], q[..., 1], q[..., 2])
+    return np.stack([
+        p[..., 0] + q[..., 0],
+        p[..., 1] + wx,
+        p[..., 2] + wy,
+        p[..., 3] + q[..., 3] + 0.5 * (p[..., 1] * wy - p[..., 2] * wx),
+    ], axis=-1)
+
+
+def g_inv_f(p) -> np.ndarray:
+    """Float inverse in G of a (..., 4) array."""
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
+    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
+
+
+# a float within this fraction of a step below a box's upper boundary
+# snaps to the lower one, so that lattice-exact inputs reduce stably
+_BOX_SNAP = 1e-9
+
+
+def _snap_frac(value, step: float):
+    f = value / step
+    f = f - np.floor(f + _BOX_SNAP)
+    return np.maximum(f, 0.0) * step
+
+
+def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
+    """Float reduction of (..., 4) points to canonical coset representatives.
+
+    Reduces t into [0, t_step), then v into R(d)[0, 1)^2 with
+    d = t mod pi/2, read off in the chart w = R(-d) v, then z into
+    [0, 1/2k).  R(t)Z^2 = R(d)Z^2, so the v-shift is a lattice element at
+    every angle.  At quarter turns the box is [0, 1)^2 and the result
+    agrees with the exact ``groups.coset_normal_form``; at any other
+    reduced t the two give different representatives of the same coset.
+    """
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 1], p[..., 2]
+    t1 = _snap_frac(p[..., 0], float(L.t_step))
+    d = _snap_frac(t1, math.pi / 2)
+    wx, wy = _rotate(-d, x, y)
+    sx, sy = _rotate(d, -np.floor(wx + _BOX_SNAP), -np.floor(wy + _BOX_SNAP))
+    z = _snap_frac(p[..., 3] + 0.5 * (x * sy - y * sx), float(L.z_step))
+    return np.stack([t1, x + sx, y + sy, z], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# coordinate metric and frames, (..., 4, 4) matrices
+# ---------------------------------------------------------------------------
+
+def _matrices(p, ones) -> np.ndarray:
+    """Zero (..., 4, 4) matrices for the points p, with 1 at the (i, j) in ones."""
+    m = np.zeros(np.shape(p)[:-1] + (4, 4))
+    for i, j in ones:
+        m[..., i, j] = 1.0
+    return m
+
+
+def metric_matrix_f(p) -> np.ndarray:
+    """Float coordinate metric at (..., 4) points, rows/cols (dt, dx, dy, dz)."""
+    p = np.asarray(p, dtype=float)
+    m = _matrices(p, ((0, 3), (3, 0), (1, 1), (2, 2)))
+    m[..., 0, 1] = m[..., 1, 0] = p[..., 2] / 2
+    m[..., 0, 2] = m[..., 2, 0] = -p[..., 1] / 2
+    return m
+
+
+def x_frame_f(p) -> np.ndarray:
+    """Columns are the frame fields X0..X3 of G in coordinates at (..., 4) points."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 1], p[..., 2]
+    c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
+    m = _matrices(p, ((0, 0), (3, 3)))
+    m[..., 1, 1] = m[..., 2, 2] = c
+    m[..., 1, 2] = -s
+    m[..., 2, 1] = s
+    m[..., 3, 1] = 0.5 * (x * s - y * c)
+    m[..., 3, 2] = 0.5 * (x * c + y * s)
+    return m
+
+
+def e_frame_f(p) -> np.ndarray:
+    """Columns are the frame fields e0..e3 of N in coordinates at (..., 4) points."""
+    p = np.asarray(p, dtype=float)
+    m = _matrices(p, ((0, 0), (1, 1), (2, 2), (3, 3)))
+    m[..., 3, 1] = -0.5 * p[..., 2]
+    m[..., 3, 2] = 0.5 * p[..., 1]
+    return m
+
+
+# ---------------------------------------------------------------------------
+# isometry maps and their numeric certification
+# ---------------------------------------------------------------------------
+
+def chi_f(g, x) -> np.ndarray:
+    """Float conjugation chi_g(x) = g x g^-1 at any angles; g and x broadcast."""
+    g = np.asarray(g, dtype=float)
+    x = np.asarray(x, dtype=float)
+    gx, gy = g[..., 1], g[..., 2]
+    r0x, r0y = _rotate(g[..., 0], x[..., 1], x[..., 2])
+    rvx, rvy = _rotate(x[..., 0], gx, gy)
+    z = (
+        x[..., 3]
+        + 0.5 * (gx * r0y - gy * r0x)
+        - 0.5 * (gx * rvy - gy * rvx)
+        - 0.5 * (r0x * rvy - r0y * rvx)
+    )
+    return _stack(x[..., 0], gx + r0x - rvx, gy + r0y - rvy, z)
+
+
+def f1_f(p) -> np.ndarray:
+    """f1(t, v, z) = (-t, S v, -z) with S(x, y) = (-x, y)."""
+    return np.asarray(p, dtype=float) * np.array([-1.0, -1.0, 1.0, -1.0])
+
+
+def f2_f(p) -> np.ndarray:
+    """f2(t, v, z) = (-t, R(-t) v, -z)."""
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
+    return np.stack([-p[..., 0], wx, wy, -p[..., 3]], axis=-1)
+
+
+def f3_f(p) -> np.ndarray:
+    """f3(t, v, z) = (t, R(t) S v, z)."""
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(p[..., 0], -p[..., 1], p[..., 2])
+    return np.stack([p[..., 0], wx, wy, p[..., 3]], axis=-1)
+
+
+def heis_action_f(vp, zp, p) -> np.ndarray:
+    """(v', z') . (t, v, z) with v' of shape (..., 2); all three broadcast."""
+    vp = np.asarray(vp, dtype=float)
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(p[..., 0], vp[..., 0], vp[..., 1])
+    return _stack(
+        p[..., 0],
+        p[..., 1] - wx,
+        p[..., 2] - wy,
+        p[..., 3] - zp - 0.5 * (p[..., 1] * wy - p[..., 2] * wx),
+    )
+
+
+# central-difference step, and the half-width of the cube points are drawn from
+_FD_STEP = 1e-6
+_SAMPLE_BOX = 2.0
+
+
+def is_isometry_numeric(
+    point_map: Callable[[np.ndarray], np.ndarray],
+    samples: int = 50,
+    seed: int = 0,
+    tol: float = 1e-6,
+) -> bool:
+    """Pull the metric back through a central-difference Jacobian.
+
+    True iff J^T G(f(p)) J matches G(p) entrywise within tol at every
+    point sampled from the cube [-2, 2]^4.  point_map must broadcast over
+    (..., 4): it is called once, on an array of every sample and its eight
+    displaced copies.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-_SAMPLE_BOX, _SAMPLE_BOX, (samples, 4))
+    # rows: p + h e_i, then p - h e_i for i = 0..3, then p itself
+    shifts = np.concatenate([np.eye(4), -np.eye(4), np.zeros((1, 4))]) * _FD_STEP
+    images = point_map(p[:, None, :] + shifts)
+    jac = np.swapaxes(images[:, 0:4] - images[:, 4:8], -1, -2) / (2 * _FD_STEP)
+    pulled = np.swapaxes(jac, -1, -2) @ metric_matrix_f(images[:, 8]) @ jac
+    return not np.any(np.abs(pulled - metric_matrix_f(p)) > tol)
+
+
+# ---------------------------------------------------------------------------
+# closed-form geodesics and sampling
+# ---------------------------------------------------------------------------
+
+def exp_map_packed_f(a) -> np.ndarray:
+    """The packed form of exp at (..., 4) directions, independent of closed_form_batch.
+
+    The middle coordinates are (R(a0)J - J)(a1, a2)^T / a0.
+    """
+    a = np.asarray(a, dtype=float)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    line = np.abs(a0) < _A0_FLOAT_CUTOFF
+    b0 = np.where(line, 1.0, a0)
+    c, s = np.cos(b0), np.sin(b0)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    v = np.einsum("...ij,...j->...i", rot @ J - J, a[..., 1:3]) / b0[..., None]
+    z = a3 + 0.5 * (a1 * a1 / b0 + a2 * a2 / b0) * (1.0 - s / b0)
+    return np.stack([
+        np.where(line, 0.0, a0),
+        np.where(line, a1, v[..., 0]),
+        np.where(line, a2, v[..., 1]),
+        np.where(line, a3, z),
+    ], axis=-1)
+
+
+def closed_form_batch(a, s) -> np.ndarray:
+    """Componentwise closed form exp(sX) from the identity, vectorized.
+
+    a holds directions (a0, a1, a2, a3) along its last axis, shape (..., 4);
+    s broadcasts against a[..., 0], and the result has the broadcast shape
+    plus a last axis of 4.
+    """
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    line = np.abs(a0) < _A0_FLOAT_CUTOFF
+    b0 = np.where(line, 1.0, a0)
+    sn, cs = np.sin(b0 * s), np.cos(b0 * s)
+    sq = a1 * a1 + a2 * a2
+    return np.stack([
+        np.where(line, 0.0, b0 * s),
+        np.where(line, a1 * s, (a1 / b0) * sn + (a2 / b0) * cs - a2 / b0),
+        np.where(line, a2 * s, -(a1 / b0) * cs + (a2 / b0) * sn + a1 / b0),
+        np.where(line, a3 * s, 0.5 * ((sq / b0 + 2 * a3) * s - (sq / (b0 * b0)) * sn)),
+    ], axis=-1)
+
+
+def _step_count(s_end: float, step: float) -> int:
+    if not 0 < step < math.inf:
+        raise InvalidStep(f"step must be positive and finite, got {step}")
+    ratio = s_end / step
+    if not math.isfinite(ratio):
+        raise InvalidStep(f"s_end / step must be finite, got {s_end} / {step}")
+    n = max(int(round(ratio)), 0)
+    if n > MAX_SAMPLES:
+        raise InvalidStep(
+            f"s_end / step asks for {n} steps, above the limit MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+    return n
+
+
+def sample_geodesic(h: GroupElement, X: TangentVector, s_end: float, step: float) -> np.ndarray:
+    """Closed-form samples (s, t, x, y, z) of h exp(sX) at s = i * step, i = 0..n.
+
+    n = round(s_end / step), at least 0, so s_end <= 0 gives the single
+    row at s = 0.
+    """
+    s = np.arange(_step_count(s_end, step) + 1) * step
+    return np.column_stack([s, g_mul_f(h.to_float(), closed_form_batch(X.to_float(), s))])
+
+
+def project_geodesic(
+    L: LatticeSpec,
+    h: GroupElement,
+    X: TangentVector,
+    s_end: float,
+    step: float,
+) -> np.ndarray:
+    """Float samples (s, t, x, y, z) of the quotient-reduced geodesic.
+
+    Each sample is h exp(sX) reduced to the canonical coset
+    representative; trace output only, never used for decisions.
+    """
+    rows = sample_geodesic(h, X, s_end, step)
+    rows[:, 1:5] = coset_normal_form_f(L, rows[:, 1:5])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# RK4 oracle for the coordinate second-order system
+# ---------------------------------------------------------------------------
+
+def _deriv(state: np.ndarray) -> np.ndarray:
+    # state columns: t, x, y, z, t', x', y', z'
+    d = np.empty_like(state)
+    d[..., 0:4] = state[..., 4:8]
+    d[..., 4] = 0.0
+    d[..., 5] = -state[..., 4] * state[..., 6]
+    d[..., 6] = state[..., 4] * state[..., 5]
+    d[..., 7] = 0.5 * state[..., 4] * (
+        state[..., 1] * state[..., 5] + state[..., 2] * state[..., 6]
+    )
+    return d
+
+
+def rk4_states(state0: np.ndarray, n_steps: int, h: float, observer=None) -> np.ndarray:
+    """Advance the first-order system n_steps of size h; returns final state.
+
+    ``observer(i, state)`` is called after each step with the step index
+    (1-based) and the current state; it lets callers accumulate running
+    comparisons without storing the whole trajectory.
+    """
+    state = np.array(state0, dtype=float)
+    for i in range(1, n_steps + 1):
+        k1 = _deriv(state)
+        k2 = _deriv(state + (h / 2) * k1)
+        k3 = _deriv(state + (h / 2) * k2)
+        k4 = _deriv(state + h * k3)
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if observer is not None:
+            observer(i, state)
+    return state
+
+
+def initial_state(h, X) -> np.ndarray:
+    """States (..., 8): positions h plus the frame vectors X pushed to coordinates at h.
+
+    h and X are (..., 4) arrays, or a GroupElement and a TangentVector.
+    """
+    base = np.asarray(h.to_float() if isinstance(h, GroupElement) else h, dtype=float)
+    a = np.asarray(X.to_float() if isinstance(X, TangentVector) else X, dtype=float)
+    velocity = np.einsum("...ij,...j->...i", x_frame_f(base), a)
+    return np.concatenate([np.broadcast_to(base, velocity.shape), velocity], axis=-1)
+
+
+def integrate_states(h, X, s_end: float, step: float) -> np.ndarray:
+    """States (s, t, x, y, z, t', x', y', z') of the RK4 path at s = i * step, i = 0..n."""
+    n = _step_count(s_end, step)
+    rows = np.empty((n + 1, 9))
+    rows[:, 0] = np.arange(n + 1) * step
+    rows[0, 1:] = initial_state(h, X)
+
+    def observer(i, state):
+        rows[i, 1:] = state
+
+    rk4_states(rows[0, 1:], n, step, observer)
+    return rows
+
+
+def integrate_geodesic(h, X, s_end: float, step: float) -> np.ndarray:
+    """Sampled path (s, t, x, y, z) of the RK4-integrated geodesic."""
+    return integrate_states(h, X, s_end, step)[:, 0:5]
+
+
+def speed_f(states: np.ndarray) -> np.ndarray:
+    """<gamma', gamma'> of (..., 8) states (t, x, y, z, t', x', y', z')."""
+    x, y = states[..., 1], states[..., 2]
+    vt, vx, vy, vz = states[..., 4], states[..., 5], states[..., 6], states[..., 7]
+    # v^T G(p) v expanded from the coordinate metric
+    return vx * vx + vy * vy + vt * (y * vx - x * vy) + 2 * vt * vz
+
+
+# ---------------------------------------------------------------------------
+# serialization of sampled paths
+# ---------------------------------------------------------------------------
+
+def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z") -> None:
+    """CSV with dot decimals, LF endings and 17 significant digits."""
+    stream.write(header + "\n")
+    for row in samples:
+        stream.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def path_to_json(samples: np.ndarray, stream: IO[str]) -> None:
+    json.dump([[float(v) for v in row] for row in samples], stream)

@@ -8,15 +8,17 @@ operation, not by the element type.
 
 Exact rotations exist only at quarter-turn angles t in (pi/2)Z, where
 the rotation matrix has entries in {-1, 0, 1}; every lattice, normalizer
-and periodicity decision needs only these.  The float layer (functions
-with an ``_f`` suffix, taking (..., 4) numpy arrays and broadcasting over
-the leading axes) covers arbitrary angles for tracing and numeric
+and periodicity decision needs only these.  The float layer in
+``oscigeo.floats`` covers arbitrary angles for tracing and numeric
 verification.
 
-Both coset normal forms reduce into one fundamental domain: t in
-[0, t_step), v in R(t mod pi/2)[0, 1)^2 and z in [0, 1/2k).  The box for
+The float coset normal form reduces into the fundamental domain t in
+[0, t_step), v in R(t mod pi/2)[0, 1)^2 and z in [0, 1/2k); the box for
 v is a fundamental domain of the lattice's v-shifts R(t)Z^2 = R(t mod
-pi/2)Z^2 at every angle, and at quarter turns it is [0, 1)^2.
+pi/2)Z^2 at every angle.  The exact form reduces t and z the same way,
+but it can move v only at quarter turns, where the box is [0, 1)^2 and
+the two forms agree.  At any other reduced t the exact form leaves v
+where it is, in the same coset.
 
 Quotient conventions: all quotient-level operations on G use right
 cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
@@ -25,11 +27,8 @@ cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .scalar import (
     PI,
@@ -37,34 +36,9 @@ from .scalar import (
     Scalar,
     ScalarLike,
     in_lattice_1d,
-    is_integer_multiple,
+    in_quarter_lattice,
     quarter_turns,
 )
-
-__all__ = [
-    "ExactRotationUnavailable",
-    "GroupElement",
-    "Rotation",
-    "Twist",
-    "LatticeSpec",
-    "IDENTITY",
-    "g_mul",
-    "g_inv",
-    "n_mul",
-    "n_inv",
-    "lattice_contains",
-    "coset_normal_form",
-    "coset_equal",
-    "normalizer_contains",
-    "n_lattice_contains",
-    "n_coset_normal_form",
-    "n_coset_equal",
-    "rotation_f",
-    "g_mul_f",
-    "g_inv_f",
-    "coset_normal_form_f",
-    "parse_group_element",
-]
 
 
 class ExactRotationUnavailable(ValueError):
@@ -105,15 +79,6 @@ class Rotation:
         (a, b), (c, d) = self.matrix()
         return (v[0] * a + v[1] * b, v[0] * c + v[1] * d)
 
-    def matrix_float(self) -> np.ndarray:
-        t = float(self.angle)
-        return rotation_f(t)
-
-
-def rotation_f(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
 
 def _cross(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> Scalar:
     # v^T J w with J = [[0, 1], [-1, 0]]
@@ -139,8 +104,8 @@ class GroupElement:
     def v(self) -> tuple[Scalar, Scalar]:
         return (self.x, self.y)
 
-    def to_float(self) -> np.ndarray:
-        return np.array([float(self.t), float(self.x), float(self.y), float(self.z)])
+    def to_float(self) -> tuple[float, float, float, float]:
+        return (float(self.t), float(self.x), float(self.y), float(self.z))
 
     def __str__(self) -> str:
         return f"({self.t}; {self.x}, {self.y}; {self.z})"
@@ -196,36 +161,6 @@ def n_mul(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def n_inv(a: GroupElement) -> GroupElement:
     return GroupElement(-a.t, -a.x, -a.y, -a.z)
-
-
-# ---------------------------------------------------------------------------
-# float layer
-# ---------------------------------------------------------------------------
-
-def _rotate(t, x, y):
-    """R(t)(x, y), elementwise over broadcast arrays."""
-    c, s = np.cos(t), np.sin(t)
-    return c * x - s * y, s * x + c * y
-
-
-def g_mul_f(p, q) -> np.ndarray:
-    """Float product in G of (..., 4) arrays, broadcast against each other."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    wx, wy = _rotate(p[..., 0], q[..., 1], q[..., 2])
-    return np.stack([
-        p[..., 0] + q[..., 0],
-        p[..., 1] + wx,
-        p[..., 2] + wy,
-        p[..., 3] + q[..., 3] + 0.5 * (p[..., 1] * wy - p[..., 2] * wx),
-    ], axis=-1)
-
-
-def g_inv_f(p) -> np.ndarray:
-    """Float inverse in G of a (..., 4) array."""
-    p = np.asarray(p, dtype=float)
-    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
-    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +241,7 @@ class LatticeSpec:
 def lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
     """Exact membership of g in the lattice of L."""
     return (
-        is_integer_multiple(g.t, L.t_step)
+        in_quarter_lattice(g.t, L.t_step_quarters)
         and in_lattice_1d(g.x, L.v_step)
         and in_lattice_1d(g.y, L.v_step)
         and in_lattice_1d(g.z, L.z_step)
@@ -316,7 +251,7 @@ def lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
 def n_lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
     """Membership in the N-side lattice 2*pi*Z x Z x Z x (1/2k)Z."""
     return (
-        is_integer_multiple(g.t, PI * 2)
+        in_quarter_lattice(g.t, 4)
         and in_lattice_1d(g.x, Fraction(1))
         and in_lattice_1d(g.y, Fraction(1))
         and in_lattice_1d(g.z, L.z_step)
@@ -334,16 +269,18 @@ def _frac_scalar(s: Scalar, step: Fraction) -> tuple[Scalar, int]:
 
 
 def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
-    """Canonical representative of the right coset g*Lam in G/Lam.
+    """Representative of the right coset g*Lam in G/Lam.
 
-    The domain is the one ``coset_normal_form_f`` shares: t in
-    [0, t_step), v in R(t' mod pi/2)[0, 1)^2 at the reduced t', z in
-    [0, 1/2k), each reached by a right multiplication with a lattice
-    element.  The t-reduction never touches v or z.  Exact rotations
-    exist only at quarter turns t' in (pi/2)Z, where the v-box is
-    [0, 1)^2; so v is reduced into [0, 1)^2, and a v that has to move at
-    any other t' raises ExactRotationUnavailable (the shift would leave
-    Q(pi)).
+    t is reduced into [0, t_step), v into [0, 1)^2 and z into [0, 1/2k),
+    each by a right multiplication with a lattice element; the
+    t-reduction never touches v or z.  The v-shift is R(t') of an integer
+    vector at the reduced t', exact only at quarter turns t' in (pi/2)Z.
+    So at quarter turns the result is canonical and equals
+    ``floats.coset_normal_form_f``; at any other t' a v already in
+    [0, 1)^2 stays unmoved, which lies in the same coset as the float
+    form's R(t' mod pi/2)[0, 1)^2 representative but differs from it, and
+    a v that has to move raises ExactRotationUnavailable (the shift would
+    leave Q(pi)).
     """
     # t-reduction by (-m*t_step, 0, 0): only t changes
     m = (g.t / L.t_step).floor()
@@ -395,36 +332,6 @@ def _t_reduce_exact(t: Scalar) -> tuple[Scalar, int]:
 def n_coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
     """True iff Lam*g1 = Lam*g2 in Lam\\N, via g1 g2^-1 in Lam."""
     return n_lattice_contains(L, n_mul(g1, n_inv(g2)))
-
-
-# a float within this fraction of a step below a box's upper boundary
-# snaps to the lower one, so that lattice-exact inputs reduce stably
-_BOX_SNAP = 1e-9
-
-
-def _snap_frac(value, step: float):
-    f = value / step
-    f = f - np.floor(f + _BOX_SNAP)
-    return np.maximum(f, 0.0) * step
-
-
-def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
-    """Float reduction of (..., 4) points to canonical coset representatives.
-
-    Reduces into the domain of ``coset_normal_form``: t into [0, t_step),
-    then v into R(d)[0, 1)^2 with d = t mod pi/2, read off in the chart
-    w = R(-d) v, then z into [0, 1/2k).  R(t)Z^2 = R(d)Z^2, so the
-    v-shift is a lattice element at every angle, and at quarter turns the
-    box is [0, 1)^2 and the result agrees with the exact normal form.
-    """
-    p = np.asarray(p, dtype=float)
-    x, y = p[..., 1], p[..., 2]
-    t1 = _snap_frac(p[..., 0], float(L.t_step))
-    d = _snap_frac(t1, math.pi / 2)
-    wx, wy = _rotate(-d, x, y)
-    sx, sy = _rotate(d, -np.floor(wx + _BOX_SNAP), -np.floor(wy + _BOX_SNAP))
-    z = _snap_frac(p[..., 3] + 0.5 * (x * sy - y * sx), float(L.z_step))
-    return np.stack([t1, x + sx, y + sy, z], axis=-1)
 
 
 # ---------------------------------------------------------------------------

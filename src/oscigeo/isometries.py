@@ -19,8 +19,8 @@ A candidate differential is certified by the locally-symmetric-space
 criterion: it must preserve the frame Gram matrix and commute with the
 double bracket, A[[X, Y], Z] = [[AX, AY], AZ]; both checks are finite
 and exact by multilinearity.  Maps themselves are certified numerically
-by pulling the coordinate metric back through a finite-difference
-Jacobian.
+by ``floats.is_isometry_numeric``, which pulls the coordinate metric back
+through a finite-difference Jacobian of the float maps there.
 
 The Heisenberg group acts isometrically by
 
@@ -35,57 +35,11 @@ with h in the normalizer of the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .groups import (
-    GroupElement,
-    LatticeSpec,
-    Rotation,
-    _cross,
-    g_inv,
-    g_mul,
-    g_mul_f,
-    normalizer_contains,
-    parse_group_element,
-    rotation_f,
-)
-from .metric import (
-    FRAME,
-    FRAME_GRAM,
-    TangentVector,
-    bracket,
-    frame_inner,
-    metric_matrix_f,
-)
-from .scalar import PI, Scalar, in_lattice_1d, is_integer_multiple
-
-__all__ = [
-    "NotOrthogonal",
-    "IsotropyElement",
-    "IsometryOfG",
-    "isotropy_matrix",
-    "extract_isotropy",
-    "ambrose_hicks_check",
-    "ad_matrix_group",
-    "inner_aut",
-    "chi_f",
-    "discrete_isometry",
-    "f1_f",
-    "f2_f",
-    "f3_f",
-    "is_isometry_numeric",
-    "fiber_preserving",
-    "heis_action",
-    "heis_action_f",
-    "inner_trivial_on_g",
-    "induced_inner_trivial",
-    "induced_translation_trivial",
-    "induced_maps_equal",
-    "parse_isometry",
-    "left_translation_f",
-]
+from .groups import GroupElement, LatticeSpec, Rotation, _cross, g_mul, normalizer_contains
+from .metric import FRAME, FRAME_GRAM, TangentVector, bracket, frame_inner
+from .scalar import Scalar, in_lattice_1d, in_quarter_lattice
 
 Matrix4 = tuple[tuple[Scalar, ...], ...]
 
@@ -221,26 +175,10 @@ def inner_aut(g: GroupElement, x: GroupElement) -> GroupElement:
     return GroupElement(x.t, v[0], v[1], z)
 
 
-def chi_f(g, x) -> np.ndarray:
-    """Float conjugation chi_g(x) for arbitrary angles."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r0v = rotation_f(g[0]) @ x[1:3]
-    rv0 = rotation_f(x[0]) @ g[1:3]
-    v = g[1:3] + r0v - rv0
-    z = (
-        x[3]
-        + 0.5 * (g[1] * r0v[1] - g[2] * r0v[0])
-        - 0.5 * (g[1] * rv0[1] - g[2] * rv0[0])
-        - 0.5 * (r0v[0] * rv0[1] - r0v[1] * rv0[0])
-    )
-    return np.array([x[0], v[0], v[1], z])
-
-
 def inner_trivial_on_g(g: GroupElement) -> bool:
     """chi_g is the identity map iff g = (2 pi s, 0, z): the center of G."""
     return (
-        is_integer_multiple(g.t, PI * 2)
+        in_quarter_lattice(g.t, 4)
         and g.x.is_zero()
         and g.y.is_zero()
     )
@@ -263,65 +201,6 @@ def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
     raise ValueError(f"unknown discrete isometry {which!r}")
 
 
-def f1_f(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return np.array([-p[0], -p[1], p[2], -p[3]])
-
-
-def f2_f(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    w = rotation_f(-p[0]) @ p[1:3]
-    return np.array([-p[0], w[0], w[1], -p[3]])
-
-
-def f3_f(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    w = rotation_f(p[0]) @ np.array([-p[1], p[2]])
-    return np.array([p[0], w[0], w[1], p[3]])
-
-
-_DISCRETE_F = {"f1": f1_f, "f2": f2_f, "f3": f3_f}
-
-
-def left_translation_f(g) -> Callable[[np.ndarray], np.ndarray]:
-    g = np.asarray(g, dtype=float)
-    return lambda p: g_mul_f(g, p)
-
-
-# ---------------------------------------------------------------------------
-# numeric certification of point maps
-# ---------------------------------------------------------------------------
-
-# central-difference step, and the half-width of the cube points are drawn from
-_FD_STEP = 1e-6
-_SAMPLE_BOX = 2.0
-
-
-def is_isometry_numeric(
-    point_map: Callable[[np.ndarray], np.ndarray],
-    samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> bool:
-    """Pull the metric back through a central-difference Jacobian.
-
-    True iff J^T G(f(p)) J matches G(p) entrywise within tol at every
-    point sampled from the cube [-2, 2]^4.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        p = rng.uniform(-_SAMPLE_BOX, _SAMPLE_BOX, 4)
-        jac = np.empty((4, 4))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = _FD_STEP
-            jac[:, i] = (point_map(p + e) - point_map(p - e)) / (2 * _FD_STEP)
-        pulled = jac.T @ metric_matrix_f(point_map(p)) @ jac
-        if np.max(np.abs(pulled - metric_matrix_f(p))) > tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the Heisenberg action
 # ---------------------------------------------------------------------------
@@ -336,17 +215,6 @@ def heis_action(h: tuple[tuple[Scalar, Scalar], Scalar], p: GroupElement) -> Gro
         p.y - w[1],
         p.z - zp - _cross(p.v, w) / 2,
     )
-
-
-def heis_action_f(vp, zp: float, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    w = rotation_f(p[0]) @ np.asarray(vp, dtype=float)
-    return np.array([
-        p[0],
-        p[1] - w[0],
-        p[2] - w[1],
-        p[3] - zp - 0.5 * (p[1] * w[1] - p[2] * w[0]),
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +243,6 @@ class IsometryOfG:
             out = g_mul(self.translation, out)
         return out
 
-    def apply_f(self, p) -> np.ndarray:
-        out = np.asarray(p, dtype=float)
-        if self.tag != "id":
-            out = _DISCRETE_F[self.tag](out)
-        if self.inner is not None:
-            out = chi_f(self.inner.to_float(), out)
-        if self.translation is not None:
-            out = g_mul_f(self.translation.to_float(), out)
-        return out
-
-    def __str__(self) -> str:
-        parts = []
-        if self.translation is not None:
-            parts.append(f"L{self.translation}")
-        if self.inner is not None:
-            parts.append(f"chi{self.inner}")
-        if self.tag != "id":
-            parts.append(self.tag)
-        return " * ".join(parts) if parts else "id"
-
 
 def fiber_preserving(L: LatticeSpec, iso: IsometryOfG) -> bool:
     """Whether iso maps lattice cosets to lattice cosets.
@@ -417,7 +265,7 @@ def induced_inner_trivial(h: GroupElement) -> bool:
 def induced_translation_trivial(L: LatticeSpec, h: GroupElement) -> bool:
     """tau_h is trivial on G/Lam iff h = (2 pi s, 0, z) with z in (1/2k)Z."""
     return (
-        is_integer_multiple(h.t, PI * 2)
+        in_quarter_lattice(h.t, 4)
         and h.x.is_zero()
         and h.y.is_zero()
         and in_lattice_1d(h.z, L.z_step)
@@ -434,61 +282,3 @@ def induced_maps_equal(
     from .groups import coset_equal
 
     return all(coset_equal(L, iso1.apply(p), iso2.apply(p)) for p in points)
-
-
-# ---------------------------------------------------------------------------
-# descriptor parsing: "L(t;x,y;z)", "chi(t;x,y;z)", "f1|f2|f3" joined by "*"
-# ---------------------------------------------------------------------------
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
-def parse_isometry(text: str) -> list[IsometryOfG]:
-    """Parse a composition descriptor into factors, outermost first.
-
-    The factors compose by function application in the listed order:
-    apply the last factor first.
-    """
-    factors = []
-    for chunk in _split_top_level(text, "*"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty factor in isometry descriptor {text!r}")
-        if chunk in ("f1", "f2", "f3"):
-            factors.append(IsometryOfG(tag=chunk))
-        elif chunk.startswith("L"):
-            factors.append(IsometryOfG(translation=parse_group_element(chunk[1:])))
-        elif chunk.startswith("chi"):
-            factors.append(IsometryOfG(inner=parse_group_element(chunk[3:])))
-        else:
-            raise ValueError(f"unknown isometry factor {chunk!r}")
-    return factors
-
-
-def apply_factors(factors: Sequence[IsometryOfG], p: GroupElement) -> GroupElement:
-    out = p
-    for factor in reversed(factors):
-        out = factor.apply(out)
-    return out
-
-
-def apply_factors_f(factors: Sequence[IsometryOfG], p) -> np.ndarray:
-    out = np.asarray(p, dtype=float)
-    for factor in reversed(factors):
-        out = factor.apply_f(out)
-    return out

@@ -9,39 +9,17 @@ The Lie algebra has structure relations [X0,X1] = X2, [X0,X2] = -X1,
 [X1,X2] = X3 with X3 central; because the metric is bi-invariant the
 curvature operator is algebraic, R(X,Y)Z = -1/4 [[X,Y],Z], and the Ricci
 tensor is -1/4 of the Killing form.  Everything here is exact; the float
-entry points exist only for cross-checks against numeric machinery.
+coordinate metric and frames live in ``oscigeo.floats``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .groups import GroupElement
 from .scalar import Scalar, ScalarLike
-
-__all__ = [
-    "TangentVector",
-    "CausalType",
-    "CoordinateMetric",
-    "FRAME_GRAM",
-    "frame_inner",
-    "metric_at",
-    "metric_matrix_f",
-    "causal_type",
-    "bracket",
-    "curvature_op",
-    "ad_matrix",
-    "killing_form",
-    "ricci",
-    "ricci_from_curvature_trace",
-    "x_frame_f",
-    "e_frame_f",
-]
 
 
 @dataclass(frozen=True)
@@ -76,8 +54,8 @@ class TangentVector:
             self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2, self.a3 + other.a3
         )
 
-    def to_float(self) -> np.ndarray:
-        return np.array([float(a) for a in self.components])
+    def to_float(self) -> tuple[float, float, float, float]:
+        return tuple(float(a) for a in self.components)
 
     def __str__(self) -> str:
         return f"[{self.a0}, {self.a1}, {self.a2}, {self.a3}]"
@@ -119,64 +97,18 @@ def causal_type(X: TangentVector) -> CausalType:
 # coordinate metric
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoordinateMetric:
-    """The metric matrix at a point, rows/cols ordered (dt, dx, dy, dz)."""
-
-    point: GroupElement
-    matrix: tuple[tuple[Scalar, ...], ...]
-
-
-def metric_at(p: GroupElement) -> CoordinateMetric:
-    """Coordinate matrix of the metric dt(dz + y/2 dx - x/2 dy) + dx^2 + dy^2."""
+def metric_at(p: GroupElement) -> tuple[tuple[Scalar, ...], ...]:
+    """Coordinate matrix of dt(dz + y/2 dx - x/2 dy) + dx^2 + dy^2, order (dt, dx, dy, dz)."""
     zero = Scalar(0)
     one = Scalar(1)
     gy = p.y / 2
     gx = -(p.x / 2)
-    matrix = (
+    return (
         (zero, gy, gx, one),
         (gy, one, zero, zero),
         (gx, zero, one, zero),
         (one, zero, zero, zero),
     )
-    return CoordinateMetric(p, matrix)
-
-
-def metric_matrix_f(p) -> np.ndarray:
-    """Float coordinate metric; p is a length-4 array (t, x, y, z)."""
-    p = np.asarray(p, dtype=float)
-    x, y = p[1], p[2]
-    return np.array([
-        [0.0, y / 2, -x / 2, 1.0],
-        [y / 2, 1.0, 0.0, 0.0],
-        [-x / 2, 0.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-    ])
-
-
-def x_frame_f(p) -> np.ndarray:
-    """Columns are the frame fields X0..X3 of G in coordinates at p."""
-    p = np.asarray(p, dtype=float)
-    t, x, y = p[0], p[1], p[2]
-    c, s = math.cos(t), math.sin(t)
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, c, -s, 0.0],
-        [0.0, s, c, 0.0],
-        [0.0, 0.5 * (x * s - y * c), 0.5 * (x * c + y * s), 1.0],
-    ])
-
-
-def e_frame_f(p) -> np.ndarray:
-    """Columns are the frame fields e0..e3 of N in coordinates at p."""
-    p = np.asarray(p, dtype=float)
-    x, y = p[1], p[2]
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, -0.5 * y, 0.5 * x, 1.0],
-    ])
 
 
 # ---------------------------------------------------------------------------

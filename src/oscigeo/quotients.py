@@ -36,29 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .geodesics import exp_map, sample_geodesic
-from .groups import (
-    _QUARTER_TRIG,
-    GroupElement,
-    LatticeSpec,
-    coset_normal_form_f,
-    lattice_contains,
-)
+from .geodesics import exp_map
+from .groups import _QUARTER_TRIG, LatticeSpec, lattice_contains
 from .metric import CausalType, TangentVector, causal_type
 from .scalar import Scalar, common_denominator_rows
-
-__all__ = [
-    "VerdictKind",
-    "PeriodicityVerdict",
-    "classify_geodesic",
-    "minimal_period",
-    "PeriodUnverified",
-    "project_geodesic",
-    "verdict_to_json",
-    "rotation_residue_table",
-]
 
 class VerdictKind(enum.Enum):
     PERIODIC = "periodic"
@@ -281,24 +262,41 @@ class PeriodUnverified(ArithmeticError):
 
 # trial divisors run up to this bound, so a cofactor left below its square is prime
 _TRIAL_LIMIT = 10**6
+# odd trial divisors per block: the cofactor is reduced once by the block's
+# product, and only a block sharing a factor with it is divided divisor by divisor
+_BLOCK = 64
 
 
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, by trial division up to _TRIAL_LIMIT."""
-    primes = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if d > _TRIAL_LIMIT:
-            raise PeriodUnverified(
-                f"cannot prove the period minimal: the {n.bit_length()}-bit witness leaves a "
-                f"cofactor with no prime factor up to _TRIAL_LIMIT = {_TRIAL_LIMIT}"
-            )
-        if rest % d == 0:
-            primes.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1 if d == 2 else 2
+    primes = [2] if n % 2 == 0 else []
+    rest = n >> (n & -n).bit_length() - 1  # the odd part of n
+    root = math.isqrt(rest)
+    start = 3
+    while start <= root:
+        divisors = range(start, min(start + 2 * _BLOCK, root + 1), 2)
+        product = math.prod(divisors)
+        residue = rest % product
+        # a coprime block holds no factor; the block crossing the limit is scanned
+        # so that the search stops there rather than at the smallest prime factor
+        if divisors[-1] <= _TRIAL_LIMIT and math.gcd(residue, product) == 1:
+            start += 2 * _BLOCK
+            continue
+        for d in divisors:
+            if d > root:
+                break
+            if d > _TRIAL_LIMIT:
+                raise PeriodUnverified(
+                    f"cannot prove the period minimal: the {n.bit_length()}-bit witness leaves a "
+                    f"cofactor with no prime factor up to _TRIAL_LIMIT = {_TRIAL_LIMIT}"
+                )
+            if residue % d == 0:
+                primes.append(d)
+                while rest % d == 0:
+                    rest //= d
+                root = math.isqrt(rest)
+                residue = rest % product
+        start += 2 * _BLOCK
     if rest > 1:
         primes.append(rest)
     return primes
@@ -338,20 +336,3 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
         if lattice_contains(L, exp_map(X.scale(T / p))):
             raise AssertionError(f"smaller admissible period {T / p} exists")
     return T
-
-
-def project_geodesic(
-    L: LatticeSpec,
-    h: GroupElement,
-    X: TangentVector,
-    s_end: float,
-    step: float,
-) -> np.ndarray:
-    """Float samples (s, t, x, y, z) of the quotient-reduced geodesic.
-
-    Each sample is h exp(sX) reduced to the canonical coset
-    representative; trace output only, never used for decisions.
-    """
-    rows = sample_geodesic(h, X, s_end, step)
-    rows[:, 1:5] = coset_normal_form_f(L, rows[:, 1:5])
-    return rows

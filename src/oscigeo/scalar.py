@@ -36,22 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-__all__ = [
-    "Scalar",
-    "DivisionByZero",
-    "NotRational",
-    "PI",
-    "PI_HALF",
-    "MAX_DEGREE",
-    "MAX_DIGITS",
-    "parse_scalar",
-    "common_denominator_rows",
-    "in_lattice_1d",
-    "is_integer_multiple",
-    "quarter_turns",
-    "pi_enclosure",
-]
-
 # parser limits: exponents and degrees, and digits per numeral or power coefficient
 MAX_DEGREE = 64
 MAX_DIGITS = 1000
@@ -580,6 +564,12 @@ def quarter_turns(s: ScalarLike) -> int | None:
         return None
     j, r = divmod(2 * n[1], d[0])
     return None if r else j
+
+
+def in_quarter_lattice(s: ScalarLike, quarters: int) -> bool:
+    """True iff s lies in (quarters * pi/2) Z, decided on quarter_turns(s) in integers."""
+    j = quarter_turns(s)
+    return j is not None and j % quarters == 0
 
 
 # ---------------------------------------------------------------------------

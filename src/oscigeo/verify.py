@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import geodesics, isometries
+from . import floats, geodesics, isometries
+from .floats import e_frame_f, g_mul_f, metric_matrix_f, x_frame_f
 from .groups import (
     GroupElement,
     IDENTITY,
@@ -26,7 +27,6 @@ from .groups import (
     coset_normal_form,
     g_inv,
     g_mul,
-    g_mul_f,
     lattice_contains,
     n_mul,
     normalizer_contains,
@@ -39,18 +39,13 @@ from .metric import (
     bracket,
     causal_type,
     curvature_op,
-    e_frame_f,
     frame_inner,
     killing_form,
-    metric_matrix_f,
     ricci,
     ricci_from_curvature_trace,
-    x_frame_f,
 )
 from .quotients import VerdictKind, classify_geodesic, minimal_period
 from .scalar import PI_HALF, Scalar, parse_scalar
-
-__all__ = ["SuiteResult", "SUITES", "run_suites", "suite_names"]
 
 
 @dataclass
@@ -201,15 +196,12 @@ def suite_metric(rng: random.Random) -> SuiteResult:
     res = SuiteResult("metric")
     nprng = np.random.default_rng(rng.randint(0, 2**31))
     target = np.array([[float(v) for v in row] for row in FRAME_GRAM])
-    for _ in range(100):
-        p = nprng.uniform(-3, 3, 4)
-        G = metric_matrix_f(p)
-        for frame in (x_frame_f(p), e_frame_f(p)):
-            gram = frame.T @ G @ frame
-            res.check(
-                float(np.max(np.abs(gram - target))) < 1e-12,
-                "coordinate metric matches the frame Gram matrix",
-            )
+    points = nprng.uniform(-3, 3, (100, 4))
+    G = metric_matrix_f(points)
+    for frame in (x_frame_f(points), e_frame_f(points)):
+        gram = np.swapaxes(frame, -1, -2) @ G @ frame
+        for err in np.max(np.abs(gram - target), axis=(-2, -1)):
+            res.check(float(err) < 1e-12, "coordinate metric matches the frame Gram matrix")
     for _ in range(5):
         p = nprng.uniform(-3, 3, 4)
         eigs = np.linalg.eigvalsh(metric_matrix_f(p))
@@ -282,9 +274,9 @@ def suite_geodesics(
     res = SuiteResult("geodesics")
     nprng = np.random.default_rng(rng.randint(0, 2**31))
     dirs = nprng.uniform(-2, 2, (n_directions, 4))
-    states = np.array([geodesics.initial_state(IDENTITY, a) for a in dirs])
+    states = floats.initial_state(IDENTITY, dirs)
     n = int(round(s_end / step))
-    speed0 = geodesics.speed_f(states)
+    speed0 = floats.speed_f(states)
     tracker = {"sup": 0.0, "drift": 0.0}
     chunk = np.empty((_OBSERVER_CHUNK, n_directions, 4))
 
@@ -293,14 +285,14 @@ def suite_geodesics(
         chunk[k] = state[:, :4]
         if k == _OBSERVER_CHUNK - 1 or i == n:
             s_grid = np.arange(i - k, i + 1) * step
-            cf = geodesics.closed_form_batch(dirs, s_grid[:, None])
+            cf = floats.closed_form_batch(dirs, s_grid[:, None])
             tracker["sup"] = max(tracker["sup"], float(np.max(np.abs(chunk[: k + 1] - cf))))
         if i % 200 == 0 or i == n:
-            sp = geodesics.speed_f(state)
+            sp = floats.speed_f(state)
             rel = np.abs(sp - speed0) / np.maximum(1.0, np.abs(speed0))
             tracker["drift"] = max(tracker["drift"], float(np.max(rel)))
 
-    geodesics.rk4_states(states, n, step, observer)
+    floats.rk4_states(states, n, step, observer)
     sup, drift = tracker["sup"], tracker["drift"]
     res.check(sup <= sup_tol, f"closed form vs RK4 sup deviation {sup:.3e}")
     res.check(drift <= drift_tol, f"speed drift {drift:.3e}")
@@ -309,21 +301,21 @@ def suite_geodesics(
         a = nprng.uniform(-2, 2, 4)
         if abs(a[0]) < 0.05:
             a[0] = float(nprng.uniform(0.1, 2))
-        diff = np.max(np.abs(geodesics.closed_form_batch(a, 1.0) - geodesics.exp_map_packed_f(a)))
+        diff = np.max(np.abs(floats.closed_form_batch(a, 1.0) - floats.exp_map_packed_f(a)))
         res.check(float(diff) < 1e-12, "packed exp form matches componentwise form")
 
     for _ in range(20):
         a = nprng.uniform(-2, 2, 4)
         s, u = nprng.uniform(-2, 2, 2)
-        lhs = g_mul_f(geodesics.closed_form_batch(a, s), geodesics.closed_form_batch(a, u))
-        rhs = geodesics.closed_form_batch(a, s + u)
+        lhs = g_mul_f(floats.closed_form_batch(a, s), floats.closed_form_batch(a, u))
+        rhs = floats.closed_form_batch(a, s + u)
         res.check(float(np.max(np.abs(lhs - rhs))) < 1e-10, "one-parameter subgroup law")
 
     for _ in range(5):
         h = nprng.uniform(-2, 2, 4)
         a = nprng.uniform(-2, 2, 4)
-        direct = geodesics.rk4_states(geodesics.initial_state(h, a), 2000, 1e-4)
-        from_e = geodesics.rk4_states(geodesics.initial_state(np.zeros(4), a), 2000, 1e-4)
+        direct = floats.rk4_states(floats.initial_state(h, a), 2000, 1e-4)
+        from_e = floats.rk4_states(floats.initial_state(np.zeros(4), a), 2000, 1e-4)
         diff = np.max(np.abs(direct[:4] - g_mul_f(h, from_e[:4])))
         res.check(float(diff) < 1e-12, "left invariance of the integrated geodesic")
     return res
@@ -338,26 +330,22 @@ def suite_isometries(rng: random.Random) -> SuiteResult:
     nprng = np.random.default_rng(rng.randint(0, 2**31))
     seed = rng.randint(0, 2**31)
 
-    named = [
-        ("f1", isometries.f1_f),
-        ("f2", isometries.f2_f),
-        ("f3", isometries.f3_f),
-    ]
+    named = [("f1", floats.f1_f), ("f2", floats.f2_f), ("f3", floats.f3_f)]
     for i in range(20):
         g = nprng.uniform(-3, 3, 4)
-        named.append((f"chi_{i}", lambda p, g=g: isometries.chi_f(g, p)))
+        named.append((f"chi_{i}", lambda p, g=g: floats.chi_f(g, p)))
         h = nprng.uniform(-3, 3, 4)
-        named.append((f"L_{i}", isometries.left_translation_f(h)))
+        named.append((f"L_{i}", lambda p, h=h: g_mul_f(h, p)))
         vp = nprng.uniform(-3, 3, 2)
         zp = float(nprng.uniform(-3, 3))
-        named.append((f"heis_{i}", lambda p, vp=vp, zp=zp: isometries.heis_action_f(vp, zp, p)))
+        named.append((f"heis_{i}", lambda p, vp=vp, zp=zp: floats.heis_action_f(vp, zp, p)))
     for name, point_map in named:
         res.check(
-            isometries.is_isometry_numeric(point_map, seed=seed),
+            floats.is_isometry_numeric(point_map, seed=seed),
             f"{name} passes the numeric metric-pullback test",
         )
     res.check(
-        not isometries.is_isometry_numeric(lambda p: 2 * p, samples=10, seed=seed),
+        not floats.is_isometry_numeric(lambda p: 2 * p, samples=10, seed=seed),
         "the doubling map fails the pullback test",
     )
 
@@ -532,12 +520,8 @@ SUITES: dict[str, Callable[[random.Random], SuiteResult]] = {
 }
 
 
-def suite_names() -> list[str]:
-    return list(SUITES)
-
-
 def run_suites(names: list[str] | None = None, seed: int = 0) -> list[SuiteResult]:
-    selected = suite_names() if names is None else names
+    selected = list(SUITES) if names is None else names
     results = []
     for name in selected:
         if name not in SUITES:

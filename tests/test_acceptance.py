@@ -16,7 +16,6 @@ from oscigeo.groups import (
     IDENTITY,
     LatticeSpec,
     Twist,
-    g_mul_f,
     lattice_contains,
     normalizer_contains,
 )
@@ -28,20 +27,21 @@ from oscigeo.metric import (
     frame_inner,
     ricci,
 )
-from oscigeo.geodesics import closed_form_batch, exp_map, initial_state, rk4_states
-from oscigeo.isometries import (
-    IsotropyElement,
-    ambrose_hicks_check,
+from oscigeo.geodesics import exp_map
+from oscigeo.floats import (
     chi_f,
+    closed_form_batch,
+    exp_map_packed_f,
     f1_f,
     f2_f,
     f3_f,
+    g_mul_f,
     heis_action_f,
-    inner_aut,
+    initial_state,
     is_isometry_numeric,
-    isotropy_matrix,
-    left_translation_f,
+    rk4_states,
 )
+from oscigeo.isometries import IsotropyElement, ambrose_hicks_check, inner_aut, isotropy_matrix
 from oscigeo.quotients import VerdictKind, classify_geodesic
 from oscigeo import verify as verify_mod
 
@@ -146,7 +146,7 @@ def test_criterion_5_isometry_certification():
         maps.append(lambda p, g=g: chi_f(g, p))
     for _ in range(20):
         h = nprng.uniform(-3, 3, 4)
-        maps.append(left_translation_f(h))
+        maps.append(lambda p, h=h: g_mul_f(h, p))
     for _ in range(20):
         vp = nprng.uniform(-3, 3, 2)
         zp = float(nprng.uniform(-3, 3))
@@ -247,8 +247,6 @@ def test_criterion_9_exp_reconciliation():
     sup = float(np.max(np.abs(final[:, :4] - closed)))
     ok = sup <= 1e-8
     # the packed vector form of exp agrees with the componentwise formulas
-    from oscigeo.geodesics import exp_map_packed_f
-
     packed_sup = max(
         float(np.max(np.abs(closed_form_batch(a, 1.0) - exp_map_packed_f(a)))) for a in dirs
     )

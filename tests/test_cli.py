@@ -14,15 +14,19 @@ from oscigeo.metric import TangentVector
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(oscigeo.__file__))
 
 
-def run_cli(args, **kwargs):
+def run_python(args, **kwargs):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "oscigeo", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
+
+
+def run_cli(args, **kwargs):
+    return run_python(["-m", "oscigeo", *args], **kwargs)
 
 
 def test_parse_vector_forms():
@@ -243,3 +247,29 @@ def test_parser_limit_is_usage_error(capsys):
     code = main(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
     assert code == 2
     assert "MAX_DEGREE = 64" in capsys.readouterr().err
+
+
+def _imports_numpy(args):
+    """Whether a fresh interpreter running ``python -X importtime <args>`` imports numpy."""
+    proc = run_python(["-X", "importtime", *args], check=True)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return "numpy" in names
+
+
+def test_exact_paths_import_no_numpy():
+    classify = ["classify", "--lattice", "k=3,twist=quarter", "--vector", "a0=1,a1=1,a2=0,a3=-1/2"]
+    assert not _imports_numpy(["-c", "import oscigeo"])
+    assert not _imports_numpy(["-c", "import oscigeo.quotients"])
+    exact = "scalar", "groups", "metric", "geodesics", "quotients", "isometries", "cli"
+    assert not _imports_numpy(["-c", "import " + ", ".join(f"oscigeo.{m}" for m in exact)])
+    assert not _imports_numpy(["-m", "oscigeo", *classify])
+    # the float layer does load it, so the check above can see numpy
+    assert _imports_numpy(["-m", "oscigeo", "trace", "--vector", "1,0,0,0", "--s-end", "0.1"])
+
+
+def test_public_names_resolve_lazily():
+    for name in oscigeo.__all__:
+        assert getattr(oscigeo, name) is not None, name
+        assert name in dir(oscigeo), name
+    with pytest.raises(AttributeError):
+        oscigeo.no_such_name

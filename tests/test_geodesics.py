@@ -12,29 +12,35 @@ from oscigeo.groups import (
     IDENTITY,
     LatticeSpec,
     Twist,
-    coset_normal_form_f,
-    g_inv_f,
     g_mul,
-    g_mul_f,
 )
 from oscigeo.metric import TangentVector
-from oscigeo.geodesics import (
+from oscigeo.geodesics import GeodesicCurve, exp_map, geodesic_eval
+from oscigeo.floats import (
     MAX_SAMPLES,
-    GeodesicCurve,
     InvalidStep,
     _step_count,
+    chi_f,
     closed_form_batch,
-    exp_map,
+    coset_normal_form_f,
+    e_frame_f,
     exp_map_packed_f,
-    geodesic_eval,
+    f1_f,
+    f2_f,
+    f3_f,
+    g_inv_f,
+    g_mul_f,
+    heis_action_f,
     initial_state,
     integrate_geodesic,
     integrate_states,
+    metric_matrix_f,
     path_to_csv,
     path_to_json,
     rk4_states,
     sample_geodesic,
     speed_f,
+    x_frame_f,
 )
 
 
@@ -129,10 +135,36 @@ def test_float_layer_broadcasts_like_single_points():
         "g_mul_one_base": (g_mul_f(p[0], a), [g_mul_f(p[0], a[i]) for i in range(12)]),
         "g_inv": (g_inv_f(p), [g_inv_f(p[i]) for i in range(12)]),
         "coset_normal_form": (coset_normal_form_f(L, p), [coset_normal_form_f(L, q) for q in p]),
+        "chi": (chi_f(p, a), [chi_f(p[i], a[i]) for i in range(12)]),
+        "chi_one_g": (chi_f(p[0], a), [chi_f(p[0], a[i]) for i in range(12)]),
+        "f1": (f1_f(p), [f1_f(q) for q in p]),
+        "f2": (f2_f(p), [f2_f(q) for q in p]),
+        "f3": (f3_f(p), [f3_f(q) for q in p]),
+        "heis": (
+            heis_action_f(a[:, 1:3], s, p), [heis_action_f(a[i, 1:3], s[i], p[i]) for i in range(12)]
+        ),
+        "heis_one_point": (
+            heis_action_f(a[:, 1:3], s, p[0]),
+            [heis_action_f(a[i, 1:3], s[i], p[0]) for i in range(12)],
+        ),
+        "exp_packed": (exp_map_packed_f(a), [exp_map_packed_f(v) for v in a]),
     }
     for name, (batch, single) in rows.items():
         assert batch.shape == (12, 4), name
         np.testing.assert_allclose(batch, np.array(single), rtol=1e-14, atol=1e-14, err_msg=name)
+    matrices = {
+        "metric": (metric_matrix_f(p), [metric_matrix_f(q) for q in p]),
+        "x_frame": (x_frame_f(p), [x_frame_f(q) for q in p]),
+        "e_frame": (e_frame_f(p), [e_frame_f(q) for q in p]),
+    }
+    for name, (batch, single) in matrices.items():
+        assert batch.shape == (12, 4, 4), name
+        np.testing.assert_allclose(batch, np.array(single), rtol=1e-14, atol=1e-14, err_msg=name)
+    states = initial_state(p, a)
+    assert states.shape == (12, 8)
+    np.testing.assert_allclose(
+        states, np.array([initial_state(p[i], a[i]) for i in range(12)]), rtol=1e-14, atol=1e-14
+    )
 
 
 def test_sampling_rejects_bad_step():
@@ -169,7 +201,7 @@ def test_integrator_reversal():
 
 
 def test_speed_conservation():
-    states = integrate_states(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]), 10.0, 1e-3, every=100)
+    states = integrate_states(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]), 10.0, 1e-3)[::100]
     speeds = speed_f(states[:, 1:])
     assert np.max(np.abs(speeds - speeds[0])) / max(1.0, abs(speeds[0])) < 1e-8
 
@@ -211,7 +243,7 @@ def test_integrated_left_invariance():
 
 
 def test_integrate_geodesic_sampling_shape():
-    path = integrate_geodesic(IDENTITY, TangentVector.of(1, 1, 0, 0), 1.0, 0.01, every=10)
+    path = integrate_geodesic(IDENTITY, TangentVector.of(1, 1, 0, 0), 1.0, 0.01)[::10]
     assert path.shape[1] == 5
     assert path[0, 0] == 0.0 and abs(path[-1, 0] - 1.0) < 1e-12
     assert abs(path[-1, 1] - 1.0) < 1e-9  # t(s) = s

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo.scalar import PI, PI_HALF, Scalar
+from oscigeo.scalar import PI, PI_HALF, Scalar, quarter_turns
 from oscigeo.groups import (
     ExactRotationUnavailable,
     GroupElement,
@@ -15,11 +15,8 @@ from oscigeo.groups import (
     Twist,
     coset_equal,
     coset_normal_form,
-    coset_normal_form_f,
     g_inv,
-    g_inv_f,
     g_mul,
-    g_mul_f,
     lattice_contains,
     n_coset_equal,
     n_coset_normal_form,
@@ -27,8 +24,8 @@ from oscigeo.groups import (
     n_mul,
     normalizer_contains,
     parse_group_element,
-    rotation_f,
 )
+from oscigeo.floats import coset_normal_form_f, g_inv_f, g_mul_f
 
 L10 = LatticeSpec(1, Twist.FULL)
 L1H = LatticeSpec(1, Twist.HALF)
@@ -142,7 +139,6 @@ def test_rotation_exact_entries():
     assert Rotation(2 * PI).matrix() == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     with pytest.raises(ExactRotationUnavailable):
         Rotation(Scalar(1)).matrix()
-    assert np.allclose(Rotation(PI_HALF).matrix_float(), rotation_f(math.pi / 2))
 
 
 def test_lattice_contains_examples():
@@ -336,6 +332,32 @@ def test_float_normal_form_matches_exact_at_quarter_turns():
                 g = GroupElement(PI_HALF * rng.randint(-8, 8), g.x, g.y, g.z)
                 exact = coset_normal_form(L, g).to_float()
                 assert np.max(np.abs(coset_normal_form_f(L, g.to_float()) - exact)) < 1e-9, (L, g)
+
+
+def test_normal_forms_share_a_coset_off_quarter_turns():
+    # at a non-quarter reduced t the exact form leaves v in [0, 1)^2 unmoved,
+    # while the float form moves it into R(t mod pi/2)[0, 1)^2
+    g = GroupElement.of(1, (Fraction(1, 2), Fraction(1, 2)), 0)
+    exact = coset_normal_form(L10, g)
+    assert exact == GroupElement.of(1, (Fraction(1, 2), Fraction(1, 2)), 0)
+    assert np.max(np.abs(coset_normal_form_f(L10, g.to_float()) - exact.to_float())) > 0.1
+    # the two representatives differ by a lattice element on every family
+    rng = random.Random(13)
+    for k in (1, 2, 3):
+        for twist in Twist:
+            L = LatticeSpec(k, twist)
+            steps = np.array([float(L.t_step), 1.0, 1.0, float(L.z_step)])
+            for _ in range(40):
+                g = GroupElement.of(
+                    Fraction(rng.randint(-60, 60), 7),
+                    (Fraction(rng.randint(0, 9), 10), Fraction(rng.randint(0, 9), 10)),
+                    Fraction(rng.randint(-9, 9), 5),
+                )
+                exact = coset_normal_form(L, g)
+                assert quarter_turns(exact.t) is None or exact.t.is_zero()
+                lam = g_mul_f(g_inv_f(exact.to_float()), coset_normal_form_f(L, g.to_float()))
+                units = lam / steps
+                assert np.max(np.abs(units - np.round(units))) < 1e-9, (L, g)
 
 
 def test_group_element_parse_print_roundtrip():

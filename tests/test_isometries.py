@@ -24,26 +24,26 @@ from oscigeo.isometries import (
     NotOrthogonal,
     ad_matrix_group,
     ambrose_hicks_check,
-    apply_factors,
-    apply_factors_f,
-    chi_f,
     discrete_isometry,
     extract_isotropy,
-    f1_f,
-    f2_f,
-    f3_f,
     fiber_preserving,
     heis_action,
-    heis_action_f,
     induced_inner_trivial,
     induced_maps_equal,
     induced_translation_trivial,
     inner_aut,
     inner_trivial_on_g,
-    is_isometry_numeric,
     isotropy_matrix,
-    left_translation_f,
-    parse_isometry,
+)
+from oscigeo.floats import (
+    chi_f,
+    f1_f,
+    f2_f,
+    f3_f,
+    g_mul_f,
+    heis_action_f,
+    is_isometry_numeric,
+    metric_matrix_f,
 )
 
 S1 = Scalar(1)
@@ -186,11 +186,48 @@ def test_is_isometry_numeric_certifies_known_maps():
     for _ in range(5):
         g = rng.uniform(-3, 3, 4)
         assert is_isometry_numeric(lambda p: chi_f(g, p))
-        assert is_isometry_numeric(left_translation_f(g))
+        assert is_isometry_numeric(lambda p: g_mul_f(g, p))
         vp = rng.uniform(-3, 3, 2)
         zp = float(rng.uniform(-3, 3))
         assert is_isometry_numeric(lambda p: heis_action_f(vp, zp, p))
     assert not is_isometry_numeric(lambda p: 2 * p, samples=5)
+
+
+def _pullback_loop(point_map, samples=50, seed=0, tol=1e-6, h=1e-6):
+    """The per-sample reference: one Jacobian column at a time, one point at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        p = rng.uniform(-2.0, 2.0, 4)
+        jac = np.empty((4, 4))
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = h
+            jac[:, i] = (point_map(p + e) - point_map(p - e)) / (2 * h)
+        pulled = jac.T @ metric_matrix_f(point_map(p)) @ jac
+        if np.max(np.abs(pulled - metric_matrix_f(p))) > tol:
+            return False
+    return True
+
+
+def test_is_isometry_numeric_batches_like_the_loop():
+    rng = np.random.default_rng(11)
+    g, vp = rng.uniform(-3, 3, 4), rng.uniform(-3, 3, 2)
+
+    def bent(p):  # an isometry of the cube x < 0 only
+        return np.where(p[..., 1:2] < 0, p, 1.5 * p)
+
+    maps = [f1_f, f2_f, lambda p: chi_f(g, p), lambda p: heis_action_f(vp, 0.3, p), bent]
+    maps += [lambda p: 2 * p, lambda p: p + np.sin(p) * 1e-3]
+    verdicts = []
+    for point_map in maps:
+        for seed in (0, 7):
+            verdict = is_isometry_numeric(point_map, seed=seed)
+            assert verdict == _pullback_loop(point_map, seed=seed)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    shapes = []
+    is_isometry_numeric(lambda p: shapes.append(p.shape) or p, samples=7)
+    assert shapes == [(7, 9, 4)]
 
 
 def test_conjugation_covariance():
@@ -304,30 +341,3 @@ def test_kernel_predicates_match_induced_equality_on_grid():
                 assert induced_maps_equal(L10, tau, ident, points) == induced_translation_trivial(
                     L10, h
                 )
-
-
-def test_parse_isometry_descriptors():
-    factors = parse_isometry("L(pi; 1, 0; 1/2) * chi(pi/2; 1, 0; 0) * f1")
-    assert len(factors) == 3
-    assert factors[0].translation == GroupElement.of(PI, (1, 0), Fraction(1, 2))
-    assert factors[1].inner == GroupElement.of(PI_HALF, (1, 0), 0)
-    assert factors[2].tag == "f1"
-    p = GroupElement.of(0, (1, 1), 0)
-    out = apply_factors(factors, p)
-    manual = g_mul(
-        GroupElement.of(PI, (1, 0), Fraction(1, 2)),
-        inner_aut(GroupElement.of(PI_HALF, (1, 0), 0), discrete_isometry("f1", p)),
-    )
-    assert out == manual
-    assert np.max(np.abs(apply_factors_f(factors, p.to_float()) - out.to_float())) < 1e-12
-    with pytest.raises(ValueError):
-        parse_isometry("f7")
-    with pytest.raises(ValueError):
-        parse_isometry("")
-
-
-def test_single_factor_descriptor_forms():
-    [lf] = parse_isometry("L(0; 0, 0; 1)")
-    assert lf.translation == GroupElement.of(0, (0, 0), 1)
-    [f2] = parse_isometry("f2")
-    assert f2.tag == "f2" and str(f2) == "f2"

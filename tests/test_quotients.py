@@ -17,7 +17,8 @@ from oscigeo.groups import (
     lattice_contains,
 )
 from oscigeo.metric import CausalType, TangentVector
-from oscigeo.geodesics import InvalidStep, exp_map
+from oscigeo.geodesics import exp_map
+from oscigeo.floats import InvalidStep, project_geodesic
 from oscigeo.cli import parse_vector
 from oscigeo import quotients
 from oscigeo.quotients import (
@@ -26,7 +27,6 @@ from oscigeo.quotients import (
     VerdictKind,
     classify_geodesic,
     minimal_period,
-    project_geodesic,
     rotation_residue_table,
     verdict_to_json,
 )
@@ -336,6 +336,27 @@ def test_prime_factors_small():
     for n in range(1, 2000):
         naive = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
         assert quotients._prime_factors(n) == naive
+
+    # trial divisors go in blocks: products of the primes on both sides of a boundary
+    def is_prime(p):
+        return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+    width = 2 * quotients._BLOCK
+    last = (quotients._TRIAL_LIMIT - 3) // width
+    for boundary in [3 + j * width for j in (1, 2, 3, 50, last - 1, last)]:
+        below = max(p for p in range(boundary - width, boundary) if is_prime(p))
+        above = min(p for p in range(boundary, boundary + width) if is_prime(p))
+        # the 200th powers keep the cofactor larger than a block's product
+        cases = (((1, 1), []), ((3, 1), [2]), ((1, 2), [3, 1000003]), ((200, 1), []), ((1, 200), []))
+        for powers, extra in cases:
+            n = below ** powers[0] * above ** powers[1] * math.prod(extra)
+            assert quotients._prime_factors(n) == sorted({below, above, *extra}), n
+    # a huge witness whose cofactor has no prime factor up to the limit is still refused
+    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
+        quotients._prime_factors(4 * (1000003 * 1000033) ** 150)
+    # both primes lie past the block crossing the limit: every block below it is skipped as coprime
+    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
+        quotients._prime_factors(1000081 * 1000099)
 
 
 def test_lattice_chain_divisibility():

@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "scalar": (
         "DivisionByZero", "NotRational", "PI", "PI_HALF", "Scalar", "in_lattice_1d",
-        "is_integer_multiple", "parse_scalar", "quarter_turns",
+        "parse_scalar", "quarter_turns",
     ),
     "groups": (
-        "ExactRotationUnavailable", "GroupElement", "IDENTITY", "LatticeSpec", "Rotation",
-        "Twist", "coset_equal", "coset_normal_form", "g_inv", "g_mul", "lattice_contains",
-        "n_mul", "normalizer_contains", "parse_group_element",
+        "ExactRotationUnavailable", "GroupElement", "IDENTITY", "LatticeSpec", "Twist",
+        "coset_equal", "coset_normal_form", "g_inv", "g_mul", "lattice_contains", "n_mul",
+        "normalizer_contains", "parse_group_element", "rotate",
     ),
     "metric": (
         "CausalType", "TangentVector", "bracket", "causal_type", "curvature_op",

@@ -205,9 +205,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join "--opt -value" into "--opt=-value".
+
+    argparse reads a value led by "-", such as the vector "-1,0,0,1/2", as
+    an option; "-h", the one single-dash option, stays apart."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if arg[:1] == "-" and arg[:2] != "--" and arg != "-h" and prev[:2] == "--" and "=" not in prev:
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "classify":
             return cmd_classify(args)

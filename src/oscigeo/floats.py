@@ -38,9 +38,15 @@ _A0_FLOAT_CUTOFF = 1e-12
 MAX_SAMPLES = 10**7
 
 
+# a coordinate more lattice steps out than this keeps no float digit of its
+# position within a step, so its coset reduction would be noise
+MAX_REDUCED_STEPS = 2**52
+
+
 class InvalidStep(ValueError):
-    """A sampling or integration step that is not positive and finite, or
-    one that would take more than MAX_SAMPLES steps."""
+    """A sampling or integration step that is not positive and finite, one
+    that would take more than MAX_SAMPLES steps, or samples too far out
+    for a float coset reduction (MAX_REDUCED_STEPS)."""
 
 
 def _stack(*columns) -> np.ndarray:
@@ -95,13 +101,20 @@ def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
     Reduces t into [0, t_step), then v into R(d)[0, 1)^2 with
     d = t mod pi/2, read off in the chart w = R(-d) v, then z into
     [0, 1/2k).  R(t)Z^2 = R(d)Z^2, so the v-shift is a lattice element at
-    every angle.  At quarter turns the box is [0, 1)^2 and the result
+    every angle.  A coordinate beyond MAX_REDUCED_STEPS lattice steps
+    raises InvalidStep.  At quarter turns the box is [0, 1)^2 and the result
     agrees with the exact ``groups.coset_normal_form``; at any other
     reduced t the two give different representatives of the same coset.
     """
     p = np.asarray(p, dtype=float)
+    steps = np.array([float(L.t_step), float(L.v_step), float(L.v_step), float(L.z_step)])
+    if np.any(np.abs(p) > MAX_REDUCED_STEPS * steps):
+        raise InvalidStep(
+            f"a coordinate exceeds MAX_REDUCED_STEPS = 2**52 steps of the lattice {L}, "
+            "too far out for a float coset reduction"
+        )
     x, y = p[..., 1], p[..., 2]
-    t1 = _snap_frac(p[..., 0], float(L.t_step))
+    t1 = _snap_frac(p[..., 0], steps[0])
     d = _snap_frac(t1, math.pi / 2)
     wx, wy = _rotate(-d, x, y)
     sx, sy = _rotate(d, -np.floor(wx + _BOX_SNAP), -np.floor(wy + _BOX_SNAP))

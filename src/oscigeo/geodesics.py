@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import _QUARTER_TRIG, ExactRotationUnavailable, GroupElement, g_mul
+from .groups import GroupElement, g_mul, rotate
 from .metric import TangentVector
-from .scalar import Scalar, ScalarLike, quarter_turns
+from .scalar import ONE, ZERO, Scalar, ScalarLike
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,8 @@ def _eval_from_identity(X: TangentVector, s: Scalar) -> GroupElement:
     if a1.is_zero() and a2.is_zero():
         # every trigonometric coefficient vanishes; exact at any s
         return GroupElement(a0 * s, Scalar(0), Scalar(0), a3 * s)
-    j = quarter_turns(a0 * s)
-    if j is None:
-        raise ExactRotationUnavailable(
-            f"exact geodesic evaluation needs a0*s in (pi/2)Z, got {a0 * s}"
-        )
-    cos, sin = _QUARTER_TRIG[j % 4]
+    # R(a0 s) e1 = (cos, sin); ExactRotationUnavailable off (pi/2)Z
+    cos, sin = rotate(a0 * s, ONE, ZERO)
     # two divisions by a0 in all: (a1^2 + a2^2)/a0 = p a1 + q a2 and
     # (a1^2 + a2^2)/a0^2 = p^2 + q^2
     p, q = a1 / a0, a2 / a0

@@ -6,9 +6,10 @@ advances), the nilpotent group N = R x H3(R), and the Heisenberg group
 H3(R) sitting inside both at t = 0.  The group is selected by the
 operation, not by the element type.
 
-Exact rotations exist only at quarter-turn angles t in (pi/2)Z, where
-the rotation matrix has entries in {-1, 0, 1}; every lattice, normalizer
-and periodicity decision needs only these.  The float layer in
+``rotate`` is the one exact rotation.  It exists only at quarter-turn
+angles t in (pi/2)Z, where R(t) is a signed permutation of (x, y); every
+lattice, normalizer, isometry and periodicity decision needs only these,
+and every exact module rotates through it.  The float layer in
 ``oscigeo.floats`` covers arbitrary angles for tracing and numeric
 verification.
 
@@ -45,42 +46,28 @@ class ExactRotationUnavailable(ValueError):
     """An exact rotation was requested at an angle outside (pi/2)Z."""
 
 
-# (cos, sin) of j quarter turns, j mod 4
-_QUARTER_TRIG = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
+def rotate(t: Scalar, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
+    """R(t)(x, y), exact: at t = j*pi/2 a signed permutation of (x, y).
+
+    The zero vector comes back unchanged at any t; any other vector at an
+    angle outside (pi/2)Z raises ExactRotationUnavailable.
+    """
+    j = quarter_turns(t)
+    if j is None:
+        if x.is_zero() and y.is_zero():
+            return x, y
+        raise ExactRotationUnavailable(f"angle {t} is not an integer multiple of pi/2")
+    j %= 4
+    if j == 0:
+        return x, y
+    if j == 1:
+        return -y, x
+    if j == 2:
+        return -x, -y
+    return y, -x
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """The plane rotation R(t); exact only at quarter-turn angles."""
-
-    angle: Scalar
-
-    def quarter_index(self) -> int:
-        j = quarter_turns(self.angle)
-        if j is None:
-            raise ExactRotationUnavailable(
-                f"angle {self.angle} is not an integer multiple of pi/2"
-            )
-        return j % 4
-
-    def matrix(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        c, s = _QUARTER_TRIG[self.quarter_index()]
-        return ((c, -s), (s, c))
-
-    def apply(self, v: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
-        if v[0].is_zero() and v[1].is_zero():
-            # rotating the zero vector needs no exact angle
-            return (Scalar(0), Scalar(0))
-        (a, b), (c, d) = self.matrix()
-        return (v[0] * a + v[1] * b, v[0] * c + v[1] * d)
-
-
-def _cross(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> Scalar:
+def cross(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> Scalar:
     # v^T J w with J = [[0, 1], [-1, 0]]
     return v[0] * w[1] - v[1] * w[0]
 
@@ -134,18 +121,18 @@ def parse_group_element(text: str) -> GroupElement:
 
 def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Product in the oscillator group: (t+t', v + R(t)v', z + z' + cross/2)."""
-    w = Rotation(a.t).apply(b.v)
+    w = rotate(a.t, b.x, b.y)
     return GroupElement(
         a.t + b.t,
         a.x + w[0],
         a.y + w[1],
-        a.z + b.z + _cross(a.v, w) / 2,
+        a.z + b.z + cross(a.v, w) / 2,
     )
 
 
 def g_inv(a: GroupElement) -> GroupElement:
     """Inverse in G: (-t, -R(-t)v, -z)."""
-    w = Rotation(-a.t).apply(a.v)
+    w = rotate(-a.t, a.x, a.y)
     return GroupElement(-a.t, -w[0], -w[1], -a.z)
 
 
@@ -155,7 +142,7 @@ def n_mul(a: GroupElement, b: GroupElement) -> GroupElement:
         a.t + b.t,
         a.x + b.x,
         a.y + b.y,
-        a.z + b.z + _cross(a.v, b.v) / 2,
+        a.z + b.z + cross(a.v, b.v) / 2,
     )
 
 
@@ -248,24 +235,13 @@ def lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
     )
 
 
-def n_lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
-    """Membership in the N-side lattice 2*pi*Z x Z x Z x (1/2k)Z."""
-    return (
-        in_quarter_lattice(g.t, 4)
-        and in_lattice_1d(g.x, Fraction(1))
-        and in_lattice_1d(g.y, Fraction(1))
-        and in_lattice_1d(g.z, L.z_step)
-    )
-
-
 # ---------------------------------------------------------------------------
 # coset normal forms and equality
 # ---------------------------------------------------------------------------
 
-def _frac_scalar(s: Scalar, step: Fraction) -> tuple[Scalar, int]:
-    """Reduce s into [0, step) by an integer multiple of the rational step."""
-    m = (s / Scalar(step)).floor()
-    return s - Scalar(step) * m, m
+def _reduce(s: Scalar, step: Scalar) -> Scalar:
+    """s reduced into [0, step) by an integer multiple of step."""
+    return s - step * (s / step).floor()
 
 
 def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
@@ -283,8 +259,7 @@ def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     leave Q(pi)).
     """
     # t-reduction by (-m*t_step, 0, 0): only t changes
-    m = (g.t / L.t_step).floor()
-    t1 = g.t - L.t_step * m
+    t1 = _reduce(g.t, L.t_step)
     x, y, z = g.x, g.y, g.z
 
     # v-reduction by (0, v_lam, 0) with R(t1) v_lam = -floor(v); the
@@ -293,15 +268,14 @@ def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     fx = x.floor()
     fy = y.floor()
     if fx or fy:
-        Rotation(-t1).quarter_index()
         shift = (Scalar(-fx), Scalar(-fy))
-        z = z + _cross((x, y), shift) / 2
+        rotate(-t1, *shift)
+        z = z + cross((x, y), shift) / 2
         x = x - Scalar(fx)
         y = y - Scalar(fy)
 
     # z-reduction by (0, 0, z_lam)
-    z, _ = _frac_scalar(z, L.z_step)
-    return GroupElement(t1, x, y, z)
+    return GroupElement(t1, x, y, _reduce(z, Scalar(L.z_step)))
 
 
 def coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
@@ -311,40 +285,26 @@ def coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
 
 def n_coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     """Canonical representative of the left coset Lam*g in Lam\\N (exact, total)."""
-    t, m = _t_reduce_exact(g.t)
+    t = _reduce(g.t, PI * 2)
     x, y, z = g.x, g.y, g.z
     fx, fy = x.floor(), y.floor()
     if fx or fy:
         # left multiplication by (0, (-fx, -fy), 0): z gains cross(v_lam, v)/2
-        z = z + _cross((Scalar(-fx), Scalar(-fy)), (x, y)) / 2
+        z = z + cross((Scalar(-fx), Scalar(-fy)), (x, y)) / 2
         x = x - Scalar(fx)
         y = y - Scalar(fy)
-    z, _ = _frac_scalar(z, L.z_step)
-    return GroupElement(t, x, y, z)
-
-
-def _t_reduce_exact(t: Scalar) -> tuple[Scalar, int]:
-    step = PI * 2
-    m = (t / step).floor()
-    return t - step * m, m
+    return GroupElement(t, x, y, _reduce(z, Scalar(L.z_step)))
 
 
 def n_coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
     """True iff Lam*g1 = Lam*g2 in Lam\\N, via g1 g2^-1 in Lam."""
-    return n_lattice_contains(L, n_mul(g1, n_inv(g2)))
+    # the N-side lattice 2*pi*Z x Z x Z x (1/2k)Z is the full-twist point set
+    return lattice_contains(LatticeSpec(L.k, Twist.FULL), n_mul(g1, n_inv(g2)))
 
 
 # ---------------------------------------------------------------------------
 # normalizers
 # ---------------------------------------------------------------------------
-
-def _rational_or_none(s: Scalar) -> Fraction | None:
-    return s.rational_value() if s.is_rational() else None
-
-
-def _in_step(value: Fraction, step: Fraction) -> bool:
-    return (value / step).denominator == 1
-
 
 def normalizer_contains(L: LatticeSpec, h: GroupElement) -> bool:
     """Closed-form membership of h in the normalizer of the lattice in G.
@@ -363,18 +323,13 @@ def normalizer_contains(L: LatticeSpec, h: GroupElement) -> bool:
     """
     if quarter_turns(h.t) is None:
         return False
-    x = _rational_or_none(h.x)
-    y = _rational_or_none(h.y)
-    if x is None or y is None:
-        return False
     if L.twist is Twist.FULL:
         step = Fraction(1, 2 * L.k)
-        return _in_step(x, step) and _in_step(y, step)
-    if L.twist is Twist.HALF:
-        return _in_step(x, Fraction(1, 2)) and _in_step(y, Fraction(1, 2))
-    if L.k % 2 == 0:
-        sx, sy = 2 * x, 2 * y
-        if sx.denominator != 1 or sy.denominator != 1:
-            return False
-        return (sx.numerator - sy.numerator) % 2 == 0
-    return x.denominator == 1 and y.denominator == 1
+    elif L.twist is Twist.HALF or L.k % 2 == 0:
+        step = Fraction(1, 2)
+    else:
+        step = Fraction(1)
+    if not (in_lattice_1d(h.x, step) and in_lattice_1d(h.y, step)):
+        return False
+    # (1/2)W for the quarter twist: x and y differ by an integer
+    return L.twist is not Twist.QUARTER or in_lattice_1d(h.x - h.y, Fraction(1))

@@ -37,9 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import GroupElement, LatticeSpec, Rotation, _cross, g_mul, normalizer_contains
+from .groups import (
+    GroupElement,
+    LatticeSpec,
+    Twist,
+    coset_equal,
+    cross,
+    g_mul,
+    lattice_contains,
+    normalizer_contains,
+    rotate,
+)
 from .metric import FRAME, FRAME_GRAM, TangentVector, bracket, frame_inner
-from .scalar import Scalar, in_lattice_1d, in_quarter_lattice
+from .scalar import ONE, ZERO, Scalar, in_quarter_lattice
 
 Matrix4 = tuple[tuple[Scalar, ...], ...]
 
@@ -103,11 +113,8 @@ def extract_isotropy(A: Matrix4) -> IsotropyElement:
 
 def ad_matrix_group(t: Scalar, v: tuple[Scalar, Scalar]) -> Matrix4:
     """Ad(t, v) of the group: A~ = R(t) (exact quarter angle), w = J v."""
-    rot = Rotation(t).matrix()
-    a_tilde = (
-        (Scalar(rot[0][0]), Scalar(rot[0][1])),
-        (Scalar(rot[1][0]), Scalar(rot[1][1])),
-    )
+    c, s = rotate(t, ONE, ZERO)
+    a_tilde = ((c, -s), (s, c))
     w = (v[1], -v[0])  # J v with J = [[0, 1], [-1, 0]]
     return isotropy_matrix(IsotropyElement(1, a_tilde, w))
 
@@ -161,16 +168,14 @@ def ambrose_hicks_check(A: Matrix4) -> bool:
 
 def inner_aut(g: GroupElement, x: GroupElement) -> GroupElement:
     """chi_g(x) = g x g^{-1}, via the expanded conjugation formula."""
-    rot0 = Rotation(g.t)
-    rot = Rotation(x.t)
-    r0v = rot0.apply(x.v)
-    rv0 = rot.apply(g.v)
+    r0v = rotate(g.t, x.x, x.y)
+    rv0 = rotate(x.t, g.x, g.y)
     v = (g.x + r0v[0] - rv0[0], g.y + r0v[1] - rv0[1])
     z = (
         x.z
-        + _cross(g.v, r0v) / 2
-        - _cross(g.v, rv0) / 2
-        - _cross(r0v, rv0) / 2
+        + cross(g.v, r0v) / 2
+        - cross(g.v, rv0) / 2
+        - cross(r0v, rv0) / 2
     )
     return GroupElement(x.t, v[0], v[1], z)
 
@@ -193,10 +198,10 @@ def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
     if which == "f1":
         return GroupElement(-p.t, -p.x, p.y, -p.z)
     if which == "f2":
-        w = Rotation(-p.t).apply(p.v)
+        w = rotate(-p.t, p.x, p.y)
         return GroupElement(-p.t, w[0], w[1], -p.z)
     if which == "f3":
-        w = Rotation(p.t).apply((-p.x, p.y))
+        w = rotate(p.t, -p.x, p.y)
         return GroupElement(p.t, w[0], w[1], p.z)
     raise ValueError(f"unknown discrete isometry {which!r}")
 
@@ -208,12 +213,12 @@ def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
 def heis_action(h: tuple[tuple[Scalar, Scalar], Scalar], p: GroupElement) -> GroupElement:
     """(v', z') . (t, v, z) = (t, v - R(t)v', z - z' - v^T J R(t) v' / 2)."""
     vp, zp = h
-    w = Rotation(p.t).apply(vp)
+    w = rotate(p.t, *vp)
     return GroupElement(
         p.t,
         p.x - w[0],
         p.y - w[1],
-        p.z - zp - _cross(p.v, w) / 2,
+        p.z - zp - cross(p.v, w) / 2,
     )
 
 
@@ -257,19 +262,9 @@ def fiber_preserving(L: LatticeSpec, iso: IsometryOfG) -> bool:
     return True
 
 
-def induced_inner_trivial(h: GroupElement) -> bool:
-    """chi_h acts trivially on every quotient iff h = (2 pi s, 0, r)."""
-    return inner_trivial_on_g(h)
-
-
 def induced_translation_trivial(L: LatticeSpec, h: GroupElement) -> bool:
     """tau_h is trivial on G/Lam iff h = (2 pi s, 0, z) with z in (1/2k)Z."""
-    return (
-        in_quarter_lattice(h.t, 4)
-        and h.x.is_zero()
-        and h.y.is_zero()
-        and in_lattice_1d(h.z, L.z_step)
-    )
+    return h.x.is_zero() and h.y.is_zero() and lattice_contains(LatticeSpec(L.k, Twist.FULL), h)
 
 
 def induced_maps_equal(
@@ -279,6 +274,4 @@ def induced_maps_equal(
     points: Sequence[GroupElement],
 ) -> bool:
     """Equality of the induced quotient maps on the given coset samples."""
-    from .groups import coset_equal
-
     return all(coset_equal(L, iso1.apply(p), iso2.apply(p)) for p in points)

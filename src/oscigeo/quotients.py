@@ -13,14 +13,13 @@ rational, and the minimal period is the generator of the intersection.
 For a0 != 0 the t-coordinate forces T = t_step m / |a0| with m a
 positive integer.  The rotation R(a0 T) and sin(a0 T) then depend only
 on m modulo the residue cycle (1, 2 or 4 residues for the full, half
-and quarter families), where both are exact constants.  Per residue the
-middle-coordinate condition is a constant rational-integrality test and
-the z-condition has the form A m - B in Z with A, B in Q(pi); that
+and quarter families), where ``groups.rotate`` gives both exactly.  Per
+residue the middle-coordinate condition is a constant integrality test
+and the z-condition has the form A m - B in Z with A, B in Q(pi); that
 membership is solved exactly:
 
-  * A and B rational: a linear congruence via extended gcd, combined
-    with the residue constraint by CRT, giving an arithmetic
-    progression of admissible m;
+  * A and B rational: m = r + cycle j for the residue r turns it into
+    one linear congruence in j >= 0, solved with a modular inverse;
   * A rational, B irrational: no solution;
   * A irrational: at most one m can make A m - B rational; it is found
     (or ruled out) by matching polynomial coefficients.
@@ -37,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geodesics import exp_map
-from .groups import _QUARTER_TRIG, LatticeSpec, lattice_contains
+from .groups import LatticeSpec, lattice_contains, rotate
 from .metric import CausalType, TangentVector, causal_type
-from .scalar import Scalar, common_denominator_rows
+from .scalar import ONE, ZERO, Scalar, common_denominator_rows
+
 
 class VerdictKind(enum.Enum):
     PERIODIC = "periodic"
@@ -64,78 +64,23 @@ def verdict_to_json(causal: CausalType, verdict: PeriodicityVerdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# residue table: R(a0 T) J - J and sin(a0 T) per residue of m
-# ---------------------------------------------------------------------------
-
-def rotation_residue_table(L: LatticeSpec, a0_sign: int):
-    """(M_r, s_r) for each residue r of m modulo the family cycle.
-
-    With T = t_step m / |a0| the angle a0 T equals sign(a0) * t_step * m,
-    i.e. sign(a0) * q * m quarter turns with q = t_step / (pi/2).  Both
-    R(a0 T) J - J and sin(a0 T) depend on m only through
-    j = (sign(a0) * q * m) mod 4.  Entries are exact Fractions.
-    """
-    q = L.t_step_quarters
-    cycle = 4 // q
-    table = []
-    for r in range(cycle):
-        j = (a0_sign * q * r) % 4
-        c, s = _QUARTER_TRIG[j]
-        table.append((((s, c - 1), (1 - c, s)), s))
-    return table
-
-
-# ---------------------------------------------------------------------------
 # integer membership solving
 # ---------------------------------------------------------------------------
 
-def _solve_congruence(P: int, U: int, L: int) -> tuple[int, int] | None:
-    """m with P m = U (mod L); returns (m0, modulus) or None."""
-    g = math.gcd(P, L)
+def _solve_rational(A: Fraction, B: Fraction, r: int, cycle: int) -> int | None:
+    """Least m = r + cycle*j, j >= 0, with A m - B an integer.
+
+    That is a j = b (mod 1) with a = A cycle and b = B - A r, and over the
+    common denominator n of a and b the linear congruence P j = U (mod n).
+    """
+    a, b = A * cycle, B - A * r
+    n = math.lcm(a.denominator, b.denominator)
+    P, U = a.numerator * (n // a.denominator), b.numerator * (n // b.denominator)
+    g = math.gcd(P, n)
     if U % g:
         return None
-    L2 = L // g
-    if L2 == 1:
-        return (0, 1)
-    P2 = (P // g) % L2
-    U2 = (U // g) % L2
-    return ((U2 * pow(P2, -1, L2)) % L2, L2)
-
-
-def _combine_crt(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int] | None:
-    """m = a1 (mod n1) and m = a2 (mod n2); (m0, lcm) or None."""
-    g = math.gcd(n1, n2)
-    if (a2 - a1) % g:
-        return None
-    lcm = n1 * n2 // g
-    n2g = n2 // g
-    if n2g == 1:
-        return (a1 % lcm, lcm)
-    t = ((a2 - a1) // g * pow((n1 // g) % n2g, -1, n2g)) % n2g
-    return ((a1 + n1 * t) % lcm, lcm)
-
-
-def _first_at_least_one(m0: int, modulus: int) -> int:
-    m = m0 % modulus
-    return m if m >= 1 else m + modulus
-
-
-def _solve_rational(A: Fraction, B: Fraction, r: int, cycle: int) -> int | None:
-    """Least m >= 1 with A m - B integer and m = r (mod cycle)."""
-    if A == 0:
-        if B.denominator != 1:
-            return None
-        return _first_at_least_one(r, cycle)
-    L = (A.denominator * B.denominator) // math.gcd(A.denominator, B.denominator)
-    P = A.numerator * (L // A.denominator)
-    U = B.numerator * (L // B.denominator)
-    sol = _solve_congruence(P, U, L)
-    if sol is None:
-        return None
-    combined = _combine_crt(sol[0], sol[1], r, cycle)
-    if combined is None:
-        return None
-    return _first_at_least_one(*combined)
+    n //= g
+    return r + cycle * ((U // g) * pow(P // g, -1, n) % n)
 
 
 def _solve_irrational(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
@@ -219,7 +164,6 @@ def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
 def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     """a0 != 0: solve the per-residue membership conditions in m."""
     a0, a1, a2, a3 = X.components
-    sigma = a0.sign()
     abs_a0 = abs(a0)
     h = Scalar(L.z_step)
     t_step = L.t_step
@@ -227,15 +171,19 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     norm_sq = X.norm_sq()
     # z(T) = (|X|^2 / 2 a0) T - (sq / 2 a0^2) sin(a0 T), T = t_step m / |a0|
     A = norm_sq * t_step / (2 * a0 * abs_a0) / h
-    table = rotation_residue_table(L, sigma)
-    cycle = len(table)
+    cycle = 4 // L.t_step_quarters
+    turn = t_step * a0.sign()
     best: int | None = None
-    for r, (m_rot, s_r) in enumerate(table):
-        u1 = (m_rot[0][0] * a1 + m_rot[0][1] * a2) / a0
-        u2 = (m_rot[1][0] * a1 + m_rot[1][1] * a2) / a0
+    for r in range(1, cycle + 1):
+        # a0 T = sign(a0) t_step m turns by the same quarter turns for every
+        # m = r (mod cycle); u = (R(a0 T) J - J)(a1, a2) / a0 with J(a1, a2) = (a2, -a1)
+        angle = turn * r
+        rx, ry = rotate(angle, a2, -a1)
+        u1 = (rx - a2) / a0
+        u2 = (ry + a1) / a0
         if not (u1.is_integer() and u2.is_integer()):
             continue
-        B = sq * s_r / (2 * a0 * a0) / h
+        B = sq * rotate(angle, ONE, ZERO)[1] / (2 * a0 * a0) / h
         m = _solve_membership(A, B, r, cycle)
         if m is not None and (best is None or m < best):
             best = m

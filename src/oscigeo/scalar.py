@@ -548,11 +548,6 @@ def in_lattice_1d(s: ScalarLike, step: Fraction) -> bool:
     return (s._n[0] * step.denominator) % (s._d[0] * step.numerator) == 0
 
 
-def is_integer_multiple(s: ScalarLike, step: ScalarLike) -> bool:
-    """True iff s/step is an integer; step may be any nonzero Scalar."""
-    return (_coerce(s) / _coerce(step)).is_integer()
-
-
 def quarter_turns(s: ScalarLike) -> int | None:
     """The integer j with s = j*pi/2, or None if s is not such a multiple."""
     s = _coerce(s)

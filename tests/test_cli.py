@@ -165,6 +165,37 @@ def test_trace_beyond_max_samples_is_usage_error(capsys):
     assert err.startswith("error:") and "MAX_SAMPLES = 10000000" in err
 
 
+def test_trace_quotient_beyond_float_resolution_is_usage_error(capsys):
+    # t reaches 1e300, where t mod 2*pi has no float digits left
+    code = main(["trace", "--vector", "1,0,0,0", "--quotient", "--lattice", "k=1,twist=full",
+                 "--s-end", "1e300", "--step", "1e299"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_REDUCED_STEPS = 2**52" in err
+
+
+def test_dash_led_values_read_like_the_equals_form(capsys):
+    # argparse alone takes "-1,0,0,1/2" and "-1e1" for options of their own
+    pairs = (
+        (["classify", "--lattice", "k=1,twist=full", "--vector", "-1,0,0,1/2"],
+         ["classify", "--lattice", "k=1,twist=full", "--vector=-1,0,0,1/2"]),
+        (["trace", "--vector", "-1,0,0,1/2", "--s-end", "-1e1", "--step", "0.1"],
+         ["trace", "--vector=-1,0,0,1/2", "--s-end=-1e1", "--step", "0.1"]),
+    )
+    outputs = []
+    for spaced, joined in pairs:
+        assert main(spaced) == 0
+        out = capsys.readouterr().out
+        assert main(joined) == 0
+        assert capsys.readouterr().out == out
+        outputs.append(out)
+    assert outputs == ["timelike, non-closed\n", "s,t,x,y,z\n0,0,0,0,0\n"]
+    # an option given no value still reports its missing argument
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "--vector", "--s-end", "1"])
+    assert exit_info.value.code == 2
+
+
 def test_trace_unwritable_output(capsys):
     code = main(["trace", "--vector", "1,0,0,0", "--s-end", "1", "--step", "0.5",
                  "--output", "/nonexistent-dir/x.csv"])

@@ -11,7 +11,6 @@ from oscigeo.groups import (
     GroupElement,
     IDENTITY,
     LatticeSpec,
-    Rotation,
     Twist,
     coset_equal,
     coset_normal_form,
@@ -24,8 +23,9 @@ from oscigeo.groups import (
     n_mul,
     normalizer_contains,
     parse_group_element,
+    rotate,
 )
-from oscigeo.floats import coset_normal_form_f, g_inv_f, g_mul_f
+from oscigeo.floats import _rotate, coset_normal_form_f, g_inv_f, g_mul_f
 
 L10 = LatticeSpec(1, Twist.FULL)
 L1H = LatticeSpec(1, Twist.HALF)
@@ -135,10 +135,26 @@ def test_exact_vs_float_products():
 
 
 def test_rotation_exact_entries():
-    assert Rotation(PI_HALF).matrix() == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    assert Rotation(2 * PI).matrix() == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    one, zero = Scalar(1), Scalar(0)
+    # the columns R(t) e1 = (cos t, sin t) and R(t) e2 = (-sin t, cos t)
+    assert rotate(PI_HALF, one, zero) == (zero, one)
+    assert rotate(PI_HALF, zero, one) == (-one, zero)
+    assert rotate(2 * PI, one, zero) == (one, zero)
+    assert rotate(2 * PI, zero, one) == (zero, one)
+    assert rotate(-PI_HALF, Scalar(2), PI) == (PI, Scalar(-2))
     with pytest.raises(ExactRotationUnavailable):
-        Rotation(Scalar(1)).matrix()
+        rotate(Scalar(1), one, zero)
+    # the zero vector needs no exact angle
+    assert rotate(Scalar(1), zero, zero) == (zero, zero)
+    assert rotate(PI / 3, zero, zero) == (zero, zero)
+
+
+def test_rotate_matches_float_rotation():
+    v = (Scalar(Fraction(3, 7)), Scalar(1) - PI / 5)
+    for j in range(-8, 9):
+        exact = rotate(PI_HALF * j, *v)
+        fx, fy = _rotate(j * math.pi / 2, float(v[0]), float(v[1]))
+        assert abs(float(exact[0]) - fx) < 1e-12 and abs(float(exact[1]) - fy) < 1e-12, j
 
 
 def test_lattice_contains_examples():

@@ -28,7 +28,6 @@ from oscigeo.isometries import (
     extract_isotropy,
     fiber_preserving,
     heis_action,
-    induced_inner_trivial,
     induced_maps_equal,
     induced_translation_trivial,
     inner_aut,
@@ -304,8 +303,8 @@ def test_fiber_preserving():
 def test_induced_kernels():
     L10 = LatticeSpec(1, Twist.FULL)
     L2Q = LatticeSpec(2, Twist.QUARTER)
-    assert induced_inner_trivial(GroupElement.of(2 * PI, (0, 0), Fraction(9, 7)))
-    assert not induced_inner_trivial(GroupElement.of(PI, (0, 0), 0))
+    assert inner_trivial_on_g(GroupElement.of(2 * PI, (0, 0), Fraction(9, 7)))
+    assert not inner_trivial_on_g(GroupElement.of(PI, (0, 0), 0))
     assert induced_translation_trivial(L10, GroupElement.of(2 * PI, (0, 0), Fraction(3, 2)))
     assert not induced_translation_trivial(L10, GroupElement.of(2 * PI, (0, 0), Fraction(1, 3)))
     assert induced_translation_trivial(L2Q, GroupElement.of(-2 * PI, (0, 0), Fraction(1, 4)))

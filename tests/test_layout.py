@@ -1,0 +1,65 @@
+"""Module boundaries of the oscigeo package, read from its source with ast."""
+
+import ast
+from pathlib import Path
+
+import oscigeo
+
+PACKAGE = Path(oscigeo.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private_reaches(path: Path) -> list[str]:
+    """Each _-prefixed name the module takes from a sibling oscigeo module.
+
+    Covers ``from .m import _x`` (and ``from oscigeo.m import _x``) as well
+    as ``m._x`` after ``from . import m``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.module or ""
+        if node.level == 0 and package.split(".")[0] != "oscigeo":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {package or '.'}")
+            elif package in ("", "oscigeo") and alias.name in MODULES:
+                siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+        ):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_private_names_cross_module_boundaries():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 10
+    found = [hit for path in paths for hit in _private_reaches(path)]
+    assert not found, found
+
+
+def test_private_reach_detector_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "from .groups import _secret, rotate\n"
+        "from oscigeo.scalar import _pgcd\n"
+        "from . import floats\n"
+        "from math import _private_ok\n"
+        "x = floats._rotate\n"
+        "y = rotate._not_a_module\n"
+    )
+    assert _private_reaches(probe) == [
+        "probe.py:2 imports _secret from groups",
+        "probe.py:3 imports _pgcd from oscigeo.scalar",
+        "probe.py:6 reads floats._rotate",
+    ]

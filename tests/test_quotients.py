@@ -27,7 +27,6 @@ from oscigeo.quotients import (
     VerdictKind,
     classify_geodesic,
     minimal_period,
-    rotation_residue_table,
     verdict_to_json,
 )
 
@@ -47,31 +46,6 @@ def random_null(rng, allow_line=True):
     a2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     a3 = -(a1 * a1 + a2 * a2) / (2 * a0)
     return TangentVector.of(a0, a1, a2, a3)
-
-
-def test_residue_table_against_float():
-    # the rotation/sine residue table must match float evaluation of
-    # R(a0 T) J - J and sin(a0 T) at T = t_step * m / |a0|
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for L in (L10, L1H, L1Q):
-        for sigma in (1, -1):
-            table = rotation_residue_table(L, sigma)
-            cycle = len(table)
-            for m in range(1, 9):
-                angle = sigma * float(L.t_step) * m
-                c, s = math.cos(angle), math.sin(angle)
-                rot = np.array([[c, -s], [s, c]])
-                M_float = rot @ J - J
-                M_exact, s_exact = table[m % cycle]
-                M_e = np.array([[float(v) for v in row] for row in M_exact])
-                assert np.max(np.abs(M_e - M_float)) < 1e-12
-                assert abs(float(s_exact) - s) < 1e-12
-
-
-def test_residue_cycle_lengths():
-    assert len(rotation_residue_table(L10, 1)) == 1
-    assert len(rotation_residue_table(L1H, 1)) == 2
-    assert len(rotation_residue_table(L1Q, 1)) == 4
 
 
 def test_null_with_rotation_closes_at_full_turn():
@@ -357,6 +331,69 @@ def test_prime_factors_small():
     # both primes lie past the block crossing the limit: every block below it is skipped as coprime
     with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
         quotients._prime_factors(1000081 * 1000099)
+
+
+def test_residue_solver_verdicts_hold_exactly(monkeypatch):
+    # degree <= 2 directions over all nine families; a3 is either free or the
+    # null value shifted by c/pi, which makes A rational for rational a0 and c
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(-3, 3)
+    poly = st.lists(coeff, min_size=1, max_size=3)
+    nonzero_poly = poly.filter(any)
+
+    @st.composite
+    def q_pi(draw, nonzero=False):
+        num = tuple(draw(nonzero_poly if nonzero else poly))
+        return Scalar(num, tuple(draw(nonzero_poly)))
+
+    @st.composite
+    def directions(draw):
+        a0 = draw(st.fractions(-4, 4, max_denominator=4).filter(bool).map(Scalar) | q_pi(nonzero=True))
+        # a1, a2 = a0 n with n in (1/2)Z make u integral in every residue, mostly
+        n1, n2 = (Fraction(draw(st.integers(-4, 4)), 2) for _ in range(2))
+        a1, a2 = (a0 * n1, a0 * n2) if draw(st.integers(0, 3)) else (draw(q_pi()), draw(q_pi()))
+        if draw(st.booleans()):
+            a3 = draw(q_pi())
+        else:
+            c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+            a3 = -(a1 * a1 + a2 * a2) / (2 * a0) + Scalar(c) / PI
+        L = LatticeSpec(draw(st.integers(1, 3)), draw(st.sampled_from(list(Twist))))
+        return L, TangentVector(a0, a1, a2, a3)
+
+    # (cycle, residue, A rational, solved) for every call of the residue solver
+    calls = set()
+    solve = quotients._solve_membership
+
+    def recording_solve(A, B, r, cycle):
+        m = solve(A, B, r, cycle)
+        assert m is None or (m >= 1 and m % cycle == r % cycle), (A, B, r, cycle, m)
+        calls.add((cycle, r, A.is_rational(), m is not None))
+        return m
+
+    monkeypatch.setattr(quotients, "_solve_membership", recording_solve)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(directions())
+    def check(case):
+        L, X = case
+        _, verdict = classify_geodesic(L, X)
+        # A = |X|^2 t_step / (2 a0 |a0| h) is rational iff |X|^2 pi / a0^2 is.  A
+        # rational A closes in the residue m = 0 (mod cycle), where u = 0 and B = 0;
+        # an irrational one never does, as an integral u makes a1/a0, a2/a0 and B rational
+        rational_A = (X.norm_sq() * PI / (X.a0 * X.a0)).is_rational()
+        assert (verdict.kind is VerdictKind.PERIODIC) == rational_A, (L, X)
+        if rational_A:
+            assert minimal_period(L, X) == verdict.minimal_T
+            return
+        unit = L.t_step / abs(X.a0)
+        for m in range(1, 41):
+            assert not lattice_contains(L, exp_map(X.scale(unit * m))), (L, X, m)
+
+    check()
+    # every quarter-twist residue was solved with a rational A, and an irrational A ran
+    assert {(4, r, True, True) for r in range(1, 5)} <= calls, calls
+    assert any(not rational for _, _, rational, _ in calls), calls
 
 
 def test_lattice_chain_divisibility():

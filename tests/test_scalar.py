@@ -12,7 +12,6 @@ from oscigeo.scalar import (
     PI_HALF,
     Scalar,
     in_lattice_1d,
-    is_integer_multiple,
     parse_scalar,
     pi_enclosure,
     quarter_turns,
@@ -171,12 +170,6 @@ def test_quarter_turns():
     assert quarter_turns(2 * PI) == 4
     assert quarter_turns(PI / 3) is None
     assert quarter_turns(Scalar(2)) is None
-
-
-def test_is_integer_multiple():
-    assert is_integer_multiple(2 * PI, PI_HALF)
-    assert not is_integer_multiple(PI / 3, PI_HALF)
-    assert is_integer_multiple(Scalar(0), PI)
 
 
 def test_parse_examples():

@@ -37,6 +37,9 @@ _A0_FLOAT_CUTOFF = 1e-12
 # in memory at once, so a larger request is refused instead of attempted
 MAX_SAMPLES = 10**7
 
+# rows per block of the scalar RK4 kernel and per CSV write
+_CHUNK_ROWS = 1024
+
 
 # a coordinate more lattice steps out than this keeps no float digit of its
 # position within a step, so its coset reduction would be noise
@@ -352,14 +355,70 @@ def _deriv(state: np.ndarray) -> np.ndarray:
     return d
 
 
+def _rk4_path(state, n_steps: int, h: float):
+    """Blocks of up to _CHUNK_ROWS states (8-tuples of floats) after steps 1..n_steps.
+
+    One path in plain Python floats.  Each expression is the one that
+    ``_deriv`` and the ``k1 + 2*k2 + 2*k3 + k4`` update evaluate per column,
+    in the same order, so IEEE doubles give the numpy kernel's bits.  t'' = 0
+    still goes through ``+ c * 0.0``, which fixes the sign of a zero t'.
+    The stage values of t and z are left out: ``_deriv`` never reads them.
+    """
+    t, x, y, z, vt, vx, vy, vz = state
+    h2, h6 = h / 2, h / 6
+    block = []
+    for _ in range(n_steps):
+        a5, a6, a7 = -vt * vy, vt * vx, 0.5 * vt * (x * vx + y * vy)
+        x2, y2 = x + h2 * vx, y + h2 * vy
+        vt2, vx2, vy2, vz2 = vt + h2 * 0.0, vx + h2 * a5, vy + h2 * a6, vz + h2 * a7
+        b5, b6, b7 = -vt2 * vy2, vt2 * vx2, 0.5 * vt2 * (x2 * vx2 + y2 * vy2)
+        x3, y3 = x + h2 * vx2, y + h2 * vy2
+        vt3, vx3, vy3, vz3 = vt + h2 * 0.0, vx + h2 * b5, vy + h2 * b6, vz + h2 * b7
+        c5, c6, c7 = -vt3 * vy3, vt3 * vx3, 0.5 * vt3 * (x3 * vx3 + y3 * vy3)
+        x4, y4 = x + h * vx3, y + h * vy3
+        vt4, vx4, vy4, vz4 = vt + h * 0.0, vx + h * c5, vy + h * c6, vz + h * c7
+        d5, d6, d7 = -vt4 * vy4, vt4 * vx4, 0.5 * vt4 * (x4 * vx4 + y4 * vy4)
+        t, x, y, z = (
+            t + h6 * (vt + 2 * vt2 + 2 * vt3 + vt4),
+            x + h6 * (vx + 2 * vx2 + 2 * vx3 + vx4),
+            y + h6 * (vy + 2 * vy2 + 2 * vy3 + vy4),
+            z + h6 * (vz + 2 * vz2 + 2 * vz3 + vz4),
+        )
+        vt, vx, vy, vz = (
+            vt + h6 * (0.0 + 2 * 0.0 + 2 * 0.0 + 0.0),
+            vx + h6 * (a5 + 2 * b5 + 2 * c5 + d5),
+            vy + h6 * (a6 + 2 * b6 + 2 * c6 + d6),
+            vz + h6 * (a7 + 2 * b7 + 2 * c7 + d7),
+        )
+        block.append((t, x, y, z, vt, vx, vy, vz))
+        if len(block) == _CHUNK_ROWS:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def rk4_states(state0: np.ndarray, n_steps: int, h: float, observer=None) -> np.ndarray:
     """Advance the first-order system n_steps of size h; returns final state.
 
     ``observer(i, state)`` is called after each step with the step index
     (1-based) and the current state; it lets callers accumulate running
     comparisons without storing the whole trajectory.
+
+    One path, a state of shape (8,), runs the scalar kernel ``_rk4_path``;
+    a batch (..., 8) runs the numpy kernel over every row at once.  The two
+    give the same bits on the same path.
     """
     state = np.array(state0, dtype=float)
+    if state.ndim == 1:
+        i = 0
+        for block in _rk4_path(state.tolist(), n_steps, float(h)):
+            state = np.array(block[-1])
+            if observer is not None:
+                for row in block:
+                    i += 1
+                    observer(i, np.array(row))
+        return state
     for i in range(1, n_steps + 1):
         k1 = _deriv(state)
         k2 = _deriv(state + (h / 2) * k1)
@@ -388,11 +447,10 @@ def integrate_states(h, X, s_end: float, step: float) -> np.ndarray:
     rows = np.empty((n + 1, 9))
     rows[:, 0] = np.arange(n + 1) * step
     rows[0, 1:] = initial_state(h, X)
-
-    def observer(i, state):
-        rows[i, 1:] = state
-
-    rk4_states(rows[0, 1:], n, step, observer)
+    i = 1
+    for block in _rk4_path(rows[0, 1:].tolist(), n, float(step)):
+        rows[i:i + len(block), 1:] = block
+        i += len(block)
     return rows
 
 
@@ -414,11 +472,17 @@ def speed_f(states: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z") -> None:
-    """CSV with dot decimals, LF endings and 17 significant digits."""
+    """CSV with dot decimals, LF endings and 17 significant digits.
+
+    Rows go out _CHUNK_ROWS at a time, each chunk one ``%`` format of
+    ``%.17g`` fields, which spells every float as ``format(v, ".17g")``.
+    """
     stream.write(header + "\n")
-    for row in samples:
-        stream.write(",".join(format(v, ".17g") for v in row) + "\n")
+    line = ",".join(["%.17g"] * samples.shape[1]) + "\n"
+    for start in range(0, len(samples), _CHUNK_ROWS):
+        chunk = samples[start:start + _CHUNK_ROWS]
+        stream.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def path_to_json(samples: np.ndarray, stream: IO[str]) -> None:
-    json.dump([[float(v) for v in row] for row in samples], stream)
+    json.dump(samples.tolist(), stream)

@@ -37,7 +37,6 @@ from .metric import (
     FRAME_GRAM,
     TangentVector,
     bracket,
-    causal_type,
     curvature_op,
     frame_inner,
     killing_form,

@@ -19,6 +19,7 @@ from oscigeo.geodesics import GeodesicCurve, exp_map, geodesic_eval
 from oscigeo.floats import (
     MAX_SAMPLES,
     InvalidStep,
+    _CHUNK_ROWS,
     _step_count,
     chi_f,
     closed_form_batch,
@@ -200,6 +201,37 @@ def test_integrator_reversal():
     assert np.max(np.abs(ret[:4])) < 1e-7
 
 
+def test_rk4_one_path_kernel_matches_batch_kernel_bitwise():
+    rng = np.random.default_rng(4)
+    bases = rng.uniform(-2, 2, (6, 4))
+    dirs = rng.uniform(-2, 2, (6, 4))
+    dirs[1:3, 0] = 0.0  # line directions
+    dirs[3, 0] = 1e-13  # a tiny a0
+    states = initial_state(bases, dirs)
+    states[2, 4] = -0.0
+    for n in (0, 1, 2, 1000):
+        for h in (1e-3, -2.5e-3):
+            batch = rk4_states(states, n, h)
+            for row, expected in zip(states, batch):
+                got = rk4_states(row, n, h)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_rk4_one_path_observer_and_rows_match_a_batch_of_one():
+    base, a = np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4])
+    state = initial_state(base, a)
+    n, h = 2 * _CHUNK_ROWS + 1, 1e-3
+    seen_path, seen_batch = [], []
+    rk4_states(state, n, h, lambda i, st: seen_path.append((i, st.copy())))
+    rk4_states(state[None, :], n, h, lambda i, st: seen_batch.append((i, st[0].copy())))
+    assert [i for i, _ in seen_path] == [i for i, _ in seen_batch] == list(range(1, n + 1))
+    assert all(np.array_equal(p, b) for (_, p), (_, b) in zip(seen_path, seen_batch))
+    rows = integrate_states(base, a, n * h, h)
+    assert np.array_equal(rows[0, 1:], state)
+    assert np.array_equal(rows[1:, 1:], np.array([st for _, st in seen_batch]))
+
+
 def test_speed_conservation():
     states = integrate_states(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]), 10.0, 1e-3)[::100]
     speeds = speed_f(states[:, 1:])
@@ -268,3 +300,34 @@ def test_json_serialization():
     path_to_json(samples, buf)
     data = json.loads(buf.getvalue())
     assert data == [[0.0, 1.0, 2.0, 3.0, 4.0]]
+
+
+def _csv_per_element(samples, stream, header):
+    # the one-format-call-per-value writer that path_to_csv replaced
+    stream.write(header + "\n")
+    for row in samples:
+        stream.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-17, 1e300, np.inf, -np.inf, np.nan]
+
+
+def test_csv_chunks_match_the_per_element_writer():
+    rng = np.random.default_rng(6)
+    for cols, header in ((5, "s,t,x,y,z"), (6, "s,t,x,y,z,diff")):
+        for n in (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1):
+            samples = rng.standard_normal((n, cols)) * 10.0 ** rng.integers(-320, 300, (n, cols))
+            flat = samples.reshape(-1)
+            flat[: len(EDGE_VALUES)] = EDGE_VALUES[: flat.size]
+            flat[-len(EDGE_VALUES):] = EDGE_VALUES[-flat.size:]
+            expected, got = io.StringIO(), io.StringIO()
+            _csv_per_element(samples, expected, header)
+            path_to_csv(samples, got, header=header)
+            assert got.getvalue() == expected.getvalue()
+
+
+def test_json_matches_the_per_element_writer():
+    samples = np.array([EDGE_VALUES[:5] + [2.5], [1.0, -1.5, 2.25, 1e-17, 0.1, -0.0]])
+    buf = io.StringIO()
+    path_to_json(samples, buf)
+    assert buf.getvalue() == json.dumps([[float(v) for v in row] for row in samples])

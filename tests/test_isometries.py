@@ -11,7 +11,6 @@ from oscigeo.groups import (
     IDENTITY,
     LatticeSpec,
     Twist,
-    coset_equal,
     g_inv,
     g_mul,
     n_coset_equal,

@@ -7,6 +7,7 @@ import oscigeo
 
 PACKAGE = Path(oscigeo.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+TESTS = Path(__file__).parent
 
 
 def _private_reaches(path: Path) -> list[str]:
@@ -62,4 +63,50 @@ def test_private_reach_detector_sees_both_forms(tmp_path):
         "probe.py:2 imports _secret from groups",
         "probe.py:3 imports _pgcd from oscigeo.scalar",
         "probe.py:6 reads floats._rotate",
+    ]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Each name an import binds in the file that no expression ever reads.
+
+    ``import a.b`` binds ``a``; ``from m import x as y`` binds ``y``.  A read
+    is any load of the bare name, annotations included; ``__future__``
+    imports bind nothing.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line} imports {name}" for line, name in sorted(bound) if name not in read]
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(paths) >= 20
+    found = [hit for path in paths for hit in _unused_imports(path)]
+    assert not found, found
+
+
+def test_unused_import_detector_sees_aliases_and_annotations(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json.decoder\n"
+        "from math import pi as circle, tau\n"
+        "from typing import IO\n"
+        "def f(stream: IO[str]) -> None:\n"
+        "    return json.decoder, pi, tau\n"
+    )
+    assert _unused_imports(probe) == [
+        "probe.py:2 imports os",
+        "probe.py:4 imports circle",
     ]

@@ -15,17 +15,19 @@ positive integer.  The rotation R(a0 T) and sin(a0 T) then depend only
 on m modulo the residue cycle (1, 2 or 4 residues for the full, half
 and quarter families), where ``groups.rotate`` gives both exactly.  Per
 residue the middle-coordinate condition is a constant integrality test
-and the z-condition has the form A m - B in Z with A, B in Q(pi); that
-membership is solved exactly:
+on u and the z-condition has the form A m - B in Z with A, B in Q(pi).
 
-  * A and B rational: m = r + cycle j for the residue r turns it into
-    one linear congruence in j >= 0, solved with a modular inverse;
-  * A rational, B irrational: no solution;
-  * A irrational: at most one m can make A m - B rational; it is found
-    (or ruled out) by matching polynomial coefficients.
-
-The minimal period is the minimum over residues.  Scanning T values can
-never prove non-closedness; this residue arithmetic can.
+The geodesic closes iff A = |X|^2 t_step / (2 a0 |a0| h) is rational,
+that is iff |X|^2 pi / a0^2 is rational; a null direction has
+|X|^2 = 0 and always closes.  In a residue where u is integral, B is
+rational: R(a0 T) = +-I gives sin = 0 and B = 0, and at a quarter turn
+an integral u puts a1/a0 and a2/a0 in (1/2)Z.  So an irrational A
+makes A m - B irrational for every m, while a rational A closes in the
+residue m = 0 (mod cycle), where u = 0 and B = 0.  With A and B
+rational, m = r + cycle j turns the z-condition into one linear
+congruence in j >= 0, solved with a modular inverse, and the minimal
+period is the minimum over residues.  Scanning T values can never
+prove non-closedness; this rationality test can.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from .geodesics import exp_map
 from .groups import LatticeSpec, lattice_contains, rotate
 from .metric import CausalType, TangentVector, causal_type
-from .scalar import ONE, ZERO, Scalar, common_denominator_rows
+from .scalar import ONE, ZERO, Scalar
 
 
 class VerdictKind(enum.Enum):
@@ -83,53 +85,6 @@ def _solve_rational(A: Fraction, B: Fraction, r: int, cycle: int) -> int | None:
     return r + cycle * ((U // g) * pow(P // g, -1, n) % n)
 
 
-def _solve_irrational(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
-    """Least admissible m when A is irrational: at most one candidate.
-
-    A m - B can be rational for at most one rational m, because A is
-    irrational.  Writing A = P/D and B = Q/D over a common denominator,
-    A m - B integer means P(x) m - Q(x) = rho D(x) as polynomials for an
-    integer rho; the integer coefficient rows form a linear system in
-    (m, rho) solved by Cramer's rule and verified row by row.
-    """
-    Pp, Qp, Dp = common_denominator_rows(A, B)
-    n = len(Pp)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = Dp[i] * Pp[j] - Pp[i] * Dp[j]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        # P proportional to D would make A rational; unreachable here
-        return None
-    i, j, det = pivot
-    # m = m_num / det and rho = rho_num / det
-    m_num = Dp[i] * Qp[j] - Qp[i] * Dp[j]
-    rho_num = Pp[i] * Qp[j] - Qp[i] * Pp[j]
-    for p, d, q in zip(Pp, Dp, Qp):
-        if p * m_num - rho_num * d != q * det:
-            return None
-    if m_num % det or rho_num % det:
-        return None
-    m = m_num // det
-    if m < 1 or m % cycle != r % cycle:
-        return None
-    return m
-
-
-def _solve_membership(A: Scalar, B: Scalar, r: int, cycle: int) -> int | None:
-    """Least m >= 1 with A m - B in Z and m = r (mod cycle), exactly."""
-    if A.is_rational():
-        if not B.is_rational():
-            return None
-        return _solve_rational(A.rational_value(), B.rational_value(), r, cycle)
-    return _solve_irrational(A, B, r, cycle)
-
-
 # ---------------------------------------------------------------------------
 # the classifier
 # ---------------------------------------------------------------------------
@@ -162,16 +117,21 @@ def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
 
 
 def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
-    """a0 != 0: solve the per-residue membership conditions in m."""
+    """a0 != 0: closed iff A is rational; then the least m over the residues."""
     a0, a1, a2, a3 = X.components
     abs_a0 = abs(a0)
     h = Scalar(L.z_step)
     t_step = L.t_step
     sq = a1 * a1 + a2 * a2
-    norm_sq = X.norm_sq()
     # z(T) = (|X|^2 / 2 a0) T - (sq / 2 a0^2) sin(a0 T), T = t_step m / |a0|
-    A = norm_sq * t_step / (2 * a0 * abs_a0) / h
+    A = X.norm_sq() * t_step / (2 * a0 * abs_a0) / h
+    if not A.is_rational():
+        return PeriodicityVerdict(VerdictKind.NON_CLOSED)
+    A = A.rational_value()
     cycle = 4 // L.t_step_quarters
+    # Flipping the sign of the turn or of sin changes no verdict or witness:
+    # 2B is an integer in every residue with an integral u, and the residues
+    # r and cycle - r have the same u condition, so no test can see such a flip.
     turn = t_step * a0.sign()
     best: int | None = None
     for r in range(1, cycle + 1):
@@ -184,11 +144,10 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
         if not (u1.is_integer() and u2.is_integer()):
             continue
         B = sq * rotate(angle, ONE, ZERO)[1] / (2 * a0 * a0) / h
-        m = _solve_membership(A, B, r, cycle)
+        m = _solve_rational(A, B.rational_value(), r, cycle)
         if m is not None and (best is None or m < best):
             best = m
-    if best is None:
-        return PeriodicityVerdict(VerdictKind.NON_CLOSED)
+    # the residue r = cycle always admits a solution
     T = t_step * best / abs_a0
     return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=T, witness_m=best)
 

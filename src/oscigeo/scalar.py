@@ -520,15 +520,6 @@ PI = Scalar.pi()
 PI_HALF = PI / 2
 
 
-def common_denominator_rows(a: Scalar, b: Scalar) -> tuple[Poly, Poly, Poly]:
-    """Integer coefficient rows (P, Q, D) of one length with a = P/D and b = Q/D."""
-    P = _pmul(a._n, b._d)
-    Q = _pmul(b._n, a._d)
-    D = _pmul(a._d, b._d)
-    size = max(len(P), len(Q), len(D))
-    return tuple(row + (0,) * (size - len(row)) for row in (P, Q, D))
-
-
 # ---------------------------------------------------------------------------
 # lattice membership helpers
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .metric import (
     ricci_from_curvature_trace,
 )
 from .quotients import VerdictKind, classify_geodesic, minimal_period
-from .scalar import PI_HALF, Scalar, parse_scalar
+from .scalar import PI_HALF, Scalar, in_lattice_1d, parse_scalar
 
 
 @dataclass
@@ -111,8 +111,6 @@ def suite_scalar(rng: random.Random) -> SuiteResult:
         step = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         s = Scalar(step * rng.randint(-8, 8))
         m = rng.randint(-5, 5)
-        from .scalar import in_lattice_1d
-
         res.check(in_lattice_1d(s, step), "multiples belong to their lattice")
         res.check(in_lattice_1d(s * m, step), "integer multiples stay in lattice")
     return res

@@ -110,3 +110,86 @@ def test_unused_import_detector_sees_aliases_and_annotations(tmp_path):
         "probe.py:2 imports os",
         "probe.py:4 imports circle",
     ]
+
+
+def _top_level_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each def, class or assigned name at the top level of a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (name.lineno, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    return found
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads, imports, reaches as an attribute or spells
+    as a string; a def or class does not count as reading itself."""
+    read = set()
+    for statement in tree.body:
+        names = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(statement.name)
+        read |= names
+    return read
+
+
+def _unreferenced_names(modules: list[Path], readers: list[Path]) -> list[str]:
+    """Each top-level name of the modules that no reader file refers to.
+
+    Dunder names are exempt, since Python itself reads them.
+    """
+    read = set()
+    for path in readers:
+        read |= _references(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for path in modules:
+        for line, name in _top_level_names(ast.parse(path.read_text(), filename=str(path))):
+            if name not in read and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{path.name}:{line} defines {name}")
+    return found
+
+
+def test_no_unreferenced_top_level_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = modules + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
+    assert len(readers) >= 25
+    found = _unreferenced_names(modules, readers)
+    assert not found, found
+
+
+def test_unreferenced_name_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "__version__ = '1'\n"
+        "LIMIT, (LOW, HIGH) = 10, (0, 1)\n"
+        "Pair: tuple = (LOW, 2)\n"
+        "def orphan(n):\n"
+        "    return orphan(n - 1) + math.gcd(n, LIMIT)\n"
+        "def lazy(): pass\n"
+        "class Used: pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import probe\nprobe.Used()\nEXPORTS = ('lazy',)\n")
+    assert _unreferenced_names([probe], [probe, user]) == [
+        "probe.py:3 defines HIGH",
+        "probe.py:4 defines Pair",
+        "probe.py:5 defines orphan",
+    ]

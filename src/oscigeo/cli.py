@@ -137,6 +137,8 @@ def cmd_trace(args) -> int:
 
     vector = parse_vector(args.vector)
     base = IDENTITY if args.base is None else parse_group_element(args.base)
+    if not np.isfinite(vector.to_float() + base.to_float()).all():
+        raise ValueError("the direction and the base point must lie within the float range")
     header = "s,t,x,y,z"
     if args.quotient:
         if args.lattice is None:

@@ -35,13 +35,14 @@ class GeodesicCurve:
     direction: TangentVector
 
 
-def _eval_from_identity(X: TangentVector, s: Scalar) -> GroupElement:
+def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
+    """exp(sX) without forming sX, the geodesic from the identity at s."""
     a0, a1, a2, a3 = X.components
     if a0.is_zero():
-        return GroupElement(Scalar(0), a1 * s, a2 * s, a3 * s)
+        return GroupElement(ZERO, a1 * s, a2 * s, a3 * s)
     if a1.is_zero() and a2.is_zero():
         # every trigonometric coefficient vanishes; exact at any s
-        return GroupElement(a0 * s, Scalar(0), Scalar(0), a3 * s)
+        return GroupElement(a0 * s, ZERO, ZERO, a3 * s)
     # R(a0 s) e1 = (cos, sin); ExactRotationUnavailable off (pi/2)Z
     cos, sin = rotate(a0 * s, ONE, ZERO)
     # two divisions by a0 in all: (a1^2 + a2^2)/a0 = p a1 + q a2 and
@@ -55,9 +56,9 @@ def _eval_from_identity(X: TangentVector, s: Scalar) -> GroupElement:
 
 def geodesic_eval(c: GeodesicCurve, s: ScalarLike) -> GroupElement:
     """Exact evaluation of the geodesic at parameter s."""
-    return g_mul(c.base, _eval_from_identity(c.direction, Scalar.coerce(s)))
+    return g_mul(c.base, exp_scaled(c.direction, Scalar.coerce(s)))
 
 
 def exp_map(X: TangentVector) -> GroupElement:
     """Exact exponential map, the geodesic from the identity at s = 1."""
-    return _eval_from_identity(X, Scalar(1))
+    return exp_scaled(X, ONE)

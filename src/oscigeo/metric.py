@@ -85,12 +85,12 @@ class CausalType(enum.Enum):
     TIMELIKE = "timelike"
 
 
+CAUSAL_BY_SIGN = {0: CausalType.NULL, 1: CausalType.SPACELIKE, -1: CausalType.TIMELIKE}
+
+
 def causal_type(X: TangentVector) -> CausalType:
     """Exact sign of the squared norm: zero null, positive spacelike."""
-    s = X.norm_sq().sign()
-    if s == 0:
-        return CausalType.NULL
-    return CausalType.SPACELIKE if s > 0 else CausalType.TIMELIKE
+    return CAUSAL_BY_SIGN[X.norm_sq().sign()]
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,26 @@ set is their intersection, which is nonempty iff all ratios c_i/c_j are
 rational, and the minimal period is the generator of the intersection.
 
 For a0 != 0 the t-coordinate forces T = t_step m / |a0| with m a
-positive integer.  The rotation R(a0 T) and sin(a0 T) then depend only
-on m modulo the residue cycle (1, 2 or 4 residues for the full, half
-and quarter families), where ``groups.rotate`` gives both exactly.  Per
-residue the middle-coordinate condition is a constant integrality test
-on u and the z-condition has the form A m - B in Z with A, B in Q(pi).
+positive integer and t_step = quarters pi/2.  The rotation R(a0 T) and
+sin(a0 T) then depend only on m modulo the residue cycle 4/quarters (1,
+2 or 4 residues for the full, half and quarter families), where
+``groups.rotate`` gives both exactly.  With p = a1/a0 and q = a2/a0,
+per residue the middle-coordinate condition is the integrality of the
+constant u = R(a0 T)(q, -p) - (q, -p), and the z-condition has the form
+A m - B in Z with B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
 
-The geodesic closes iff A = |X|^2 t_step / (2 a0 |a0| h) is rational,
-that is iff |X|^2 pi / a0^2 is rational; a null direction has
-|X|^2 = 0 and always closes.  In a residue where u is integral, B is
-rational: R(a0 T) = +-I gives sin = 0 and B = 0, and at a quarter turn
-an integral u puts a1/a0 and a2/a0 in (1/2)Z.  So an irrational A
-makes A m - B irrational for every m, while a rational A closes in the
-residue m = 0 (mod cycle), where u = 0 and B = 0.  With A and B
-rational, m = r + cycle j turns the z-condition into one linear
-congruence in j >= 0, solved with a modular inverse, and the minimal
-period is the minimum over residues.  Scanning T values can never
-prove non-closedness; this rationality test can.
+  A = |X|^2 t_step / (2 a0 |a0| h) = |X|^2 pi k quarters sign(a0) / (2 a0^2).
+
+The geodesic closes iff A is rational, that is iff |X|^2 pi / a0^2 is
+rational; a null direction has |X|^2 = 0 and always closes.  In a
+residue where u is integral, B is rational: R(a0 T) = +-I gives sin = 0
+and B = 0, and at a quarter turn an integral u puts p and q in (1/2)Z.
+So an irrational A makes A m - B irrational for every m, while a
+rational A closes in the residue m = 0 (mod cycle), where u = 0 and
+B = 0.  With A and B rational, m = r + cycle j turns the z-condition
+into one linear congruence in j >= 0, solved with a modular inverse,
+and the minimal period is the minimum over residues.  Scanning T values
+can never prove non-closedness; this rationality test can.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geodesics import exp_map
+from .geodesics import exp_scaled
 from .groups import LatticeSpec, lattice_contains, rotate
-from .metric import CausalType, TangentVector, causal_type
-from .scalar import ONE, ZERO, Scalar
+from .metric import CAUSAL_BY_SIGN, CausalType, TangentVector
+from .scalar import ONE, PI, PI_HALF, ZERO, Scalar
 
 
 class VerdictKind(enum.Enum):
@@ -116,50 +119,45 @@ def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
     return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=generator)
 
 
-def _classify_rotating(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
+def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> PeriodicityVerdict:
     """a0 != 0: closed iff A is rational; then the least m over the residues."""
-    a0, a1, a2, a3 = X.components
-    abs_a0 = abs(a0)
-    h = Scalar(L.z_step)
-    t_step = L.t_step
-    sq = a1 * a1 + a2 * a2
-    # z(T) = (|X|^2 / 2 a0) T - (sq / 2 a0^2) sin(a0 T), T = t_step m / |a0|
-    A = X.norm_sq() * t_step / (2 * a0 * abs_a0) / h
+    a0, a1, a2, _ = X.components
+    sign = a0.sign()
+    quarters = L.t_step_quarters
+    A = norm_sq * PI / (a0 * a0) * Fraction(L.k * quarters * sign, 2)
     if not A.is_rational():
         return PeriodicityVerdict(VerdictKind.NON_CLOSED)
     A = A.rational_value()
-    cycle = 4 // L.t_step_quarters
+    cycle = 4 // quarters
+    p, q = a1 / a0, a2 / a0
     # Flipping the sign of the turn or of sin changes no verdict or witness:
     # 2B is an integer in every residue with an integral u, and the residues
     # r and cycle - r have the same u condition, so no test can see such a flip.
-    turn = t_step * a0.sign()
     best: int | None = None
     for r in range(1, cycle + 1):
-        # a0 T = sign(a0) t_step m turns by the same quarter turns for every
-        # m = r (mod cycle); u = (R(a0 T) J - J)(a1, a2) / a0 with J(a1, a2) = (a2, -a1)
-        angle = turn * r
-        rx, ry = rotate(angle, a2, -a1)
-        u1 = (rx - a2) / a0
-        u2 = (ry + a1) / a0
-        if not (u1.is_integer() and u2.is_integer()):
+        # a0 T = sign(a0) t_step m turns by the same quarter turns for every m = r (mod cycle)
+        angle = PI_HALF * (sign * quarters * r)
+        rx, ry = rotate(angle, q, -p)
+        if not ((rx - q).is_integer() and (ry + p).is_integer()):
             continue
-        B = sq * rotate(angle, ONE, ZERO)[1] / (2 * a0 * a0) / h
+        B = (p * p + q * q) * (L.k * rotate(angle, ONE, ZERO)[1])
         m = _solve_rational(A, B.rational_value(), r, cycle)
         if m is not None and (best is None or m < best):
             best = m
     # the residue r = cycle always admits a solution
-    T = t_step * best / abs_a0
+    T = PI_HALF * (quarters * best * sign) / a0
     return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=T, witness_m=best)
 
 
 def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, PeriodicityVerdict]:
     """Causal type plus an exact periodicity verdict for the direction X."""
-    causal = causal_type(X)
+    norm_sq = X.norm_sq()
+    causal = CAUSAL_BY_SIGN[norm_sq.sign()]
     if X.is_zero():
         return causal, PeriodicityVerdict(VerdictKind.STATIONARY_POINT)
     if X.a0.is_zero():
         return causal, _classify_line(L, X)
-    return causal, _classify_rotating(L, X)
+    return causal, _classify_rotating(L, X, norm_sq)
 
 
 class PeriodUnverified(ArithmeticError):
@@ -218,9 +216,10 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
     integer multiple of each of the _period_units (t_step/|a0| when
     a0 != 0, step/|a_i| per nonzero component of a line), so c divides
     n = gcd of the T/unit, and T is minimal iff exp((T/p) X) is not in the
-    lattice for each prime p | n.  That costs omega(n) exact evaluations,
-    omega counting the distinct prime factors (n is the witness m when
-    a0 != 0).
+    lattice for each prime p | n.  That costs omega(n) + 1 calls of
+    geodesics.exp_scaled, which evaluates exp(sX) at s = T and T/p without
+    forming sX; omega counts the distinct prime factors (n is the witness
+    m when a0 != 0).
     A wrong verdict raises AssertionError; a witness with a cofactor of
     _TRIAL_LIMIT**2 or more and no prime factor up to _TRIAL_LIMIT raises
     PeriodUnverified.
@@ -231,7 +230,7 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
     T = verdict.minimal_T
     if not verify:
         return T
-    if not lattice_contains(L, exp_map(X.scale(T))):
+    if not lattice_contains(L, exp_scaled(X, T)):
         raise AssertionError(f"verdict T = {T} fails exact lattice membership")
     n = 0
     for unit in _period_units(L, X):
@@ -240,6 +239,6 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
             raise AssertionError(f"verdict T = {T} is not a positive multiple of the unit {unit}")
         n = math.gcd(n, ratio.rational_value().numerator)
     for p in _prime_factors(n):
-        if lattice_contains(L, exp_map(X.scale(T / p))):
+        if lattice_contains(L, exp_scaled(X, T / p)):
             raise AssertionError(f"smaller admissible period {T / p} exists")
     return T

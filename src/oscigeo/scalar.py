@@ -120,12 +120,10 @@ def _prem(a: Poly, b: Poly) -> Poly:
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of two non-constant polynomials (primitive remainder sequence)."""
-    for mono, other in ((a, b), (b, a)):
-        if not any(mono[:-1]):
-            # mono = c x^k: the gcd is the power of x dividing other, at most x^k
-            low = next(i for i, v in enumerate(other) if v)
-            return (0,) * min(low, len(mono) - 1) + (1,)
+    """Primitive gcd of two non-constant polynomials not both divisible by x (primitive PRS)."""
+    if not any(a[:-1]) or not any(b[:-1]):
+        # a monomial c x^k is coprime to a polynomial with a nonzero constant term
+        return (1,)
     if len(a) < len(b):
         a, b = b, a
     a, b = _pprimitive(a), _pprimitive(b)
@@ -166,8 +164,8 @@ def _peval_exact(a: Poly, x: Fraction) -> Fraction:
     return out
 
 
-def _psign_on(a: Poly, lo: int, hi: int, scale: int) -> int:
-    """Sign of a on [lo/scale, hi/scale] (0 < lo), or 0 if not decided.
+def _pbounds(a: Poly, lo: int, hi: int, scale: int) -> tuple[int, int]:
+    """Integer bounds of scale^deg * a on [lo/scale, hi/scale] (0 < lo).
 
     Evaluates the positive-coefficient part p+ and the negated
     negative-coefficient part p- at both ends, homogenized by
@@ -190,11 +188,21 @@ def _psign_on(a: Poly, lo: int, hi: int, scale: int) -> int:
             neg_lo -= t
             neg_hi -= t
         power *= scale
-    if pos_lo > neg_hi:
-        return 1
-    if pos_hi < neg_lo:
-        return -1
-    return 0
+    return pos_lo - neg_hi, pos_hi - neg_lo
+
+
+def _float_by_enclosure(n: Poly, d: Poly) -> float:
+    """n(pi) / d(pi) from enclosures of relative width below 2^-64; +-inf beyond the float range."""
+    digits = 40
+    while True:
+        lo, hi, scale = _pi_scaled(digits)
+        (nl, nh), (dl, dh) = _pbounds(n, lo, hi, scale), _pbounds(d, lo, hi, scale)
+        if (nh - nl) << 64 < abs(nl) and (dh - dl) << 64 < abs(dl):
+            try:  # int / int rounds once; the homogenizing powers of scale cancel
+                return nl * scale ** len(d) / (dl * scale ** len(n))
+            except OverflowError:
+                return math.inf if (nl > 0) == (dl > 0) else -math.inf
+        digits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,10 @@ def _canonical(n: Poly, d: Poly) -> "Scalar":
     """The canonical Scalar n / d for integer polynomials n and nonzero d."""
     if not n:
         return ZERO
+    k = 0  # the power of pi shared by n and d, sliced off before any gcd
+    while not (n[k] or d[k]):
+        k += 1
+    n, d = n[k:], d[k:]
     if len(n) > 1 and len(d) > 1:
         g = _pgcd(n, d)
         if len(g) > 1:
@@ -294,16 +306,19 @@ class Scalar:
     __slots__ = ("_n", "_d")
 
     def __init__(self, num=0, den=1):
-        n, n_den = _int_coeffs(num)
-        d, d_den = _int_coeffs(den)
-        if not d:
-            raise DivisionByZero("scalar denominator is zero")
-        # (n / n_den) / (d / d_den)
-        if d_den != 1:
-            n = _pscale(n, d_den)
-        if n_den != 1:
-            d = _pscale(d, n_den)
-        s = _canonical(n, d)
+        if type(num) in (int, Fraction) and type(den) is int and den == 1:
+            s = _coerce(num)
+        else:
+            n, n_den = _int_coeffs(num)
+            d, d_den = _int_coeffs(den)
+            if not d:
+                raise DivisionByZero("scalar denominator is zero")
+            # (n / n_den) / (d / d_den)
+            if d_den != 1:
+                n = _pscale(n, d_den)
+            if n_den != 1:
+                d = _pscale(d, n_den)
+            s = _canonical(n, d)
         self._n, self._d = s._n, s._d
 
     # -- views ---------------------------------------------------------------
@@ -410,7 +425,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        # a rational value hashes like the equal int or Fraction
+        return hash(self.rational_value() if self.is_rational() else (self._n, self._d))
 
     def sign(self) -> int:
         """Exact sign of the value at pi: -1, 0 or +1."""
@@ -422,11 +438,11 @@ class Scalar:
         digits = 40
         while True:
             lo, hi, scale = _pi_scaled(digits)
-            ns = _psign_on(n, lo, hi, scale)
-            if ns:
-                ds = _psign_on(d, lo, hi, scale)
-                if ds:
-                    return ns * ds
+            nl, nh = _pbounds(n, lo, hi, scale)
+            if nl > 0 or nh < 0:
+                dl, dh = _pbounds(d, lo, hi, scale)
+                if dl > 0 or dh < 0:
+                    return 1 if (nl > 0) == (dl > 0) else -1
             digits *= 2
 
     def __lt__(self, other):
@@ -460,12 +476,14 @@ class Scalar:
     def __float__(self) -> float:
         n, d = self._n, self._d
         lead = d[-1]
-        if len(d) == 1 and len(n) <= 1:
-            return n[0] / lead if n else 0.0
-        # Horner on the monic form, each coefficient rounded once
-        return _peval_float([v / lead for v in n], math.pi) / _peval_float(
-            [v / lead for v in d], math.pi
-        )
+        try:
+            # Horner on the monic form, each coefficient rounded once
+            num, den = (_peval_float([v / lead for v in p], math.pi) for p in (n, d))
+            value = num / den
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        # n(pi) != 0, so a 0.0 or a non-finite value left the float range on the way
+        return value if math.isfinite(value) and (value or not n) else _float_by_enclosure(n, d)
 
     def eval_fraction(self, x: Fraction) -> Fraction:
         """Exact evaluation at a rational argument (reference evaluations)."""

@@ -267,6 +267,23 @@ def test_division_by_zero_in_vector_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_values_with_coefficients_beyond_floats_print():
+    big = 10**400
+    # a0 = big/(big + pi) is about 1 though each coefficient overflows a float
+    proc = run_cli(["trace", "--vector", f"{big}/({big}+pi),0,0,0", "--s-end", "1", "--step", "0.5"])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout == "s,t,x,y,z\n0,0,0,0,0\n0.5,0.5,0,0,0\n1,1,0,0,0\n"
+    # A = 1/big: the period 2 big pi is beyond the float range and prints as inf
+    vector = f"a0=1,a1=0,a2=0,a3=1/(4*{big}*pi)"
+    proc = run_cli(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout == f"spacelike, periodic, T = {2 * big}*pi (float inf), m = {big}\n"
+    # a direction or base point beyond the float range cannot be traced
+    for extra in (["--vector", f"{big}*pi,0,0,0"], ["--vector", "1,0,0,0", "--base", f"(0; -{big}, 0; 0)"]):
+        proc = run_cli(["trace", *extra, "--s-end", "1", "--step", "0.5"])
+        assert proc.returncode == 2 and proc.stderr.startswith("error:") and not proc.stdout, extra
+
+
 def test_parser_limit_is_usage_error(capsys):
     import time
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from oscigeo.groups import (
     g_mul,
 )
 from oscigeo.metric import TangentVector
-from oscigeo.geodesics import GeodesicCurve, exp_map, geodesic_eval
+from oscigeo.geodesics import GeodesicCurve, exp_map, exp_scaled, geodesic_eval
 from oscigeo.floats import (
     MAX_SAMPLES,
     InvalidStep,
@@ -90,6 +91,49 @@ def test_exact_mode_requires_quarter_product():
         geodesic_eval(GeodesicCurve(IDENTITY, X), 1)
     # the same direction at a quarter-compatible parameter evaluates exactly
     assert geodesic_eval(GeodesicCurve(IDENTITY, X), PI_HALF).t == PI_HALF
+
+
+def _rand_qpi(rng):
+    """A Q(pi) value of degree <= 2 in numerator and denominator."""
+    num = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+    den = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+    return Scalar(num, den) if any(den) else Scalar(num)
+
+
+def test_exp_scaled_matches_exp_map_and_geodesic_eval():
+    rng = random.Random(17)
+    rotating = lines = flat = 0
+    for i in range(300):
+        a0, a1, a2, a3 = (_rand_qpi(rng) for _ in range(4))
+        branch = i % 3
+        if branch == 1:
+            a0 = Scalar(0)
+        elif branch == 2:
+            a1 = a2 = Scalar(0)
+        X = TangentVector(a0, a1, a2, a3)
+        curve = GeodesicCurve(IDENTITY, X)
+        if a0.is_zero() or (a1.is_zero() and a2.is_zero()):
+            # no rotation enters: every s evaluates exactly
+            params = (_rand_qpi(rng), Scalar(rng.randint(-3, 3)))
+            lines += a0.is_zero()
+            flat += not a0.is_zero()
+        else:
+            # a0 s = j pi/2
+            params = tuple(PI_HALF * j / a0 for j in (-3, 0, 1, 2, 5))
+            rotating += 1
+        for s in params:
+            got = exp_scaled(X, s)
+            assert got == exp_map(X.scale(s)) == geodesic_eval(curve, s), (X, s)
+        if not (a1.is_zero() and a2.is_zero()) and not a0.is_zero():
+            off = PI_HALF * Fraction(1, 3) / a0
+            for evaluate in (
+                lambda: exp_scaled(X, off),
+                lambda: exp_map(X.scale(off)),
+                lambda: geodesic_eval(curve, off),
+            ):
+                with pytest.raises(ExactRotationUnavailable):
+                    evaluate()
+    assert rotating > 50 and lines > 50 and flat > 50
 
 
 def test_left_translation_of_curve():

@@ -249,3 +249,50 @@ def test_num_den_views_are_monic_fractions():
     assert Scalar(0).num == () and Scalar(0).den == (Fraction(1),)
     with pytest.raises(AttributeError):
         s.num = (Fraction(1),)
+
+
+def test_rational_scalars_hash_like_equal_numbers():
+    assert Scalar(1) in {1} and 1 in {Scalar(1)}
+    assert {Scalar(Fraction(1, 2)): 0}[Fraction(1, 2)] == 0
+    assert {Fraction(-3, 4): 0}[Scalar(-3) / 4] == 0
+    for value in (0, 5, -7, 10**30, Fraction(2, 3), Fraction(-9, 4)):
+        s = Scalar(value)
+        assert s == value and hash(s) == hash(value) == hash(Fraction(value))
+    # non-rational values still hash by their canonical pair
+    assert len({PI, PI * 2 / 2, PI + 1, 1 + PI}) == 2
+
+
+def _monic_horner(s):
+    """The float view's reference: Horner on the monic form, coefficients rounded once."""
+    def horner(coeffs):
+        out = 0.0
+        for c in reversed(coeffs):
+            out = out * math.pi + c
+        return out
+
+    return horner([float(c) for c in s.num]) / horner([float(c) for c in s.den])
+
+
+def test_float_view_keeps_the_monic_horner_bits():
+    rng = random.Random(21)
+    for _ in range(300):
+        s = rand_scalar(rng)
+        assert float(s) == _monic_horner(s) or s.is_zero(), s
+    assert float(Scalar(0)) == 0.0 and float(Scalar(Fraction(-7, 3))) == -7 / 3
+
+
+def test_float_view_beyond_float_range_coefficients():
+    big = 10**400
+    # each coefficient overflows a float, the value does not
+    assert float(parse_scalar(f"{big}/({big}+pi)")) == 1.0
+    assert float(parse_scalar(f"({big}*pi + 1)/({big} + pi)")) == math.pi
+    assert float(parse_scalar(f"({big}*pi^2 + 1)/({big}*pi + 3)")) == pytest.approx(math.pi, rel=1e-15)
+    assert float(parse_scalar(f"{big}*pi/({big}*pi^2 + 7)")) == pytest.approx(1 / math.pi, rel=1e-15)
+    # 10^300 / (10^300 pi^19 + pi^20): the denominator's Horner sum overflows
+    s = Scalar((10**300,), (0,) * 19 + (10**300, 1))
+    assert float(s) == pytest.approx(math.pi**-19, rel=1e-15)
+    # beyond the range: signed infinities; below it: zero
+    assert float(parse_scalar(f"{big}*pi")) == math.inf
+    assert float(parse_scalar(f"-{big}/(pi - 3)")) == -math.inf
+    assert float(parse_scalar(f"{big}")) == math.inf
+    assert float(parse_scalar(f"1/({big}*pi)")) == 0.0

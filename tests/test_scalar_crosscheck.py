@@ -139,3 +139,38 @@ def test_sign_matches_mpmath_tiny_margins():
                     (PI**3 - c**3) / (PI**2 + 1),
                 ):
                     assert s.sign() == _mp_sign(mpmath.mp, s), (k, s)
+
+
+def _rand_int_poly(rng, degree):
+    """An integer polynomial of the given degree with a nonzero constant term: no factor pi."""
+    coeffs = [rng.choice((1, -1)) * rng.randint(1, 9)]
+    coeffs += [rng.randint(-9, 9) for _ in range(degree - 1)]
+    return tuple(coeffs) + (rng.choice((1, -1)) * rng.randint(1, 9),)
+
+
+def test_shared_powers_of_pi_cancel_like_sympy():
+    # P pi^j / (Q pi^k) with non-monomial P and Q, then with a shared
+    # non-monomial factor F on top: F P pi^j / (F Q pi^k)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(14)
+    for _ in range(30):
+        P, Q, F = (Scalar(_rand_int_poly(rng, rng.randint(1, 3))) for _ in range(3))
+        j, k = rng.randint(0, 4), rng.randint(0, 4)
+        for num, den in ((P * PI**j, Q * PI**k), (F * P * PI**j, F * Q * PI**k)):
+            got = num / den
+            expect = sympy.cancel(_sympy_value(sympy, x, num) / _sympy_value(sympy, x, den))
+            assert sympy.cancel(expect - _sympy_value(sympy, x, got)) == 0, (num, den)
+            _check_canonical(sympy, x, got)
+            # the power of pi left over sits on one side only
+            assert got.num[0] != 0 or got.den[0] != 0
+
+
+def test_rational_constructor_matches_the_general_form():
+    values = [0, 1, -1, 7, -12, 10**40, -(10**40)]
+    values += [Fraction(0), Fraction(3, 4), Fraction(-5, 6), Fraction(10**30, 7), Fraction(-1, 10**30)]
+    for v in values:
+        fast, general = Scalar(v), Scalar((v,), (1,))
+        assert fast == general == v, v
+        assert (fast.num, fast.den) == (general.num, general.den), v
+        assert hash(fast) == hash(general) == hash(v), v

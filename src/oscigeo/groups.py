@@ -7,7 +7,8 @@ H3(R) sitting inside both at t = 0.  The group is selected by the
 operation, not by the element type.
 
 ``rotate`` is the one exact rotation.  It exists only at quarter-turn
-angles t in (pi/2)Z, where R(t) is a signed permutation of (x, y); every
+angles t in (pi/2)Z, where R(t) is a signed permutation of (x, y), read
+from the one table QUARTER_TURNS that the classifier also walks; every
 lattice, normalizer, isometry and periodicity decision needs only these,
 and every exact module rotates through it.  The float layer in
 ``oscigeo.floats`` covers arbitrary angles for tracing and numeric
@@ -46,8 +47,17 @@ class ExactRotationUnavailable(ValueError):
     """An exact rotation was requested at an angle outside (pi/2)Z."""
 
 
+# R(j*pi/2) for j = 0, 1, 2, 3: sin(j*pi/2) and the signed permutation R applies to (x, y)
+QUARTER_TURNS = (
+    (0, lambda x, y: (x, y)),
+    (1, lambda x, y: (-y, x)),
+    (0, lambda x, y: (-x, -y)),
+    (-1, lambda x, y: (y, -x)),
+)
+
+
 def rotate(t: Scalar, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-    """R(t)(x, y), exact: at t = j*pi/2 a signed permutation of (x, y).
+    """R(t)(x, y), exact: at t = j*pi/2 the signed permutation QUARTER_TURNS[j % 4].
 
     The zero vector comes back unchanged at any t; any other vector at an
     angle outside (pi/2)Z raises ExactRotationUnavailable.
@@ -57,14 +67,7 @@ def rotate(t: Scalar, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
         if x.is_zero() and y.is_zero():
             return x, y
         raise ExactRotationUnavailable(f"angle {t} is not an integer multiple of pi/2")
-    j %= 4
-    if j == 0:
-        return x, y
-    if j == 1:
-        return -y, x
-    if j == 2:
-        return -x, -y
-    return y, -x
+    return QUARTER_TURNS[j % 4][1](x, y)
 
 
 def cross(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> Scalar:

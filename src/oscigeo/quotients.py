@@ -13,11 +13,14 @@ rational, and the minimal period is the generator of the intersection.
 For a0 != 0 the t-coordinate forces T = t_step m / |a0| with m a
 positive integer and t_step = quarters pi/2.  The rotation R(a0 T) and
 sin(a0 T) then depend only on m modulo the residue cycle 4/quarters (1,
-2 or 4 residues for the full, half and quarter families), where
-``groups.rotate`` gives both exactly.  With p = a1/a0 and q = a2/a0,
-per residue the middle-coordinate condition is the integrality of the
-constant u = R(a0 T)(q, -p) - (q, -p), and the z-condition has the form
-A m - B in Z with B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
+2 or 4 residues for the full, half and quarter families).  The residues
+are walked in integer quarter turns: residue r turns by sign(a0)
+quarters r quarter turns, and ``groups.QUARTER_TURNS`` at that count mod
+4 gives sin and the rotation exactly, with no angle built in Q(pi).
+With p = a1/a0 and q = a2/a0, per residue the middle-coordinate
+condition is the integrality of the constant u = R(a0 T)(q, -p) -
+(q, -p), and the z-condition has the form A m - B in Z with
+B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
 
   A = |X|^2 t_step / (2 a0 |a0| h) = |X|^2 pi k quarters sign(a0) / (2 a0^2).
 
@@ -29,8 +32,10 @@ So an irrational A makes A m - B irrational for every m, while a
 rational A closes in the residue m = 0 (mod cycle), where u = 0 and
 B = 0.  With A and B rational, m = r + cycle j turns the z-condition
 into one linear congruence in j >= 0, solved with a modular inverse,
-and the minimal period is the minimum over residues.  Scanning T values
-can never prove non-closedness; this rationality test can.
+and the minimal period is the minimum over residues.  B is read as a
+rational only where sin != 0; where sin = 0 it is 0 even when p^2 + q^2
+is irrational.  Scanning T values can never prove non-closedness; this
+rationality test can.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geodesics import exp_scaled
-from .groups import LatticeSpec, lattice_contains, rotate
+from .groups import QUARTER_TURNS, LatticeSpec, lattice_contains
 from .metric import CAUSAL_BY_SIGN, CausalType, TangentVector
-from .scalar import ONE, PI, PI_HALF, ZERO, Scalar
+from .scalar import PI, PI_HALF, Scalar
 
 
 class VerdictKind(enum.Enum):
@@ -72,15 +76,14 @@ def verdict_to_json(causal: CausalType, verdict: PeriodicityVerdict) -> dict:
 # integer membership solving
 # ---------------------------------------------------------------------------
 
-def _solve_rational(A: Fraction, B: Fraction, r: int, cycle: int) -> int | None:
-    """Least m = r + cycle*j, j >= 0, with A m - B an integer.
+def _solve_rational(an: int, ad: int, bn: int, bd: int, r: int, cycle: int) -> int | None:
+    """Least m = r + cycle*j, j >= 0, with A m - B an integer, for A = an/ad, B = bn/bd, ad, bd > 0.
 
     That is a j = b (mod 1) with a = A cycle and b = B - A r, and over the
-    common denominator n of a and b the linear congruence P j = U (mod n).
+    common denominator n = ad bd of a and b the linear congruence P j = U (mod n).
     """
-    a, b = A * cycle, B - A * r
-    n = math.lcm(a.denominator, b.denominator)
-    P, U = a.numerator * (n // a.denominator), b.numerator * (n // b.denominator)
+    n = ad * bd
+    P, U = an * cycle * bd, bn * ad - an * r * bd
     g = math.gcd(P, n)
     if U % g:
         return None
@@ -124,10 +127,12 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     a0, a1, a2, _ = X.components
     sign = a0.sign()
     quarters = L.t_step_quarters
-    A = norm_sq * PI / (a0 * a0) * Fraction(L.k * quarters * sign, 2)
+    A = norm_sq * PI / (a0 * a0)
     if not A.is_rational():
         return PeriodicityVerdict(VerdictKind.NON_CLOSED)
     A = A.rational_value()
+    # A = |X|^2 pi k quarters sign(a0) / (2 a0^2) = an/ad
+    an, ad = A.numerator * L.k * quarters * sign, 2 * A.denominator
     cycle = 4 // quarters
     p, q = a1 / a0, a2 / a0
     # Flipping the sign of the turn or of sin changes no verdict or witness:
@@ -135,13 +140,18 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     # r and cycle - r have the same u condition, so no test can see such a flip.
     best: int | None = None
     for r in range(1, cycle + 1):
-        # a0 T = sign(a0) t_step m turns by the same quarter turns for every m = r (mod cycle)
-        angle = PI_HALF * (sign * quarters * r)
-        rx, ry = rotate(angle, q, -p)
+        # a0 T = sign(a0) t_step m turns by the same j quarter turns for every m = r (mod cycle)
+        sin, turn = QUARTER_TURNS[sign * quarters * r % 4]
+        rx, ry = turn(q, -p)
         if not ((rx - q).is_integer() and (ry + p).is_integer()):
             continue
-        B = (p * p + q * q) * (L.k * rotate(angle, ONE, ZERO)[1])
-        m = _solve_rational(A, B.rational_value(), r, cycle)
+        # B = (p^2 + q^2) k sin = bn/bd; an integral u at an odd quarter turn puts
+        # p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
+        bn, bd = 0, 1
+        if sin:
+            pq = (p * p + q * q).rational_value()
+            bn, bd = pq.numerator * L.k * sin, pq.denominator
+        m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m
     # the residue r = cycle always admits a solution

@@ -26,12 +26,19 @@ membership into exact decisions.
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
 and the coefficients of a power within MAX_DIGITS digits.  Inputs
-beyond these limits raise a ValueError that names the limit.
+beyond these limits raise a ValueError that names the limit.  A plain
+rational, an optionally negative integer or fraction such as "-3/4", is
+read by one regex match whose digit counts carry MAX_DIGITS, and
+becomes its canonical pair with one integer gcd.  Every other text goes
+through the tokenizer (one regex over the text) and the recursive
+descent, which therefore give every error message.  Numerals are ASCII
+digits on both paths.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -152,13 +159,6 @@ def _pquo(a: Poly, b: Poly) -> Poly:
 
 def _peval_float(a, x: float) -> float:
     out = 0.0
-    for v in reversed(a):
-        out = out * x + v
-    return out
-
-
-def _peval_exact(a: Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
     for v in reversed(a):
         out = out * x + v
     return out
@@ -461,15 +461,23 @@ class Scalar:
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        """Exact floor of the value at pi."""
-        if self.is_rational():
-            return self._n[0] // self._d[0] if self._n else 0
-        m = math.floor(float(self))
-        while (self - m).sign() < 0:
-            m -= 1
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        """Exact floor of the value at pi, from integer enclosures at any magnitude."""
+        n, d = self._n, self._d
+        if len(n) <= 1 and len(d) == 1:
+            return n[0] // d[0] if n else 0
+        # n(pi)/d(pi) = N scale^len(d) / (D scale^len(n)) with N, D in the _pbounds
+        # intervals; a non-rational value is irrational, so the floors of the
+        # interval's corners meet once the enclosure is narrow enough
+        digits = 40
+        while True:
+            lo, hi, scale = _pi_scaled(digits)
+            (nl, nh), (dl, dh) = _pbounds(n, lo, hi, scale), _pbounds(d, lo, hi, scale)
+            if dl > 0 or dh < 0:
+                sn, sd = scale ** len(n), scale ** len(d)
+                corners = [N * sd // (D * sn) for N in (nl, nh) for D in (dl, dh)]
+                if min(corners) == max(corners):
+                    return corners[0]
+            digits *= 2
 
     # -- conversions ---------------------------------------------------------
 
@@ -484,13 +492,6 @@ class Scalar:
             value = math.nan
         # n(pi) != 0, so a 0.0 or a non-finite value left the float range on the way
         return value if math.isfinite(value) and (value or not n) else _float_by_enclosure(n, d)
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        """Exact evaluation at a rational argument (reference evaluations)."""
-        d = _peval_exact(self._d, x)
-        if d == 0:
-            raise DivisionByZero(f"denominator of {self} vanishes at {x}")
-        return _peval_exact(self._n, x) / d
 
     # -- printing ------------------------------------------------------------
 
@@ -610,52 +611,34 @@ def _format_poly(coeffs: Poly, lead: int) -> str:
     return " ".join(parts)
 
 
+# a numeral of ASCII digits, pi, ** or an operator; \S catches any other character
+_TOKEN = re.compile(r"[0-9]+|pi|\*\*|[-+*/^()]|\S")
+_SYMBOLS = frozenset(("pi", "+", "-", "*", "/", "^", "(", ")"))
+
+
 class _Tokenizer:
+    """The tokens of a scalar text, ending in the sentinel None, and a read index."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.tokens: list[str] = []
-        self._scan()
+        self.tokens: list[str | None] = _TOKEN.findall(text)
+        for i, tok in enumerate(self.tokens):
+            if tok in _SYMBOLS:
+                continue
+            if tok == "**":
+                self.tokens[i] = "^"
+            elif "0" <= tok[0] <= "9":
+                if len(tok) > MAX_DIGITS:
+                    raise ValueError(
+                        f"numeral of {len(tok)} digits is above the limit MAX_DIGITS = {MAX_DIGITS}"
+                    )
+            else:
+                raise ValueError(f"unexpected character {tok!r} in scalar text {text!r}")
+        self.tokens.append(None)
         self.index = 0
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j - i > MAX_DIGITS:
-                    raise ValueError(
-                        f"numeral of {j - i} digits is above the limit MAX_DIGITS = {MAX_DIGITS}"
-                    )
-                self.tokens.append(text[i:j])
-                i = j
-                continue
-            if text.startswith("pi", i):
-                self.tokens.append("pi")
-                i += 2
-                continue
-            if text.startswith("**", i):
-                self.tokens.append("^")
-                i += 2
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append(ch)
-                i += 1
-                continue
-            raise ValueError(f"unexpected character {ch!r} in scalar text {text!r}")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok is None:
             raise ValueError(f"unexpected end of scalar text {self.text!r}")
         self.index += 1
@@ -691,19 +674,44 @@ def _bounded_power(value: Scalar, exponent: int) -> Scalar:
     return value ** exponent
 
 
+# an optionally negative integer or fraction, ASCII only, within the digit limit
+_RATIONAL = re.compile(
+    rf"\s*(-\s*)?([0-9]{{1,{MAX_DIGITS}}})\s*(?:/\s*([0-9]{{1,{MAX_DIGITS}}})\s*)?", re.ASCII
+)
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse the textual form; the printer and parser round-trip exactly."""
+    """Parse the textual form; the printer and parser round-trip exactly.
+
+    A plain rational such as "-3/4" is read by one regex match and one gcd;
+    every other text, and every text the parser refuses, goes through the
+    tokenizer and the recursive descent.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        minus, num, den = match.groups()
+        n, d = int(num), int(den) if den else 1
+        if d:
+            if not n:
+                return ZERO
+            g = _gcd(n, d)
+            return _new((-n // g if minus else n // g,), (d // g,))
+    return _parse_text(text)
+
+
+def _parse_text(text: str) -> Scalar:
     tk = _Tokenizer(text)
     value = _parse_sum(tk)
-    if tk.peek() is not None:
-        raise ValueError(f"trailing token {tk.peek()!r} in scalar text {text!r}")
+    tok = tk.tokens[tk.index]
+    if tok is not None:
+        raise ValueError(f"trailing token {tok!r} in scalar text {text!r}")
     return value
 
 
 def _parse_sum(tk: _Tokenizer) -> Scalar:
     value = _parse_term(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.next()
+    while (op := tk.tokens[tk.index]) in ("+", "-"):
+        tk.index += 1
         rhs = _parse_term(tk)
         value = _bounded(value + rhs if op == "+" else value - rhs)
     return value
@@ -711,25 +719,28 @@ def _parse_sum(tk: _Tokenizer) -> Scalar:
 
 def _parse_term(tk: _Tokenizer) -> Scalar:
     value = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.next()
+    while (op := tk.tokens[tk.index]) in ("*", "/"):
+        tk.index += 1
         rhs = _parse_factor(tk)
         value = _bounded(value * rhs if op == "*" else value / rhs)
     return value
 
 
-def _parse_factor(tk: _Tokenizer) -> Scalar:
+def _signs(tk: _Tokenizer) -> bool:
+    """Consume a run of unary signs; True iff it negates."""
     negate = False
-    while tk.peek() in ("+", "-"):
-        if tk.next() == "-":
-            negate = not negate
+    while (op := tk.tokens[tk.index]) in ("+", "-"):
+        negate ^= op == "-"
+        tk.index += 1
+    return negate
+
+
+def _parse_factor(tk: _Tokenizer) -> Scalar:
+    negate = _signs(tk)
     value = _parse_atom(tk)
-    if tk.peek() == "^":
-        tk.next()
-        exp_negate = False
-        while tk.peek() in ("+", "-"):
-            if tk.next() == "-":
-                exp_negate = not exp_negate
+    if tk.tokens[tk.index] == "^":
+        tk.index += 1
+        exp_negate = _signs(tk)
         tok = tk.next()
         if not tok.isdigit():
             raise ValueError(f"exponent must be an integer, got {tok!r}")

@@ -112,16 +112,23 @@ def test_unused_import_detector_sees_aliases_and_annotations(tmp_path):
     ]
 
 
-def _top_level_names(tree: ast.Module) -> list[tuple[int, str]]:
-    """Each def, class or assigned name at the top level of a module."""
+def _defined_names(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """Each def, class or assigned name at the top level of a module, and
+    each method or property a top-level class defines, as (line, name, label)."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.append((node.lineno, node.name))
+            found.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, item.name, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [
-                (name.lineno, name.id)
+                (name.lineno, name.id, name.id)
                 for target in targets
                 for name in ast.walk(target)
                 if isinstance(name, ast.Name)
@@ -151,7 +158,8 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def _unreferenced_names(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Each top-level name of the modules that no reader file refers to.
+    """Each top-level name, method or property of the modules that no reader
+    file refers to.
 
     Dunder names are exempt, since Python itself reads them.
     """
@@ -160,9 +168,9 @@ def _unreferenced_names(modules: list[Path], readers: list[Path]) -> list[str]:
         read |= _references(ast.parse(path.read_text(), filename=str(path)))
     found = []
     for path in modules:
-        for line, name in _top_level_names(ast.parse(path.read_text(), filename=str(path))):
+        for line, name, label in _defined_names(ast.parse(path.read_text(), filename=str(path))):
             if name not in read and not (name.startswith("__") and name.endswith("__")):
-                found.append(f"{path.name}:{line} defines {name}")
+                found.append(f"{path.name}:{line} defines {label}")
     return found
 
 
@@ -184,12 +192,18 @@ def test_unreferenced_name_detector(tmp_path):
         "def orphan(n):\n"
         "    return orphan(n - 1) + math.gcd(n, LIMIT)\n"
         "def lazy(): pass\n"
-        "class Used: pass\n"
+        "class Used:\n"
+        "    def __len__(self): return 0\n"
+        "    def called(self): return self.left_behind\n"
+        "    def left_behind(self): pass\n"
+        "    @property\n"
+        "    def view(self): pass\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("import probe\nprobe.Used()\nEXPORTS = ('lazy',)\n")
+    user.write_text("import probe\nprobe.Used().called()\nEXPORTS = ('lazy',)\n")
     assert _unreferenced_names([probe], [probe, user]) == [
         "probe.py:3 defines HIGH",
         "probe.py:4 defines Pair",
         "probe.py:5 defines orphan",
+        "probe.py:13 defines Used.view",
     ]

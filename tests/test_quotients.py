@@ -383,9 +383,9 @@ def test_residue_solver_verdicts_hold_exactly(monkeypatch):
     calls = []
     solve = quotients._solve_rational
 
-    def recording_solve(A, B, r, cycle):
-        m = solve(A, B, r, cycle)
-        assert m is None or (m >= 1 and m % cycle == r % cycle), (A, B, r, cycle, m)
+    def recording_solve(an, ad, bn, bd, r, cycle):
+        m = solve(an, ad, bn, bd, r, cycle)
+        assert m is None or (m >= 1 and m % cycle == r % cycle), (an, ad, bn, bd, r, cycle, m)
         calls.append((cycle, r, m is not None))
         return m
 
@@ -419,6 +419,39 @@ def test_residue_solver_verdicts_hold_exactly(monkeypatch):
     # every quarter-twist residue was solved, and some direction had an irrational A
     assert {(4, r, True) for r in range(1, 5)} <= solved, solved
     assert irrational_cases
+
+
+def test_irrational_p_direction_closes_at_two_pi_on_every_twist():
+    # p = a1/a0 = pi is irrational and so is p^2 + q^2, while |X|^2 = 1/pi makes A
+    # rational: only the residue with u = 0 and sin = 0 closes, at m = 4/quarters
+    X = parse_vector("a0=1,a1=pi,a2=0,a3=(1/pi - pi^2)/2")
+    assert X.norm_sq() == Scalar(1) / PI
+    for k in (1, 2, 3):
+        for twist, m in ((Twist.FULL, 1), (Twist.HALF, 2), (Twist.QUARTER, 4)):
+            L = LatticeSpec(k, twist)
+            _, verdict = classify_geodesic(L, X)
+            assert verdict.kind is VerdictKind.PERIODIC, L
+            assert (verdict.minimal_T, verdict.witness_m) == (2 * PI, m), L
+            assert minimal_period(L, X) == 2 * PI
+
+
+def test_solve_rational_matches_a_brute_scan():
+    rng = random.Random(11)
+    cases = [(0, 1, 0, 1), (0, 3, 0, 1), (0, 5, 1, 2), (3, 4, 0, 1)]
+    cases += [
+        (rng.randint(-30, 30), rng.randint(1, 12), rng.randint(-30, 30) * rng.randint(0, 1), rng.randint(1, 12))
+        for _ in range(400)
+    ]
+    for an, ad, bn, bd in cases:
+        A, B = Fraction(an, ad), Fraction(bn, bd)
+        for cycle in (1, 2, 4):
+            for r in range(1, cycle + 1):
+                # A m - B is periodic in j with a period dividing ad bd
+                brute = next(
+                    (r + cycle * j for j in range(ad * bd) if (A * (r + cycle * j) - B).denominator == 1),
+                    None,
+                )
+                assert quotients._solve_rational(an, ad, bn, bd, r, cycle) == brute, (A, B, r, cycle)
 
 
 def test_lattice_chain_divisibility():

@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
+from oscigeo import scalar
 from oscigeo.scalar import (
     MAX_DIGITS,
     DivisionByZero,
@@ -112,6 +115,18 @@ def test_float_view_homomorphism():
         assert abs(float(a * b) - fa * fb) <= bound
 
 
+def _eval_exact(s, x):
+    """s at the rational x, exactly; None where the denominator vanishes."""
+    def horner(coeffs):
+        out = Fraction(0)
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
+
+    d = horner(s.den)
+    return None if d == 0 else horner(s.num) / d
+
+
 def test_float_view_accuracy_against_high_precision():
     # degree <= 4, coefficients up to 1e6: float view within 1e-12 relative
     rng = random.Random(4)
@@ -125,11 +140,8 @@ def test_float_view_accuracy_against_high_precision():
         s = Scalar(num, den)
         if s.is_zero():
             continue
-        try:
-            exact = s.eval_fraction(mid)
-        except DivisionByZero:
-            continue
-        if exact == 0 or abs(exact) < Fraction(1, 10**6):
+        exact = _eval_exact(s, mid)
+        if exact is None or exact == 0 or abs(exact) < Fraction(1, 10**6):
             continue  # ill-conditioned near a root; not covered by the contract
         rel = abs(Fraction(float(s)) - exact) / abs(exact)
         assert rel <= Fraction(1, 10**12)
@@ -296,3 +308,71 @@ def test_float_view_beyond_float_range_coefficients():
     assert float(parse_scalar(f"-{big}/(pi - 3)")) == -math.inf
     assert float(parse_scalar(f"{big}")) == math.inf
     assert float(parse_scalar(f"1/({big}*pi)")) == 0.0
+
+
+def test_floor_beyond_the_float_range():
+    mpmath = pytest.importorskip("mpmath")
+    big = "1" + "0" * 400
+    with mpmath.workdps(500):
+        expected = int(mpmath.floor(mpmath.mpf(10) ** 400 * mpmath.pi))
+    assert parse_scalar(f"{big}*pi").floor() == expected
+    assert parse_scalar(f"-{big}*pi").floor() == -expected - 1
+    assert parse_scalar(f"1/({big}*pi)").floor() == 0
+    assert parse_scalar(f"-1/({big}*pi)").floor() == -1
+
+
+def _outcome(parse, text):
+    """The canonical pair parse(text) gives, or the type and text of what it raises."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return value._n, value._d
+
+
+_BLANK = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\n "])
+_NUMERAL = st.one_of(
+    st.integers(0, 10**8).map(str),
+    st.integers(0, 999).map(lambda v: "00" + str(v)),
+    st.sampled_from(
+        ["0", "00", "9" * MAX_DIGITS, "1" + "0" * (MAX_DIGITS - 1), "9" * (MAX_DIGITS + 1), "\u0663", "3\u0663", "\xb2"]
+    ),
+)
+
+
+@st.composite
+def _literals(draw):
+    sign = draw(st.sampled_from(["", "-", "- ", "+", "--", "-+"]))
+    head = draw(_BLANK) + sign + draw(_BLANK) + draw(_NUMERAL) + draw(_BLANK)
+    tail = draw(st.sampled_from(["", "/{}", "/{}{}", "/", "/{}/{}", "/-{}", "{}"]))
+    return head + tail.format(*(draw(_BLANK) + draw(_NUMERAL) for _ in range(tail.count("{}"))))
+
+
+_EDGE_LITERALS = [
+    "-0", "0", "\t- 0/7 ", "\xa0-3/4", "007/0014", "3/0", "0/0", "-5 / 0", "3/4/5", "3/", "-", "+3/4",
+    "9" * MAX_DIGITS, "-1/" + "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1),
+    "\u0663/4", "3/\u0664", "\xb2", "1 2", "",
+]
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@hypothesis.given(_literals())
+def test_rational_fast_path_agrees_with_the_general_parser(text):
+    # the general path is the tokenizer and the recursive descent alone
+    assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text)
+
+
+def test_rational_fast_path_agrees_on_edge_literals():
+    for text in _EDGE_LITERALS:
+        assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text), text
+
+
+def test_parser_digits_are_ascii():
+    for text in ("\u0663/4", "3\u0663", "\xb2", "2^\xb2", "1/\u0664"):
+        bad = next(c for c in text if c not in "0123456789/^")
+        with pytest.raises(ValueError, match=f"unexpected character {bad!r} in scalar text"):
+            parse_scalar(text)
+    assert parse_scalar(" -007 /\t 14\xa0") == Scalar(Fraction(-1, 2))
+    assert parse_scalar("-0") == parse_scalar("0/5") == Scalar(0)
+    with pytest.raises(DivisionByZero, match="scalar division by zero"):
+        parse_scalar("3/0")

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupElement, g_mul, rotate
+from .groups import QUARTER_TURNS, ExactRotationUnavailable, GroupElement, g_mul
 from .metric import TangentVector
-from .scalar import ONE, ZERO, Scalar, ScalarLike
+from .scalar import ONE, ZERO, Scalar, ScalarLike, quarter_turns
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,32 @@ class GeodesicCurve:
 
 
 def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
-    """exp(sX) without forming sX, the geodesic from the identity at s."""
+    """exp(sX) without forming sX, the geodesic from the identity at s.
+
+    For a0 != 0 and (a1, a2) != 0 it reads the direction's cached
+    ``turn_constants`` (p, q, w, rho), so evaluations of one direction
+    divide by a0 once in all.  At a0 s = j pi/2 the quarter turn
+    ``QUARTER_TURNS[j % 4]`` gives sin and R(a0 s), and
+    (x, y) = R(a0 s)(q, -p) - (q, -p), z = w s - rho sin.  Any other
+    angle raises ExactRotationUnavailable.
+    """
     a0, a1, a2, a3 = X.components
     if a0.is_zero():
         return GroupElement(ZERO, a1 * s, a2 * s, a3 * s)
     if a1.is_zero() and a2.is_zero():
         # every trigonometric coefficient vanishes; exact at any s
         return GroupElement(a0 * s, ZERO, ZERO, a3 * s)
-    # R(a0 s) e1 = (cos, sin); ExactRotationUnavailable off (pi/2)Z
-    cos, sin = rotate(a0 * s, ONE, ZERO)
-    # two divisions by a0 in all: (a1^2 + a2^2)/a0 = p a1 + q a2 and
-    # (a1^2 + a2^2)/a0^2 = p^2 + q^2
-    p, q = a1 / a0, a2 / a0
-    x = p * sin + q * (cos - 1)
-    y = q * sin - p * (cos - 1)
-    z = ((p * a1 + q * a2 + 2 * a3) * s - (p * p + q * q) * sin) / 2
-    return GroupElement(a0 * s, x, y, z)
+    t = a0 * s
+    j = quarter_turns(t)
+    if j is None:
+        raise ExactRotationUnavailable(f"angle {t} is not an integer multiple of pi/2")
+    p, q, w, rho = X.turn_constants
+    sin, turn = QUARTER_TURNS[j % 4]
+    rx, ry = turn(q, -p)
+    z = w * s
+    if sin:
+        z = z - rho if sin > 0 else z + rho
+    return GroupElement(t, rx - q, ry + p, z)
 
 
 def geodesic_eval(c: GeodesicCurve, s: ScalarLike) -> GroupElement:

@@ -8,9 +8,11 @@ operation, not by the element type.
 
 ``rotate`` is the one exact rotation.  It exists only at quarter-turn
 angles t in (pi/2)Z, where R(t) is a signed permutation of (x, y), read
-from the one table QUARTER_TURNS that the classifier also walks; every
-lattice, normalizer, isometry and periodicity decision needs only these,
-and every exact module rotates through it.  The float layer in
+from the one table QUARTER_TURNS; every lattice, normalizer, isometry
+and periodicity decision needs only these.  The classifier and
+``geodesics.exp_scaled``, which already hold the quarter-turn count,
+read the table directly, and every other exact rotation goes through
+``rotate``.  The float layer in
 ``oscigeo.floats`` covers arbitrary angles for tracing and numeric
 verification.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import GroupElement
 from .scalar import Scalar, ScalarLike
@@ -41,6 +42,18 @@ class TangentVector:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.components)
+
+    @cached_property
+    def turn_constants(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        """(p, q, |X|^2/(2 a0), (p^2 + q^2)/2) with p = a1/a0, q = a2/a0; needs a0 != 0.
+
+        exp(sX) is R(a0 s)(q, -p) - (q, -p) in (x, y) and
+        |X|^2/(2 a0) s - (p^2 + q^2)/2 sin(a0 s) in z.  Computed on first
+        use and kept on the vector, so every evaluation of one direction
+        shares them; |X|^2/a0 is p a1 + q a2 + 2 a3, with no second division.
+        """
+        p, q = self.a1 / self.a0, self.a2 / self.a0
+        return p, q, (p * self.a1 + q * self.a2) / 2 + self.a3, (p * p + q * q) / 2
 
     def norm_sq(self) -> Scalar:
         return self.a1 * self.a1 + self.a2 * self.a2 + 2 * self.a0 * self.a3

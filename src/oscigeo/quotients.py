@@ -229,7 +229,8 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
     lattice for each prime p | n.  That costs omega(n) + 1 calls of
     geodesics.exp_scaled, which evaluates exp(sX) at s = T and T/p without
     forming sX; omega counts the distinct prime factors (n is the witness
-    m when a0 != 0).
+    m when a0 != 0).  The calls share X.turn_constants, which the
+    first of them computes.
     A wrong verdict raises AssertionError; a witness with a cofactor of
     _TRIAL_LIMIT**2 or more and no prime factor up to _TRIAL_LIMIT raises
     PeriodUnverified.

@@ -11,7 +11,11 @@ canonical form:
 
 Equality is therefore structural and zero-testing is free.  A rational
 a/b is ((a,), (b,)) and costs one integer gcd per operation; no
-Fraction is built on the arithmetic path.  The read-only views ``num``
+Fraction is built on the arithmetic path.  With one rational operand u/v
+and the other n/d, the results (v n + u d)/(v d), (u n)/(v d) and
+(v n)/(u d) stay coprime as polynomials, since a common factor would
+divide both n and d, and they share no power of pi; so they skip the
+polynomial gcd and cost one content gcd.  The read-only views ``num``
 and ``den`` give the same value as Fraction tuples with a monic
 denominator.
 
@@ -83,7 +87,7 @@ def _padd(a: Poly, b: Poly) -> Poly:
 
 
 def _pscale(a: Poly, k: int) -> Poly:
-    return tuple(k * v for v in a)
+    return tuple([k * v for v in a])
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -235,12 +239,6 @@ def _pi_scaled(digits: int) -> tuple[int, int, int]:
     return scaled - 2, scaled + 2, 10 ** digits
 
 
-def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds of pi with gap about 10**-digits."""
-    lo, hi, denom = _pi_scaled(digits)
-    return Fraction(lo, denom), Fraction(hi, denom)
-
-
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
@@ -263,6 +261,21 @@ def _new(n: Poly, d: Poly) -> "Scalar":
     return out
 
 
+def _from_coprime(n: Poly, d: Poly) -> "Scalar":
+    """The canonical Scalar n / d for a coprime pair n, d sharing no power of pi.
+
+    Only the common content and the sign of the leading denominator
+    coefficient remain to be normalized: no polynomial gcd.
+    """
+    c = _gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple([v // c for v in n])
+        d = tuple([v // c for v in d])
+    return _new(n, d)
+
+
 def _canonical(n: Poly, d: Poly) -> "Scalar":
     """The canonical Scalar n / d for integer polynomials n and nonzero d."""
     if not n:
@@ -276,13 +289,7 @@ def _canonical(n: Poly, d: Poly) -> "Scalar":
         if len(g) > 1:
             n = _pquo(n, g)
             d = _pquo(d, g)
-    c = _gcd(*n, *d)
-    if d[-1] < 0:
-        c = -c
-    if c != 1:
-        n = tuple(v // c for v in n)
-        d = tuple(v // c for v in d)
-    return _new(n, d)
+    return _from_coprime(n, d)
 
 
 def _coerce(value) -> "Scalar":
@@ -372,11 +379,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(tuple(-v for v in self._n), self._d)
+        return _new(tuple([-v for v in self._n]), self._d)
 
     def __sub__(self, other):
         o = other if type(other) is Scalar else _coerce(other)
-        return _add(self._n, self._d, tuple(-v for v in o._n), o._d)
+        return _add(self._n, self._d, tuple([-v for v in o._n]), o._d)
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
@@ -507,29 +514,46 @@ class Scalar:
 
 
 def _add(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
-    if len(an) <= 1 and len(bn) <= 1 and len(ad) == 1 and len(bd) == 1:
-        a, b = ad[0], bd[0]
-        x = (an[0] * b if an else 0) + (bn[0] * a if bn else 0)
-        if not x:
-            return ZERO
-        y = a * b
-        g = _gcd(x, y)
-        return _new((x // g,), (y // g,))
+    """(an / ad) + (bn / bd) for canonical pairs."""
+    if len(an) <= 1 and len(ad) == 1:
+        # a rational operand goes to b
+        an, ad, bn, bd = bn, bd, an, ad
+    if len(bn) <= 1 and len(bd) == 1:
+        if not bn:
+            return _new(an, ad)
+        u, v = bn[0], bd[0]
+        if len(an) <= 1 and len(ad) == 1:
+            x = (an[0] * v if an else 0) + u * ad[0]
+            if not x:
+                return ZERO
+            y = ad[0] * v
+            g = _gcd(x, y)
+            return _new((x // g,), (y // g,))
+        # n/d + u/v = (v n + u d) / (v d): a factor of d that divides the
+        # numerator divides v n, hence n, so the pair stays coprime
+        return _from_coprime(_padd(_pscale(an, v), _pscale(ad, u)), _pscale(ad, v))
     if ad == bd:
         return _canonical(_padd(an, bn), ad)
     return _canonical(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
 
 
 def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
-    """(an / ad) * (bn / bd); bd may be a numerator of either sign."""
+    """(an / ad) * (bn / bd) for canonical pairs; bd may be a numerator of either sign."""
     if not an or not bn:
         return ZERO
-    if len(an) == 1 and len(bn) == 1 and len(ad) == 1 and len(bd) == 1:
-        x, y = an[0] * bn[0], ad[0] * bd[0]
-        if y < 0:
-            x, y = -x, -y
-        g = _gcd(x, y)
-        return _new((x // g,), (y // g,))
+    if len(an) == 1 and len(ad) == 1:
+        # a rational operand goes to b
+        an, ad, bn, bd = bn, bd, an, ad
+    if len(bn) == 1 and len(bd) == 1:
+        u, v = bn[0], bd[0]
+        if len(an) == 1 and len(ad) == 1:
+            x, y = an[0] * u, ad[0] * v
+            if y < 0:
+                x, y = -x, -y
+            g = _gcd(x, y)
+            return _new((x // g,), (y // g,))
+        # (u n) / (v d): constant factors keep the pair coprime
+        return _from_coprime(_pscale(an, u), _pscale(ad, v))
     return _canonical(_pmul(an, bn), _pmul(ad, bd))
 
 

@@ -483,13 +483,13 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
         hits = []
         for i, s0 in enumerate(times):
             for s1 in times[i + 1:]:
-                p0 = geodesics.exp_map(X.scale(s0))
-                p1 = geodesics.exp_map(X.scale(s1))
+                p0 = geodesics.exp_scaled(X, s0)
+                p1 = geodesics.exp_scaled(X, s1)
                 if coset_equal(L, p0, p1):
                     gap = s1 - s0
                     hits.append(gap)
                     res.check(
-                        lattice_contains(L, geodesics.exp_map(X.scale(gap))),
+                        lattice_contains(L, geodesics.exp_scaled(X, gap)),
                         "coset return implies lattice membership of the gap",
                     )
                     ratio = gap / verdict.minimal_T

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo.scalar import PI, PI_HALF, Scalar
+from oscigeo.scalar import ONE, PI, PI_HALF, ZERO, Scalar
 from oscigeo.groups import (
     ExactRotationUnavailable,
     GroupElement,
@@ -14,6 +14,7 @@ from oscigeo.groups import (
     LatticeSpec,
     Twist,
     g_mul,
+    rotate,
 )
 from oscigeo.metric import TangentVector
 from oscigeo.geodesics import GeodesicCurve, exp_map, exp_scaled, geodesic_eval
@@ -134,6 +135,50 @@ def test_exp_scaled_matches_exp_map_and_geodesic_eval():
                 with pytest.raises(ExactRotationUnavailable):
                     evaluate()
     assert rotating > 50 and lines > 50 and flat > 50
+
+
+def _exp_scaled_oracle(X, s):
+    """The componentwise closed form, every constant rebuilt per call and the turn from rotate."""
+    a0, a1, a2, a3 = X.components
+    if a0.is_zero():
+        return GroupElement(ZERO, a1 * s, a2 * s, a3 * s)
+    if a1.is_zero() and a2.is_zero():
+        return GroupElement(a0 * s, ZERO, ZERO, a3 * s)
+    cos, sin = rotate(a0 * s, ONE, ZERO)
+    p, q = a1 / a0, a2 / a0
+    x = p * sin + q * (cos - 1)
+    y = q * sin - p * (cos - 1)
+    z = ((p * a1 + q * a2 + 2 * a3) * s - (p * p + q * q) * sin) / 2
+    return GroupElement(a0 * s, x, y, z)
+
+
+def test_exp_scaled_matches_the_componentwise_oracle():
+    rng = random.Random(19)
+    rotating = 0
+    for i in range(300):
+        a0, a1, a2, a3 = (_rand_qpi(rng) for _ in range(4))
+        if i % 6 == 0:
+            a1 = a2 = Scalar(0)
+        if a0.is_zero():
+            a0 = Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice((1, -1)))
+        X = TangentVector(a0, a1, a2, a3)
+        for j in range(-8, 9):
+            s = PI_HALF * j / a0
+            assert exp_scaled(X, s) == _exp_scaled_oracle(X, s), (X, j)
+        rotating += not (a1.is_zero() and a2.is_zero())
+        # a0 s = pi/6, 1 and pi + 1: no quarter turn
+        for s in (PI_HALF * Fraction(1, 3) / a0, Scalar(1) / a0, (PI + 1) / a0):
+            if a1.is_zero() and a2.is_zero():
+                assert exp_scaled(X, s) == _exp_scaled_oracle(X, s), (X, s)
+                continue
+            for evaluate in (exp_scaled, _exp_scaled_oracle):
+                with pytest.raises(ExactRotationUnavailable):
+                    evaluate(X, s)
+        # the line through the same (a1, a2, a3)
+        line = TangentVector(Scalar(0), a1, a2, a3)
+        for s in (_rand_qpi(rng), Scalar(rng.randint(-3, 3))):
+            assert exp_scaled(line, s) == _exp_scaled_oracle(line, s), (line, s)
+    assert rotating >= 240
 
 
 def test_left_translation_of_curve():

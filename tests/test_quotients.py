@@ -295,22 +295,32 @@ def test_minimal_period_rejects_a_doubled_verdict(monkeypatch):
 
 
 def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch):
-    # one evaluation of exp(sX) at s = T and one per prime factor of the witness
+    # one evaluation of exp(sX) at s = T and one per prime factor of the witness,
+    # all from one computation of the direction's turn constants
     calls = []
+    computed = []
     evaluate = quotients.exp_scaled
+    descriptor = TangentVector.__dict__["turn_constants"]
+    constants = descriptor.func
 
     def counted(X, s):
         calls.append(s)
         return evaluate(X, s)
 
+    def counted_constants(X):
+        computed.append(X)
+        return constants(X)
+
     def refused(self, factor):
         raise RuntimeError("minimal_period scaled the direction")
 
     monkeypatch.setattr(quotients, "exp_scaled", counted)
+    monkeypatch.setattr(descriptor, "func", counted_constants)
     monkeypatch.setattr(TangentVector, "scale", refused)
     X = parse_vector("a0=2,a1=-6/5,a2=9/5,a3=-117/100 + 1/(1200*pi)")
     T = minimal_period(L20, X)
     assert T == 300 * PI and calls == [T, T / 2, T / 3, T / 5]  # m = 300 = 2^2 3 5^2
+    assert computed == [X]
 
 
 def test_minimal_period_large_witnesses():

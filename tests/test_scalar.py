@@ -15,8 +15,8 @@ from oscigeo.scalar import (
     PI_HALF,
     Scalar,
     in_lattice_1d,
+    _pi_scaled,
     parse_scalar,
-    pi_enclosure,
     quarter_turns,
 )
 
@@ -130,8 +130,8 @@ def _eval_exact(s, x):
 def test_float_view_accuracy_against_high_precision():
     # degree <= 4, coefficients up to 1e6: float view within 1e-12 relative
     rng = random.Random(4)
-    lo, hi = pi_enclosure(60)
-    mid = (lo + hi) / 2
+    lo, hi, scale = _pi_scaled(60)
+    mid = Fraction(lo + hi, 2 * scale)
     for _ in range(100):
         num = tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 100)) for _ in range(5))
         den = tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 100)) for _ in range(5))
@@ -149,9 +149,10 @@ def test_float_view_accuracy_against_high_precision():
 
 def test_pi_enclosure_brackets_reference():
     for digits in (20, 40, 80):
-        lo, hi = pi_enclosure(digits)
-        assert lo < PI_REFERENCE < hi
-        assert hi - lo <= Fraction(4, 10**digits)
+        lo, hi, scale = _pi_scaled(digits)
+        assert scale == 10**digits
+        assert Fraction(lo, scale) < PI_REFERENCE < Fraction(hi, scale)
+        assert hi - lo <= 4
     assert float(PI) == math.pi
 
 

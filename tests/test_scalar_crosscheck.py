@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscigeo.scalar import PI, Scalar
+from oscigeo.scalar import PI, ZERO, Scalar, _canonical, _padd, _pmul
 
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
@@ -174,3 +174,71 @@ def test_rational_constructor_matches_the_general_form():
         assert fast == general == v, v
         assert (fast.num, fast.den) == (general.num, general.den), v
         assert hash(fast) == hash(general) == hash(v), v
+
+
+def _general_pair(op, a, b):
+    """The canonical pair of op(a, b) through _canonical, the general path."""
+    an, ad, bn, bd = a._n, a._d, b._n, b._d
+    if op is operator.sub:
+        op, bn = operator.add, tuple(-v for v in bn)
+    if op is operator.truediv:
+        op, bn, bd = operator.mul, bd, bn
+    if op is operator.add:
+        s = _canonical(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+    else:
+        s = _canonical(_pmul(an, bn), _pmul(ad, bd)) if an and bn else ZERO
+    return s._n, s._d
+
+
+def _sympy_pair(sympy, x, op, a, b):
+    """op(a, b) cancelled by sympy over Z[x], as ascending coefficients in the canonical normalization."""
+    P, Q, R, S = (sympy.Poly(list(reversed(c)) or [0], x, domain="ZZ") for c in (a._n, a._d, b._n, b._d))
+    num, den = {
+        operator.add: (P * S + R * Q, Q * S),
+        operator.sub: (P * S - R * Q, Q * S),
+        operator.mul: (P * R, Q * S),
+        operator.truediv: (P * S, Q * R),
+    }[op]
+    if num.is_zero:
+        return (), (1,)
+    num, den = num.cancel(den, include=True)
+    n, d = [int(c) for c in reversed(num.all_coeffs())], [int(c) for c in reversed(den.all_coeffs())]
+    c = math.gcd(*n, *d) * (1 if d[-1] > 0 else -1)
+    return tuple(v // c for v in n), tuple(v // c for v in d)
+
+
+def test_rational_operand_fast_paths_match_the_general_form_and_sympy():
+    # a rational operand skips the pi-strip and the polynomial gcd in _add and
+    # _mul; the result must be the pair the general path and sympy give
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rationals = [Scalar(v) for v in (0, 1, -1, 6, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(-2, 9))]
+    # the content 2 of base's denominator divides the rationals 6 and -12
+    base = (PI + 2) / (4 * PI + 2)
+    others = [
+        base,
+        6 * base,
+        -base / 4,
+        PI,
+        -(PI**3),
+        PI**2 / 3,
+        Scalar(1) / PI,
+        (PI**2 + 1) / PI**3,
+        PI**2 / (PI + 1),
+        (3 * PI**3 - 6 * PI) / (9 * PI**2 + 12),
+    ]
+    rng = random.Random(15)
+    others += [s for s in (rand_scalar(rng) for _ in range(40)) if not s.is_rational()]
+    checked = 0
+    for r in rationals:
+        for s in others:
+            for a, b in ((r, s), (s, r)):
+                for op in OPS:
+                    if op is operator.truediv and b.is_zero():
+                        continue
+                    got = op(a, b)
+                    pair = (got._n, got._d)
+                    assert pair == _general_pair(op, a, b), (op, a, b)
+                    assert pair == _sympy_pair(sympy, x, op, a, b), (op, a, b)
+                    checked += 1
+    assert checked > 1500

@@ -10,6 +10,7 @@ from --seed, defaulting to the OSCIGEO_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,10 @@ def parse_vector(text: str) -> TangentVector:
     return TangentVector(*values)  # type: ignore[arg-type]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args leaves
+    it unchanged, and help text is laid out (COLUMNS included) when printed."""
     parser = argparse.ArgumentParser(
         prog="oscigeo",
         description="Geometry engine for the oscillator group and its compact Lorentzian quotients.",

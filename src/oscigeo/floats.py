@@ -38,7 +38,7 @@ _A0_FLOAT_CUTOFF = 1e-12
 MAX_SAMPLES = 10**7
 
 # rows per block of the scalar RK4 kernel and per CSV write
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 512
 
 
 # a coordinate more lattice steps out than this keeps no float digit of its
@@ -363,29 +363,36 @@ def _rk4_path(state, n_steps: int, h: float):
     in the same order, so IEEE doubles give the numpy kernel's bits.  t'' = 0
     still goes through ``+ c * 0.0``, which fixes the sign of a zero t'.
     The stage values of t and z are left out: ``_deriv`` never reads them.
+    t' changes only in the first step (-0.0 + 0.0 gives 0.0), so the terms
+    built from t' alone are computed in the first two steps and then kept.
     """
     t, x, y, z, vt, vx, vy, vz = state
     h2, h6 = h / 2, h / 6
     block = []
-    for _ in range(n_steps):
-        a5, a6, a7 = -vt * vy, vt * vx, 0.5 * vt * (x * vx + y * vy)
+    for i in range(n_steps):
+        if i < 2:
+            vt2, vt4 = vt + h2 * 0.0, vt + h * 0.0
+            nvt, hvt, nvt2, hvt2, nvt4, hvt4 = -vt, 0.5 * vt, -vt2, 0.5 * vt2, -vt4, 0.5 * vt4
+            dt = h6 * (vt + 2 * vt2 + 2 * vt2 + vt4)
+            vt_next = vt + h6 * (0.0 + 2 * 0.0 + 2 * 0.0 + 0.0)
+        a5, a6, a7 = nvt * vy, vt * vx, hvt * (x * vx + y * vy)
         x2, y2 = x + h2 * vx, y + h2 * vy
-        vt2, vx2, vy2, vz2 = vt + h2 * 0.0, vx + h2 * a5, vy + h2 * a6, vz + h2 * a7
-        b5, b6, b7 = -vt2 * vy2, vt2 * vx2, 0.5 * vt2 * (x2 * vx2 + y2 * vy2)
+        vx2, vy2, vz2 = vx + h2 * a5, vy + h2 * a6, vz + h2 * a7
+        b5, b6, b7 = nvt2 * vy2, vt2 * vx2, hvt2 * (x2 * vx2 + y2 * vy2)
         x3, y3 = x + h2 * vx2, y + h2 * vy2
-        vt3, vx3, vy3, vz3 = vt + h2 * 0.0, vx + h2 * b5, vy + h2 * b6, vz + h2 * b7
-        c5, c6, c7 = -vt3 * vy3, vt3 * vx3, 0.5 * vt3 * (x3 * vx3 + y3 * vy3)
+        vx3, vy3, vz3 = vx + h2 * b5, vy + h2 * b6, vz + h2 * b7
+        c5, c6, c7 = nvt2 * vy3, vt2 * vx3, hvt2 * (x3 * vx3 + y3 * vy3)
         x4, y4 = x + h * vx3, y + h * vy3
-        vt4, vx4, vy4, vz4 = vt + h * 0.0, vx + h * c5, vy + h * c6, vz + h * c7
-        d5, d6, d7 = -vt4 * vy4, vt4 * vx4, 0.5 * vt4 * (x4 * vx4 + y4 * vy4)
+        vx4, vy4, vz4 = vx + h * c5, vy + h * c6, vz + h * c7
+        d5, d6, d7 = nvt4 * vy4, vt4 * vx4, hvt4 * (x4 * vx4 + y4 * vy4)
         t, x, y, z = (
-            t + h6 * (vt + 2 * vt2 + 2 * vt3 + vt4),
+            t + dt,
             x + h6 * (vx + 2 * vx2 + 2 * vx3 + vx4),
             y + h6 * (vy + 2 * vy2 + 2 * vy3 + vy4),
             z + h6 * (vz + 2 * vz2 + 2 * vz3 + vz4),
         )
         vt, vx, vy, vz = (
-            vt + h6 * (0.0 + 2 * 0.0 + 2 * 0.0 + 0.0),
+            vt_next,
             vx + h6 * (a5 + 2 * b5 + 2 * c5 + d5),
             vy + h6 * (a6 + 2 * b6 + 2 * c6 + d6),
             vz + h6 * (a7 + 2 * b7 + 2 * c7 + d7),
@@ -471,17 +478,201 @@ def speed_f(states: np.ndarray) -> np.ndarray:
 # serialization of sampled paths
 # ---------------------------------------------------------------------------
 
+# %.17g on whole chunks of floats.  %.17g writes x as 17 digits D and an
+# exponent E, x ~ D * 10**(E - 16) rounded half to even; inside this band of
+# |x| every product and split below stays normal and finite.
+_FAST_BAND = (1e-280, 1e280)
+_E_MAX = 283  # tables cover |E| <= _E_MAX: the band's E and a log10 estimate one off
+
+# The digits come from X = |x| * 10**(16 - E) as a double-double p + t:
+# 10**k is the table pair hi + lo (hi = fl(10**k), lo = fl(10**k - hi)),
+# p + e = |x| * hi is exact (Dekker's product of Veltkamp halves) and
+# t = fl(e + fl(|x| * lo)).  The three roundings in that are each at most
+# 2**-106 * X (table and |x| * lo) and 2**-105 * X (the sum), so
+# |p + t - X| <= 2**-104 * X < 2**-47 for the X < 10**17 + 1 that is kept.
+# A field whose fraction lies within _PRODUCT_ERR = 2**-46 of 1/2, or
+# whose floor could lie on the other side of 10**16 or 10**17, goes to
+# Python's own %.17g instead; so every byte is either proven or comes from
+# %.  Where 10**k is a double (0 <= k <= 22) lo = 0, the product is exact,
+# its bound is 0 and an exact tie rounds half-even as dtoa does.
+_PRODUCT_ERR = 2.0**-46
+_SPLITTER = 2.0**27 + 1
+
+
+def _veltkamp(a):
+    """Halves (high, low) of a with high + low == a, each of at most 26 bits."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows hi, hi's two Veltkamp halves, lo and the product bound for
+    10**(16 - E), E = _E_MAX down to -_E_MAX; int / int rounds correctly."""
+    hi, lo = [], []
+    for k in range(16 - _E_MAX, 17 + _E_MAX):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    return np.stack([hi, *_veltkamp(hi), lo, np.where(lo == 0.0, 0.0, _PRODUCT_ERR)])
+
+
+_POW10 = _pow10_table()
+
+
+def _scaled(a, E):
+    """Floor F, fraction and product bound of a * 10**(16 - E), elementwise."""
+    row = _E_MAX - E
+    hi, hh, hl, lo, err = (_POW10[i].take(row) for i in range(5))
+    p = a * hi
+    ah, al = _veltkamp(a)
+    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    t = e + a * lo
+    ft = np.floor(t)
+    # p is an integer once X >= 2**53; a smaller X gives F < 10**16 and falls out
+    return p.astype(np.int64) + ft.astype(np.int64), t - ft, err
+
+
+# Each field is first laid out in a row of _FIELD_WIDTH bytes, then the
+# bytes its layout keeps are compacted out of the chunk in one pass.  Row
+# bytes: 1 "-" before "0.000" at 2..6 (fixed notation, E < 0); 7 "-" before
+# the digits; 8..24 the 17 digits; 27 "." before the same digits again at
+# 28..44 (the fraction of fixed notation, the mantissa tail of exponent
+# notation); 45 the separator of fixed notation; 48.. "e+dd" or "e+ddd"
+# and the separator.  A fallback field is its text at 0..23 and the separator.
+_FIELD_WIDTH = 56
+_DIGITS4 = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_E_ROW = np.arange(-_E_MAX, _E_MAX + 1)
+_EXPONENT = np.frombuffer(
+    b"".join((b"e%+03d" % e + sep).ljust(8, b"\0") for e in _E_ROW for sep in (b",", b"\n")), np.uint8
+).reshape(-1, 8)
+# significant digits left when the 17 lose their trailing zeros: 17 if the
+# last is not 0, else the most that any of the four 4-digit groups gives
+# (0 for an all-zero group; the value 0 keeps one digit)
+_SIG_DIGITS = np.where(_DIGITS4 != ord("0"), np.arange(1, 5), 0).max(axis=1)
+_SIG_DIGITS = np.where(_SIG_DIGITS > 0, np.arange(0, 16, 4)[:, None] + _SIG_DIGITS, 0).astype(np.int8)
+_SIG_DIGITS[0, 0] = 1
+# notation class of an exponent: E + 4 for fixed notation (-4 <= E < 17),
+# 21 for a two-digit exponent, 22 for a three-digit one; 23 classes in all
+_NOTATION = np.where((_E_ROW >= -4) & (_E_ROW <= 16), _E_ROW + 4, np.where(abs(_E_ROW) < 100, 21, 22))
+_KEYS_PER_SIGN = 23 * 17
+
+
+def _field_layouts() -> np.ndarray:
+    """Kept bytes per (sign, notation, significant digits), then per fallback length 1..24."""
+    rows = []
+    for negative in (False, True):
+        for notation in range(23):
+            for digits in range(1, 18):
+                keep = np.zeros(_FIELD_WIDTH, bool)
+                E = notation - 4
+                if notation > 20:
+                    keep[7], keep[8] = negative, True
+                    if digits > 1:
+                        keep[27], keep[29:28 + digits] = True, True
+                    keep[48:48 + (5 if notation == 21 else 6)] = True
+                    rows.append(keep)
+                    continue
+                keep[45] = True
+                if E < 0:
+                    keep[1], keep[2:3 - E] = negative, True
+                    keep[8:8 + digits] = True
+                else:
+                    keep[7], keep[8:9 + E] = negative, True
+                    if digits > E + 1:
+                        keep[27], keep[29 + E:28 + digits] = True, True
+                rows.append(keep)
+    for length in range(1, 25):
+        keep = np.zeros(_FIELD_WIDTH, bool)
+        keep[:length], keep[45] = True, True
+        rows.append(keep)
+    return np.array(rows)
+
+
+_LAYOUTS = _field_layouts()
+_ROW_START = np.frombuffer(b"\0-0.000-", np.uint8)
+
+
+def _percent_fields(values: np.ndarray) -> np.ndarray:
+    """Python's own "%.17g" of each value, as 24-byte strings: the fallback."""
+    return np.array(["%.17g" % v for v in values.tolist()], dtype="S24")
+
+
+def _format_fields(x: np.ndarray, seps: np.ndarray) -> bytes:
+    """``b"".join(b"%.17g%c" % (v, s) for v, s in zip(x, seps))`` for a 1-D float64 x."""
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= _FAST_BAND[0]) & (a <= _FAST_BAND[1])
+    a = np.where(fast, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    F, frac, err = _scaled(a, E)
+    # the exponent follows the floor: log10 can be one off next to a power of ten
+    low, high = F < 10**16, F >= 10**17
+    off = np.flatnonzero(low | high)
+    if off.size:
+        E[off] += high[off].astype(np.int64) - low[off]
+        F[off], frac[off], err[off] = _scaled(a[off], E[off])
+    plain = fast & ~(
+        (F < 10**16) | (F >= 10**17)
+        | (np.abs(frac - 0.5) < err)
+        | ((F == 10**16) & (frac < err))
+        | ((F == 10**17 - 1) & (1.0 - frac < err))
+    )
+    fallback = ~plain & (x != 0.0)
+    D = F + ((frac > 0.5) | ((frac == 0.5) & (F & 1 == 1)))
+    # a carry to 10**17 is the next exponent; it also moves the notation at 1e-4 and 1e17
+    carry = D == 10**17
+    D[carry] = 10**16
+    E += carry
+    D[~plain] = 0
+    E[~plain] = 0
+    groups = [D // 10**13, D // 10**9 % 10**4, D // 10**5 % 10**4, D // 10 % 10**4]
+    rows = np.empty((n, _FIELD_WIDTH), np.uint8)
+    rows.view("V8")[:, 0] = _ROW_START.view("V8")[0]
+    rows[:, 27] = ord(".")
+    quads, digits = rows.view("V4"), _DIGITS4.view("V4")[:, 0]
+    last = D % 10
+    sig = (last != 0) * np.int8(17)
+    for j, q in enumerate(groups):
+        quads[:, 2 + j] = quads[:, 7 + j] = digits.take(q)
+        np.maximum(sig, _SIG_DIGITS[j].take(q), out=sig)
+    rows[:, 24] = rows[:, 44] = last + ord("0")
+    row = E + _E_MAX
+    rows.view("V8")[:, 6] = _EXPONENT.view("V8")[:, 0].take(2 * row + (seps == ord("\n")))
+    rows[:, 45] = seps
+    key = np.signbit(x) * _KEYS_PER_SIGN + _NOTATION.take(row) * 17 + sig - 1
+    where = np.flatnonzero(fallback)
+    if where.size:
+        text = _percent_fields(x[where])
+        rows[where, :24] = text.view(np.uint8).reshape(-1, 24)
+        key[where] = 2 * _KEYS_PER_SIGN - 1 + np.char.str_len(text)
+    return rows[_LAYOUTS.take(key, axis=0)].tobytes()
+
+
 def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z") -> None:
     """CSV with dot decimals, LF endings and 17 significant digits.
 
-    Rows go out _CHUNK_ROWS at a time, each chunk one ``%`` format of
-    ``%.17g`` fields, which spells every float as ``format(v, ".17g")``.
+    Every field is the text of ``"%.17g" % v``, byte for byte.  Rows go out
+    _CHUNK_ROWS at a time, and a chunk is formatted by numpy in a fixed
+    number of array passes: the 17 digits come from |v| * 10**(16 - E) as
+    a double-double with a proven error bound (_PRODUCT_ERR), rounded half
+    to even, and fixed or exponent notation, the sign and the stripped
+    trailing zeros follow %g; zeros are written directly.  A field the
+    bound cannot decide (its fraction within the bound of 1/2, or its floor
+    next to 10**16 or 10**17), one outside _FAST_BAND, and inf and nan are
+    formatted by Python's own ``%`` instead, so the output is the same as a
+    per-value ``%`` writer's.
     """
+    samples = np.asarray(samples, dtype=float)
     stream.write(header + "\n")
-    line = ",".join(["%.17g"] * samples.shape[1]) + "\n"
+    cols = samples.shape[1]
+    seps = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint8), _CHUNK_ROWS)
     for start in range(0, len(samples), _CHUNK_ROWS):
-        chunk = samples[start:start + _CHUNK_ROWS]
-        stream.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        chunk = samples[start:start + _CHUNK_ROWS].ravel()
+        stream.write(_format_fields(chunk, seps[:chunk.size]).decode("ascii"))
 
 
 def path_to_json(samples: np.ndarray, stream: IO[str]) -> None:

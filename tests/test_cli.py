@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import oscigeo
-from oscigeo.cli import main, parse_vector
+from oscigeo.cli import _build_parser, main, parse_vector
 from oscigeo.scalar import PI, Scalar
 from oscigeo.metric import TangentVector
 
@@ -194,6 +194,37 @@ def test_dash_led_values_read_like_the_equals_form(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["trace", "--vector", "--s-end", "1"])
     assert exit_info.value.code == 2
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_answers_like_a_fresh_one(monkeypatch, capsys):
+    calls = [
+        ("80", ["trace", "--vector"]),
+        ("80", ["classify", "--lattice", "k=1,twist=half", "--vector", "0,0,0,1"]),
+        ("80", ["trace", "--vector", "1,0,0,0", "--s-end", "1", "--step", "0.5"]),
+        ("80", ["trace", "--help"]),
+        ("50", ["trace", "--help"]),
+    ]
+    outcomes = {}
+    for fresh in (True, False):
+        _build_parser.cache_clear()
+        for columns, argv in calls:
+            monkeypatch.setenv("COLUMNS", columns)
+            if fresh:
+                _build_parser.cache_clear()
+            outcomes.setdefault(fresh, []).append(_main_outcome(argv, capsys))
+    assert _build_parser() is _build_parser()
+    assert outcomes[False] == outcomes[True]
+    assert [code for code, _, _ in outcomes[False]] == [2, 0, 0, 0, 0]
+    assert outcomes[False][3][1] != outcomes[False][4][1]  # help follows COLUMNS
 
 
 def test_trace_unwritable_output(capsys):

@@ -1,8 +1,12 @@
 import io
 import json
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from oscigeo.groups import (
 )
 from oscigeo.metric import TangentVector
 from oscigeo.geodesics import GeodesicCurve, exp_map, exp_scaled, geodesic_eval
+from oscigeo import floats
 from oscigeo.floats import (
     MAX_SAMPLES,
     InvalidStep,
@@ -298,7 +303,7 @@ def test_rk4_one_path_kernel_matches_batch_kernel_bitwise():
     dirs[3, 0] = 1e-13  # a tiny a0
     states = initial_state(bases, dirs)
     states[2, 4] = -0.0
-    for n in (0, 1, 2, 1000):
+    for n in (0, 1, 2, 3, 1000):
         for h in (1e-3, -2.5e-3):
             batch = rk4_states(states, n, h)
             for row, expected in zip(states, batch):
@@ -413,6 +418,123 @@ def test_csv_chunks_match_the_per_element_writer():
             _csv_per_element(samples, expected, header)
             path_to_csv(samples, got, header=header)
             assert got.getvalue() == expected.getvalue()
+
+
+def _assert_csv_matches_percent(values, cols=5):
+    """path_to_csv of the values, laid out cols to a row, against "%.17g" per value."""
+    values = np.asarray(values, dtype=float).ravel()
+    samples = np.concatenate([values, np.ones(-values.size % cols)]).reshape(-1, cols)
+    expected, got = io.StringIO(), io.StringIO()
+    _csv_per_element(samples, expected, "h")
+    path_to_csv(samples, got, header="h")
+    assert got.getvalue() == expected.getvalue()
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@hypothesis.given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40), st.integers(1, 6))
+def test_csv_matches_percent_on_raw_bit_patterns(words, cols):
+    _assert_csv_matches_percent(np.array(words, dtype=np.uint64).view(np.float64), cols)
+
+
+def _powers_of_ten():
+    """The double nearest each 10**n and its two neighbours, both signs."""
+    out = []
+    for n in range(-330, 309):
+        c = float(Fraction(10) ** n)
+        out += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+    return out + [-v for v in out]
+
+
+def _dyadic_ties():
+    """(1 + odd * 2**-17) * 2**e: at e = 0 and -1 these are 18 significant
+    digits ending in 5, exact ties for 17 digits."""
+    return [math.ldexp(1 + odd * 2.0**-17, e) for e in range(-60, 61) for odd in range(1, 400, 2)]
+
+
+def _near_ties():
+    """Doubles x whose x * 10**(16 - E) lies within 2**-40 of a half integer,
+    many of them within the product bound, where 10**(16 - E) is not a
+    double: the fields that only the bound tells from a tie."""
+    out = []
+    for j in range(22, 27):  # x = m * 2**q, x * 10**-j = m * 2**(q - j) / 5**j
+        P = 5**j
+        for q in range(j, j + 64):
+            for target in ((P - 1) // 2, (P + 1) // 2):
+                m = target * pow(2, j - q, P) % P
+                if m < 2**53 and 10**16 <= (m << (q - j)) // P < 10**17:
+                    out.append(math.ldexp(m, q))
+    for k in (23, 24):  # x = m * 2**-(s + k), x * 10**k = m * 5**k / 2**s
+        for s in range(40, 60):
+            M = 2**s
+            for target in (M // 2 - 1, M // 2, M // 2 + 1):
+                m = target * pow(5, -k, M) % M
+                if 0 < m < 2**53 and 10**16 <= (m * 5**k) >> s < 10**17:
+                    out.append(math.ldexp(m, -(s + k)))
+    return out
+
+
+EDGE_CORPUS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5e-323, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-280, 1e280,
+]
+
+
+def test_csv_matches_percent_on_the_edge_corpus():
+    ties = _dyadic_ties()
+    exact_ties = [v for v in ties if Decimal(v).normalize().as_tuple().digits[17:] == (5,)]
+    assert len(exact_ties) >= 300
+    near = _near_ties()
+    assert len(near) >= 40
+    for corpus in (_powers_of_ten(), ties, near, EDGE_CORPUS):
+        _assert_csv_matches_percent(corpus)
+        _assert_csv_matches_percent(corpus, cols=1)
+
+
+def _count_fallbacks(monkeypatch):
+    """Patch in a spy on the % fallback; returns the list of batch sizes it saw."""
+    seen = []
+    percent = floats._percent_fields
+
+    def spy(values):
+        seen.append(values.size)
+        return percent(values)
+
+    monkeypatch.setattr(floats, "_percent_fields", spy)
+    return seen
+
+
+def test_csv_exponent_follows_rounding_and_notation_boundaries(monkeypatch):
+    # the doubles nearest these powers of ten lie below them, so their 17 digits
+    # carry to 10**17 and the exponent moves up by one
+    exponents = (-243, -176, -79, -70, -14)
+    carries = [float(Fraction(1, 10**-n)) for n in exponents]
+    assert all(Fraction(v) < Fraction(1, 10**-n) for v, n in zip(carries, exponents))
+    seen = _count_fallbacks(monkeypatch)
+    _assert_csv_matches_percent(carries + [-v for v in carries])
+    assert sum(seen) == 0  # the carries are decided by the bound, not by %
+    boundary = [b * f for b in (1e-5, 1e-4, 1e16, 1e17) for f in (1.0, -1.0)]
+    _assert_csv_matches_percent(boundary + [math.nextafter(v, d) for v in boundary for d in (0.0, math.inf)])
+    got = io.StringIO()
+    path_to_csv(np.array([[1e-14, 1e-4, 9.999999999999999e-05, 1e16, 1e17]]), got, header="h")
+    assert got.getvalue() == "h\n1e-14,0.0001,9.9999999999999991e-05,10000000000000000,1e+17\n"
+
+
+def test_csv_fallback_alone_gives_the_same_bytes(monkeypatch):
+    # a bound of 1 sends every nonzero field to %, and the bytes must not change
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((3 * _CHUNK_ROWS + 5, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
+    samples[0] = [5e-324, 1e-300, math.inf, math.nan, -1.0]
+    samples[1] = [0.0, -0.0, 1.0, 0.5, 1e22]
+    expected = io.StringIO()
+    _csv_per_element(samples, expected, "h")
+    pow10 = floats._POW10.copy()
+    pow10[-1] = 1.0
+    monkeypatch.setattr(floats, "_POW10", pow10)
+    seen = _count_fallbacks(monkeypatch)
+    got = io.StringIO()
+    path_to_csv(samples, got, header="h")
+    assert got.getvalue() == expected.getvalue()
+    assert sum(seen) == np.count_nonzero(samples)
 
 
 def test_json_matches_the_per_element_writer():

@@ -155,7 +155,12 @@ def cmd_trace(args) -> int:
             rk4 = floats.integrate_geodesic(base, vector, args.s_end, args.step)
         samples = rk4 if args.rk4 else closed
         if args.rk4_check:
-            diff = np.max(np.abs(closed[:, 1:5] - rk4[:, 1:5]), axis=1)
+            # for peak memory: a column at a time, with no (n, 4) temporaries, and
+            # the path that is not written freed before the (n + 1, 6) copy
+            diff = np.abs(closed[:, 1] - rk4[:, 1])
+            for k in (2, 3, 4):
+                np.maximum(diff, np.abs(closed[:, k] - rk4[:, k]), out=diff)
+            del closed, rk4
             samples = np.column_stack([samples, diff])
             header = "s,t,x,y,z,diff"
 

@@ -37,7 +37,7 @@ _A0_FLOAT_CUTOFF = 1e-12
 # in memory at once, so a larger request is refused instead of attempted
 MAX_SAMPLES = 10**7
 
-# rows per block of the scalar RK4 kernel and per CSV write
+# rows per CSV write
 _CHUNK_ROWS = 512
 
 
@@ -342,98 +342,95 @@ def project_geodesic(
 # RK4 oracle for the coordinate second-order system
 # ---------------------------------------------------------------------------
 
-def _deriv(state: np.ndarray) -> np.ndarray:
-    # state columns: t, x, y, z, t', x', y', z'
-    d = np.empty_like(state)
-    d[..., 0:4] = state[..., 4:8]
-    d[..., 4] = 0.0
-    d[..., 5] = -state[..., 4] * state[..., 6]
-    d[..., 6] = state[..., 4] * state[..., 5]
-    d[..., 7] = 0.5 * state[..., 4] * (
-        state[..., 1] * state[..., 5] + state[..., 2] * state[..., 6]
-    )
-    return d
+# One kernel for a path and a batch, split by data dependence.  t'' = 0, so
+# t' and every term built from t' alone are constants; a block builds them
+# from the t' it starts with.  (Step 1 can turn a t' of -0.0 into 0.0, but
+# the terms of -0.0 differ only in the signs of zero products that no state
+# keeps; a test checks every pattern of signed zeros.)  The (x', y') update
+# reads nothing but x', y' and those constants: the one recurrence that runs
+# step by step, on floats for a path or on arrays for a batch.  The rest is
+# vectorized over the block's steps: stage values from the velocity sequence,
+# and x, y, then z', then z and t as a start value plus increments known by
+# then, summed by np.add.accumulate strictly in order, fl(fl(start + inc_0) +
+# inc_1) ..., not pairwise as np.sum; so every path has the classical bits.
+
+# steps x paths per block: about 1 MB of working arrays, with the fixed cost of
+# a block's ~40 numpy calls a few percent of the cost of its steps
+_RK4_BLOCK = 4096
 
 
-def _rk4_path(state, n_steps: int, h: float):
-    """Blocks of up to _CHUNK_ROWS states (8-tuples of floats) after steps 1..n_steps.
+def _accumulate(column: np.ndarray, increments) -> np.ndarray:
+    """column[i + 1] = column[i] + increments[i] in step order, in place; returns column[:-1]."""
+    column[1:] = increments
+    np.add.accumulate(column, axis=0, out=column)
+    return column[:-1]
 
-    One path in plain Python floats.  Each expression is the one that
-    ``_deriv`` and the ``k1 + 2*k2 + 2*k3 + k4`` update evaluate per column,
-    in the same order, so IEEE doubles give the numpy kernel's bits.  t'' = 0
-    still goes through ``+ c * 0.0``, which fixes the sign of a zero t'.
-    The stage values of t and z are left out: ``_deriv`` never reads them.
-    t' changes only in the first step (-0.0 + 0.0 gives 0.0), so the terms
-    built from t' alone are computed in the first two steps and then kept.
-    """
-    t, x, y, z, vt, vx, vy, vz = state
+
+def _rk4_block(block: np.ndarray, h: float) -> None:
+    """Fill rows 1..m of a (m + 1, ..., 8) block with RK4 steps from its row 0, the terms
+    of t' held; each stage is the expression of k1 + 2 k2 + 2 k3 + k4 per column, in order."""
+    start = block[0]
+    vt, vx, vy = (start[..., k].item() if start.ndim == 1 else start[..., k] for k in (4, 5, 6))
     h2, h6 = h / 2, h / 6
-    block = []
-    for i in range(n_steps):
-        if i < 2:
-            vt2, vt4 = vt + h2 * 0.0, vt + h * 0.0
-            nvt, hvt, nvt2, hvt2, nvt4, hvt4 = -vt, 0.5 * vt, -vt2, 0.5 * vt2, -vt4, 0.5 * vt4
-            dt = h6 * (vt + 2 * vt2 + 2 * vt2 + vt4)
-            vt_next = vt + h6 * (0.0 + 2 * 0.0 + 2 * 0.0 + 0.0)
-        a5, a6, a7 = nvt * vy, vt * vx, hvt * (x * vx + y * vy)
-        x2, y2 = x + h2 * vx, y + h2 * vy
-        vx2, vy2, vz2 = vx + h2 * a5, vy + h2 * a6, vz + h2 * a7
-        b5, b6, b7 = nvt2 * vy2, vt2 * vx2, hvt2 * (x2 * vx2 + y2 * vy2)
-        x3, y3 = x + h2 * vx2, y + h2 * vy2
-        vx3, vy3, vz3 = vx + h2 * b5, vy + h2 * b6, vz + h2 * b7
-        c5, c6, c7 = nvt2 * vy3, vt2 * vx3, hvt2 * (x3 * vx3 + y3 * vy3)
-        x4, y4 = x + h * vx3, y + h * vy3
-        vx4, vy4, vz4 = vx + h * c5, vy + h * c6, vz + h * c7
-        d5, d6, d7 = nvt4 * vy4, vt4 * vx4, hvt4 * (x4 * vx4 + y4 * vy4)
-        t, x, y, z = (
-            t + dt,
-            x + h6 * (vx + 2 * vx2 + 2 * vx3 + vx4),
-            y + h6 * (vy + 2 * vy2 + 2 * vy3 + vy4),
-            z + h6 * (vz + 2 * vz2 + 2 * vz3 + vz4),
-        )
-        vt, vx, vy, vz = (
-            vt_next,
-            vx + h6 * (a5 + 2 * b5 + 2 * c5 + d5),
-            vy + h6 * (a6 + 2 * b6 + 2 * c6 + d6),
-            vz + h6 * (a7 + 2 * b7 + 2 * c7 + d7),
-        )
-        block.append((t, x, y, z, vt, vx, vy, vz))
-        if len(block) == _CHUNK_ROWS:
-            yield block
-            block = []
-    if block:
-        yield block
+    vt2, vt4 = vt + h2 * 0.0, vt + h * 0.0
+    nvt, nvt2, nvt4 = -vt, -vt2, -vt4
+    xs, ys = [vx], [vy]
+    for _ in range(len(block) - 1):
+        a5, a6 = nvt * vy, vt * vx
+        vx2, vy2 = vx + h2 * a5, vy + h2 * a6
+        b5, b6 = nvt2 * vy2, vt2 * vx2
+        vx3, vy3 = vx + h2 * b5, vy + h2 * b6
+        c5, c6 = nvt2 * vy3, vt2 * vx3
+        vx4, vy4 = vx + h * c5, vy + h * c6
+        vx = vx + h6 * (a5 + 2 * b5 + 2 * c5 + nvt4 * vy4)
+        vy = vy + h6 * (a6 + 2 * b6 + 2 * c6 + vt4 * vx4)
+        xs.append(vx)
+        ys.append(vy)
+    block[..., 5], block[..., 6] = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    vx, vy = block[:-1, ..., 5], block[:-1, ..., 6]
+    a5, a6 = nvt * vy, vt * vx
+    vx2, vy2 = vx + h2 * a5, vy + h2 * a6
+    b5, b6 = nvt2 * vy2, vt2 * vx2
+    vx3, vy3 = vx + h2 * b5, vy + h2 * b6
+    c5, c6 = nvt2 * vy3, vt2 * vx3
+    vx4, vy4 = vx + h * c5, vy + h * c6
+    x = _accumulate(block[..., 1], h6 * (vx + 2 * vx2 + 2 * vx3 + vx4))
+    y = _accumulate(block[..., 2], h6 * (vy + 2 * vy2 + 2 * vy3 + vy4))
+    a7 = 0.5 * vt * (x * vx + y * vy)
+    x2, y2 = x + h2 * vx, y + h2 * vy
+    b7 = 0.5 * vt2 * (x2 * vx2 + y2 * vy2)
+    x3, y3 = x + h2 * vx2, y + h2 * vy2
+    c7 = 0.5 * vt2 * (x3 * vx3 + y3 * vy3)
+    x4, y4 = x + h * vx3, y + h * vy3
+    d7 = 0.5 * vt4 * (x4 * vx4 + y4 * vy4)
+    vz = _accumulate(block[..., 7], h6 * (a7 + 2 * b7 + 2 * c7 + d7))
+    _accumulate(block[..., 3], h6 * (vz + 2 * (vz + h2 * a7) + 2 * (vz + h2 * b7) + (vz + h * c7)))
+    _accumulate(block[..., 0], h6 * (vt + 2 * vt2 + 2 * vt2 + vt4))
+    block[1:, ..., 4] = vt + h6 * 0.0
+
+
+def _rk4_spans(state: np.ndarray, n_steps: int) -> list[tuple[int, int]]:
+    """(i, m) per block of steps i + 1..i + m from the state: m * paths <= _RK4_BLOCK, or m = 1."""
+    size = max(1, _RK4_BLOCK // max(1, state.size // 8))
+    return [(i, min(size, n_steps - i)) for i in range(0, n_steps, size)]
 
 
 def rk4_states(state0: np.ndarray, n_steps: int, h: float, observer=None) -> np.ndarray:
-    """Advance the first-order system n_steps of size h; returns final state.
+    """Advance one state (8,) or a batch (..., 8) n_steps of size h; returns the final state.
 
-    ``observer(i, state)`` is called after each step with the step index
-    (1-based) and the current state; it lets callers accumulate running
-    comparisons without storing the whole trajectory.
-
-    One path, a state of shape (8,), runs the scalar kernel ``_rk4_path``;
-    a batch (..., 8) runs the numpy kernel over every row at once.  The two
-    give the same bits on the same path.
+    ``observer(i, state)``, if given, sees the state after each step i = 1..n_steps,
+    each time a fresh array that the kernel does not touch again, so that callers
+    compare as they go.  A path gets the same bits alone and in any batch.
     """
     state = np.array(state0, dtype=float)
-    if state.ndim == 1:
-        i = 0
-        for block in _rk4_path(state.tolist(), n_steps, float(h)):
-            state = np.array(block[-1])
-            if observer is not None:
-                for row in block:
-                    i += 1
-                    observer(i, np.array(row))
-        return state
-    for i in range(1, n_steps + 1):
-        k1 = _deriv(state)
-        k2 = _deriv(state + (h / 2) * k1)
-        k3 = _deriv(state + (h / 2) * k2)
-        k4 = _deriv(state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i, m in _rk4_spans(state, n_steps):
+        block = np.empty((m + 1,) + state.shape)
+        block[0] = state
+        _rk4_block(block, float(h))
+        state = block[-1].copy()
         if observer is not None:
-            observer(i, state)
+            for j in range(1, m + 1):
+                observer(i + j, block[j])
     return state
 
 
@@ -449,15 +446,13 @@ def initial_state(h, X) -> np.ndarray:
 
 
 def integrate_states(h, X, s_end: float, step: float) -> np.ndarray:
-    """States (s, t, x, y, z, t', x', y', z') of the RK4 path at s = i * step, i = 0..n."""
-    n = _step_count(s_end, step)
-    rows = np.empty((n + 1, 9))
-    rows[:, 0] = np.arange(n + 1) * step
+    """States (s, t, x, y, z, t', x', y', z') of the RK4 path at s = i * step, i = 0..n,
+    filled in place a block at a time by the kernel of ``rk4_states``."""
+    rows = np.empty((_step_count(s_end, step) + 1, 9))
+    rows[:, 0] = np.arange(len(rows)) * step
     rows[0, 1:] = initial_state(h, X)
-    i = 1
-    for block in _rk4_path(rows[0, 1:].tolist(), n, float(step)):
-        rows[i:i + len(block), 1:] = block
-        i += len(block)
+    for i, m in _rk4_spans(rows[0, 1:], len(rows) - 1):
+        _rk4_block(rows[i:i + m + 1, 1:], float(step))
     return rows
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -27,6 +29,7 @@ from oscigeo.floats import (
     MAX_SAMPLES,
     InvalidStep,
     _CHUNK_ROWS,
+    _RK4_BLOCK,
     _step_count,
     chi_f,
     closed_form_batch,
@@ -315,7 +318,7 @@ def test_rk4_one_path_kernel_matches_batch_kernel_bitwise():
 def test_rk4_one_path_observer_and_rows_match_a_batch_of_one():
     base, a = np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4])
     state = initial_state(base, a)
-    n, h = 2 * _CHUNK_ROWS + 1, 1e-3
+    n, h = 2 * _RK4_BLOCK + 1, 1e-3
     seen_path, seen_batch = [], []
     rk4_states(state, n, h, lambda i, st: seen_path.append((i, st.copy())))
     rk4_states(state[None, :], n, h, lambda i, st: seen_batch.append((i, st[0].copy())))
@@ -324,6 +327,169 @@ def test_rk4_one_path_observer_and_rows_match_a_batch_of_one():
     rows = integrate_states(base, a, n * h, h)
     assert np.array_equal(rows[0, 1:], state)
     assert np.array_equal(rows[1:, 1:], np.array([st for _, st in seen_batch]))
+
+
+def _deriv_reference(state):
+    # the numpy right-hand side of the batch kernel that rk4_states replaced
+    d = np.empty_like(state)
+    d[..., 0:4] = state[..., 4:8]
+    d[..., 4] = 0.0
+    d[..., 5] = -state[..., 4] * state[..., 6]
+    d[..., 6] = state[..., 4] * state[..., 5]
+    d[..., 7] = 0.5 * state[..., 4] * (state[..., 1] * state[..., 5] + state[..., 2] * state[..., 6])
+    return d
+
+
+def _rk4_batch_reference(state, n_steps, h):
+    # the numpy step loop that rk4_states replaced: every state after steps 0..n_steps
+    states = [np.array(state, dtype=float)]
+    for _ in range(n_steps):
+        state = states[-1]
+        k1 = _deriv_reference(state)
+        k2 = _deriv_reference(state + (h / 2) * k1)
+        k3 = _deriv_reference(state + (h / 2) * k2)
+        k4 = _deriv_reference(state + h * k3)
+        states.append(state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(states)
+
+
+def _rk4_path_reference(state, n_steps, h):
+    # the scalar one-path kernel that rk4_states replaced: every state after steps 0..n_steps
+    t, x, y, z, vt, vx, vy, vz = np.asarray(state, dtype=float).tolist()
+    h2, h6 = h / 2, h / 6
+    rows = [(t, x, y, z, vt, vx, vy, vz)]
+    for i in range(n_steps):
+        if i < 2:
+            vt2, vt4 = vt + h2 * 0.0, vt + h * 0.0
+            nvt, hvt, nvt2, hvt2, nvt4, hvt4 = -vt, 0.5 * vt, -vt2, 0.5 * vt2, -vt4, 0.5 * vt4
+            dt = h6 * (vt + 2 * vt2 + 2 * vt2 + vt4)
+            vt_next = vt + h6 * (0.0 + 2 * 0.0 + 2 * 0.0 + 0.0)
+        a5, a6, a7 = nvt * vy, vt * vx, hvt * (x * vx + y * vy)
+        x2, y2 = x + h2 * vx, y + h2 * vy
+        vx2, vy2, vz2 = vx + h2 * a5, vy + h2 * a6, vz + h2 * a7
+        b5, b6, b7 = nvt2 * vy2, vt2 * vx2, hvt2 * (x2 * vx2 + y2 * vy2)
+        x3, y3 = x + h2 * vx2, y + h2 * vy2
+        vx3, vy3, vz3 = vx + h2 * b5, vy + h2 * b6, vz + h2 * b7
+        c5, c6, c7 = nvt2 * vy3, vt2 * vx3, hvt2 * (x3 * vx3 + y3 * vy3)
+        x4, y4 = x + h * vx3, y + h * vy3
+        vx4, vy4, vz4 = vx + h * c5, vy + h * c6, vz + h * c7
+        d5, d6, d7 = nvt4 * vy4, vt4 * vx4, hvt4 * (x4 * vx4 + y4 * vy4)
+        t, x, y, z = (
+            t + dt,
+            x + h6 * (vx + 2 * vx2 + 2 * vx3 + vx4),
+            y + h6 * (vy + 2 * vy2 + 2 * vy3 + vy4),
+            z + h6 * (vz + 2 * vz2 + 2 * vz3 + vz4),
+        )
+        vt, vx, vy, vz = (
+            vt_next,
+            vx + h6 * (a5 + 2 * b5 + 2 * c5 + d5),
+            vy + h6 * (a6 + 2 * b6 + 2 * c6 + d6),
+            vz + h6 * (a7 + 2 * b7 + 2 * c7 + d7),
+        )
+        rows.append((t, x, y, z, vt, vx, vy, vz))
+    return np.array(rows)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _edge_states(rng, shape):
+    """Raw states (*shape, 8) whose t' cycles through +0.0, -0.0, 1e-13 and a
+    random value, with line directions (t' zero, x', y' not) among them and
+    signed zeros in the other velocities, which only a bit-exact step 1 keeps."""
+    states = rng.uniform(-2, 2, shape + (8,))
+    flat = states.reshape(-1, 8)
+    for k, row in enumerate(flat):
+        row[4] = (0.0, -0.0, 1e-13, row[4])[k % 4]
+        if k % 3 == 1:
+            row[5 + k % 2] = -0.0
+        if k % 5 == 2:
+            row[7] = -0.0
+    return states
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+def test_rk4_states_matches_the_kernels_it_replaced_bitwise(shape):
+    rng = np.random.default_rng(len(shape) * 10 + sum(shape))
+    paths = int(np.prod(shape))
+    states = [_edge_states(rng, shape) for _ in range(4 if shape == () else 1)]
+    block = _RK4_BLOCK // paths
+    steps = (0, 1, 2, 3, block - 1, block, block + 1, 2 * block + 1)
+    if shape == ():
+        # the two old kernels agree, so the cheaper one is the oracle of one path
+        assert _same_bits(_rk4_path_reference(states[1], 5, 1e-3), _rk4_batch_reference(states[1], 5, 1e-3))
+    reference = _rk4_path_reference if shape == () else _rk4_batch_reference
+    for state in states:
+        for h in (1e-3, -2.5e-3):
+            want = reference(state, steps[-1], h)
+            for n in steps:
+                assert _same_bits(rk4_states(state, n, h), want[n]), (n, h)
+            seen = []
+            rk4_states(state, steps[-1], h, lambda i, st: seen.append((i, st.copy())))
+            assert [i for i, _ in seen] == list(range(1, steps[-1] + 1))
+            assert _same_bits(np.array([st for _, st in seen]), want[1:])
+
+
+def test_rk4_states_matches_the_path_kernel_on_every_pattern_of_signed_zeros():
+    # step 1 turns a t' of -0.0 into 0.0 when h > 0, and the kernel keeps the
+    # terms of the t' a block starts with; positions -h/2 and -h put a stage
+    # position at an exact zero
+    n = 3
+    for h in (1e-3, -1e-3, 2.0):
+        xs, vs = (0.0, -0.0, 1.0, -0.5, -h / 2, -h), (0.0, -0.0, 1.0, -0.5)
+        grid = np.array(list(itertools.product(
+            (0.0,), xs, xs, (0.0, -0.0, 1.0), (0.0, -0.0), vs, vs, (0.0, -0.0, 1.0, -1.0)
+        )))
+        for part in np.array_split(grid, 16):
+            assert _RK4_BLOCK // len(part) >= n  # one block of n steps
+            want = np.array([_rk4_path_reference(state, n, h)[n] for state in part])
+            assert _same_bits(rk4_states(part, n, h), want), h
+
+
+def test_integrate_states_matches_the_path_kernel_it_replaced_bitwise():
+    rng = np.random.default_rng(11)
+    for base, a in ((rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)), (np.zeros(4), [0.0, 1.5, -0.5, 0.25])):
+        for n in (0, 1, _RK4_BLOCK, 2 * _RK4_BLOCK + 1):
+            rows = integrate_states(base, a, n * 1e-3, 1e-3)
+            assert _same_bits(rows[:, 1:], _rk4_path_reference(initial_state(base, a), n, 1e-3))
+
+
+def test_rk4_observer_may_keep_its_states_without_copying():
+    rng = np.random.default_rng(12)
+    for state in (_edge_states(rng, ()), _edge_states(rng, (3,))):
+        n, h = 2 * (_RK4_BLOCK // (state.size // 8)) + 1, 1e-3
+        kept = []
+        final = rk4_states(state, n, h, lambda i, st: kept.append(st))
+        want = _rk4_batch_reference(state, n, h)
+        assert len(kept) == n and _same_bits(np.array(kept), want[1:])
+        assert _same_bits(final, want[-1])
+
+
+# sha256 of rk4_states(state, n, 1e-3) as little-endian doubles, computed with
+# the kernels before the one-kernel rewrite; raw states, so that only IEEE + and
+# * enter and the hashes hold on any conforming platform
+RK4_PATH = np.array([0.25, -1.5, 0.75, 2.0, 1.3, 0.7, -0.2, 0.4])
+RK4_BATCH = np.array([
+    [0.0, 0.5, -0.25, 1.0, -0.0, -0.0, 1.25, 0.5],
+    [1.0, 2.0, -1.0, 0.5, 1e-13, 0.3, -0.0, -0.6],
+    [-0.5, 0.0, 0.0, 0.0, -2.0, 1.5, 0.25, 0.0],
+])
+RK4_HASHES = {
+    ("path", 1): "aec1308cb9e1f182ce1a4ab847b22827c70eeb64a4dec9e0197e448e8122e6da",
+    ("path", 1000): "aa3b63bcd8e6f7de7452efb7b6a9e2c24b4825c3720f9ff20c13a66a056bdd45",
+    ("path", 5000): "298123c3ccb9bde3f074ceebfed2af0a80e44e11bbf4a6ab67eac54a25be2c15",
+    ("batch", 1): "84cb16214faa079a337b6708c836f4cc73a70464e216d9057d813f30869044a6",
+    ("batch", 1000): "b5bae482387359ae6aebcc438266bc4eb46e9a142be55a4f4f3b81b7371cab32",
+    ("batch", 5000): "3a73c0cec4b7877becbfe5e012ee0c1f16fa95548d1d45dd8d2aa8d5067fbd82",
+}
+
+
+def test_rk4_bits_are_pinned():
+    for (name, n), digest in RK4_HASHES.items():
+        state = RK4_PATH if name == "path" else RK4_BATCH
+        final = rk4_states(state, n, 1e-3).astype("<f8")
+        assert hashlib.sha256(final.tobytes()).hexdigest() == digest, (name, n)
 
 
 def test_speed_conservation():

@@ -37,8 +37,7 @@ _EXPORTS = {
         "isotropy_matrix",
     ),
     "quotients": (
-        "PeriodUnverified", "PeriodicityVerdict", "VerdictKind", "classify_geodesic",
-        "minimal_period",
+        "PeriodicityVerdict", "VerdictKind", "classify_geodesic", "minimal_period",
     ),
     "floats": ("InvalidStep", "integrate_geodesic", "is_isometry_numeric", "project_geodesic"),
 }

@@ -485,10 +485,16 @@ _E_MAX = 283  # tables cover |E| <= _E_MAX: the band's E and a log10 estimate on
 # t = fl(e + fl(|x| * lo)).  The three roundings in that are each at most
 # 2**-106 * X (table and |x| * lo) and 2**-105 * X (the sum), so
 # |p + t - X| <= 2**-104 * X < 2**-47 for the X < 10**17 + 1 that is kept.
-# A field whose fraction lies within _PRODUCT_ERR = 2**-46 of 1/2, or
-# whose floor could lie on the other side of 10**16 or 10**17, goes to
+# A field whose fraction lies within _PRODUCT_ERR = 2**-46 of 1/2 goes to
 # Python's own %.17g instead; so every byte is either proven or comes from
-# %.  Where 10**k is a double (0 <= k <= 22) lo = 0, the product is exact,
+# %.  A floor that could lie on the other side of 10**16 or 10**17 needs
+# no fallback, as the error stays below 2**-47: an X that close to 10**16
+# prints 10**16 at E on either side, since below it the exponent is E - 1
+# and the digits 10 X > 10**17 - 1/2 round up and carry to 10**16 at E;
+# an X that close to 10**17 prints 10**16 at E + 1 on either side, since
+# below it the digits round up to 10**17 and carry, and above it the
+# exponent is E + 1 and the digits X / 10 round down to 10**16.
+# Where 10**k is a double (0 <= k <= 22) lo = 0, the product is exact,
 # its bound is 0 and an exact tie rounds half-even as dtoa does.
 _PRODUCT_ERR = 2.0**-46
 _SPLITTER = 2.0**27 + 1
@@ -610,12 +616,7 @@ def _format_fields(x: np.ndarray, seps: np.ndarray) -> bytes:
     if off.size:
         E[off] += high[off].astype(np.int64) - low[off]
         F[off], frac[off], err[off] = _scaled(a[off], E[off])
-    plain = fast & ~(
-        (F < 10**16) | (F >= 10**17)
-        | (np.abs(frac - 0.5) < err)
-        | ((F == 10**16) & (frac < err))
-        | ((F == 10**17 - 1) & (1.0 - frac < err))
-    )
+    plain = fast & ~((F < 10**16) | (F >= 10**17) | (np.abs(frac - 0.5) < err))
     fallback = ~plain & (x != 0.0)
     D = F + ((frac > 0.5) | ((frac == 0.5) & (F & 1 == 1)))
     # a carry to 10**17 is the next exponent; it also moves the notation at 1e-4 and 1e17
@@ -656,10 +657,9 @@ def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z")
     a double-double with a proven error bound (_PRODUCT_ERR), rounded half
     to even, and fixed or exponent notation, the sign and the stripped
     trailing zeros follow %g; zeros are written directly.  A field the
-    bound cannot decide (its fraction within the bound of 1/2, or its floor
-    next to 10**16 or 10**17), one outside _FAST_BAND, and inf and nan are
-    formatted by Python's own ``%`` instead, so the output is the same as a
-    per-value ``%`` writer's.
+    bound cannot decide (its fraction within the bound of 1/2), one outside
+    _FAST_BAND, and inf and nan are formatted by Python's own ``%``
+    instead, so the output is the same as a per-value ``%`` writer's.
     """
     samples = np.asarray(samples, dtype=float)
     stream.write(header + "\n")

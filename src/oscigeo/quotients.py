@@ -36,6 +36,15 @@ and the minimal period is the minimum over residues.  B is read as a
 rational only where sin != 0; where sin = 0 it is 0 even when p^2 + q^2
 is irrational.  Scanning T values can never prove non-closedness; this
 rationality test can.
+
+``minimal_period`` proves a verdict from exact group elements, not from
+A and B.  With u = t_step/|a0|, c = exp(cycle u X) is a full turn
+(+-cycle t_step, 0, 0, z_c), central in G, so on the class m = r + cycle j
+exp(m u X) = exp(r u X) c^j keeps v = v_r and has z = z_r + j z_c: it
+lies in the lattice iff v_r is integral and 2k (z_r + j z_c) is an
+integer, one linear congruence in j.  An irrational z_c leaves a rational
+intercept z_r - (r/cycle) z_c, and z is then irrational for every j.  A
+line's T is minimal iff its multiples of the _period_units have gcd 1.
 """
 
 from __future__ import annotations
@@ -170,86 +179,71 @@ def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, Per
     return causal, _classify_rotating(L, X, norm_sq)
 
 
-class PeriodUnverified(ArithmeticError):
-    """A periodic verdict whose minimality proof needs a witness factored
-    beyond the trial-division limit."""
+def _prove_line(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -> None:
+    """a0 = 0: T is n_i units with gcd(n_i) = 1, or two units have an irrational ratio."""
+    units = _period_units(L, X)
+    if verdict.kind is VerdictKind.NON_CLOSED:
+        if all((unit / units[0]).is_rational() for unit in units[1:]):
+            raise AssertionError("non-closed line verdict, but every ratio of its units is rational")
+        return
+    T = verdict.minimal_T
+    if verdict.kind is not VerdictKind.PERIODIC or not lattice_contains(L, exp_scaled(X, T)):
+        raise AssertionError(f"verdict {verdict} fails exact lattice membership")
+    n = 0
+    for unit in units:
+        ratio = T / unit
+        if not (ratio.is_integer() and ratio.sign() > 0):
+            raise AssertionError(f"verdict T = {T} is not a positive multiple of the unit {unit}")
+        n = math.gcd(n, ratio.rational_value().numerator)
+    if n != 1:
+        raise AssertionError(f"smaller admissible period {T / n} exists")
 
 
-# trial divisors run up to this bound, so a cofactor left below its square is prime
-_TRIAL_LIMIT = 10**6
-# odd trial divisors per block: the cofactor is reduced once by the block's
-# product, and only a block sharing a factor with it is divided divisor by divisor
-_BLOCK = 64
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division up to _TRIAL_LIMIT."""
-    primes = [2] if n % 2 == 0 else []
-    rest = n >> (n & -n).bit_length() - 1  # the odd part of n
-    root = math.isqrt(rest)
-    start = 3
-    while start <= root:
-        divisors = range(start, min(start + 2 * _BLOCK, root + 1), 2)
-        product = math.prod(divisors)
-        residue = rest % product
-        # a coprime block holds no factor; the block crossing the limit is scanned
-        # so that the search stops there rather than at the smallest prime factor
-        if divisors[-1] <= _TRIAL_LIMIT and math.gcd(residue, product) == 1:
-            start += 2 * _BLOCK
+def _prove_rotating(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -> None:
+    """a0 != 0: the least closing m over the residue classes, from exp(r u X) for r = 1..cycle."""
+    u = L.t_step / abs(X.a0)
+    cycle = 4 // L.t_step_quarters
+    c = exp_scaled(X, u * cycle)
+    if not (c.x.is_zero() and c.y.is_zero()):
+        raise AssertionError(f"exp({cycle} u X) = {c} is not a central full turn")
+    zc, two_k = c.z, 2 * L.k
+    best: int | None = None
+    for r in range(1, cycle + 1):
+        e = c if r == cycle else exp_scaled(X, u * r)
+        if not (e.x.is_integer() and e.y.is_integer()):
             continue
-        for d in divisors:
-            if d > root:
-                break
-            if d > _TRIAL_LIMIT:
-                raise PeriodUnverified(
-                    f"cannot prove the period minimal: the {n.bit_length()}-bit witness leaves a "
-                    f"cofactor with no prime factor up to _TRIAL_LIMIT = {_TRIAL_LIMIT}"
-                )
-            if residue % d == 0:
-                primes.append(d)
-                while rest % d == 0:
-                    rest //= d
-                root = math.isqrt(rest)
-                residue = rest % product
-        start += 2 * _BLOCK
-    if rest > 1:
-        primes.append(rest)
-    return primes
+        if not zc.is_rational():
+            if not (e.z * cycle - zc * r).is_rational():
+                raise AssertionError(f"irrational intercept in the residue class {r} mod {cycle}")
+            continue
+        if not e.z.is_rational():
+            continue
+        # 2k (z_r + j z_c) = A m - B for m = r + cycle j
+        A = two_k * zc.rational_value() / cycle
+        B = A * r - two_k * e.z.rational_value()
+        m = _solve_rational(A.numerator, A.denominator, B.numerator, B.denominator, r, cycle)
+        if m is not None and (best is None or m < best):
+            best = m
+    if best is None:
+        proved = PeriodicityVerdict(VerdictKind.NON_CLOSED)
+    else:
+        proved = PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=u * best, witness_m=best)
+    if verdict != proved:
+        raise AssertionError(f"verdict {verdict}, but the residue classes prove {proved}")
 
 
 def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Scalar | None:
     """The minimal period, or None when the geodesic never closes.
 
-    With verify=True a Periodic verdict is proved exactly.  exp(T X) must
-    lie in the lattice.  Since s -> exp(sX) is a homomorphism, the periods
-    form a group T0 Z and T = c T0 for an integer c.  Every period is an
-    integer multiple of each of the _period_units (t_step/|a0| when
-    a0 != 0, step/|a_i| per nonzero component of a line), so c divides
-    n = gcd of the T/unit, and T is minimal iff exp((T/p) X) is not in the
-    lattice for each prime p | n.  That costs omega(n) + 1 calls of
-    geodesics.exp_scaled, which evaluates exp(sX) at s = T and T/p without
-    forming sX; omega counts the distinct prime factors (n is the witness
-    m when a0 != 0).  The calls share X.turn_constants, which the
-    first of them computes.
-    A wrong verdict raises AssertionError; a witness with a cofactor of
-    _TRIAL_LIMIT**2 or more and no prime factor up to _TRIAL_LIMIT raises
-    PeriodUnverified.
+    With verify=True every verdict is proved exactly, a non-closed one
+    included, as the module docstring sets out: for a0 != 0 from the
+    cycle <= 4 evaluations exp_scaled(X, r u), r = 1..cycle, which share
+    X.turn_constants, whatever the size of the witness; for a line from
+    exp(T X) and the _period_units.  A wrong verdict raises AssertionError.
     """
     causal, verdict = classify_geodesic(L, X)
-    if verdict.kind is not VerdictKind.PERIODIC:
-        return None
-    T = verdict.minimal_T
-    if not verify:
-        return T
-    if not lattice_contains(L, exp_scaled(X, T)):
-        raise AssertionError(f"verdict T = {T} fails exact lattice membership")
-    n = 0
-    for unit in _period_units(L, X):
-        ratio = T / unit
-        if not (ratio.is_integer() and ratio.sign() > 0):
-            raise AssertionError(f"verdict T = {T} is not a positive multiple of the unit {unit}")
-        n = math.gcd(n, ratio.rational_value().numerator)
-    for p in _prime_factors(n):
-        if lattice_contains(L, exp_scaled(X, T / p)):
-            raise AssertionError(f"smaller admissible period {T / p} exists")
-    return T
+    if verify and X.is_zero() != (verdict.kind is VerdictKind.STATIONARY_POINT):
+        raise AssertionError(f"verdict {verdict} for the direction {X}")
+    if verify and not X.is_zero():
+        (_prove_line if X.a0.is_zero() else _prove_rotating)(L, X, verdict)
+    return verdict.minimal_T if verdict.kind is VerdictKind.PERIODIC else None

@@ -456,6 +456,11 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                 verdict.kind is VerdictKind.NON_CLOSED,
                 "spacelike/timelike rational directions never close",
             )
+            try:
+                proved, detail = minimal_period(L, X) is None, ""
+            except AssertionError as exc:
+                proved, detail = False, f": {exc}"
+            res.check(proved, f"non-closed verdict proved by its residue classes{detail}")
 
     # lattice chain: periods on coarser-to-finer families divide each other
     for k in (1, 2):

@@ -683,6 +683,12 @@ def test_csv_exponent_follows_rounding_and_notation_boundaries(monkeypatch):
     got = io.StringIO()
     path_to_csv(np.array([[1e-14, 1e-4, 9.999999999999999e-05, 1e16, 1e17]]), got, header="h")
     assert got.getvalue() == "h\n1e-14,0.0001,9.9999999999999991e-05,10000000000000000,1e+17\n"
+    # a floor next to 10**16 or 10**17 prints the same power of ten on either
+    # side, so these exact doubles are decided by the bound, not by %
+    seen.clear()
+    powers = [sign * 10.0**n for n in (17, 18, 19, 21, 22) for sign in (1.0, -1.0)]
+    _assert_csv_matches_percent(powers)
+    assert sum(seen) == 0
 
 
 def test_csv_fallback_alone_gives_the_same_bytes(monkeypatch):

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -22,7 +22,6 @@ from oscigeo.floats import InvalidStep, project_geodesic
 from oscigeo.cli import parse_vector
 from oscigeo import quotients
 from oscigeo.quotients import (
-    PeriodUnverified,
     PeriodicityVerdict,
     VerdictKind,
     classify_geodesic,
@@ -277,26 +276,97 @@ def test_minimal_period_agrees_with_the_scan_oracle():
 
 def test_minimal_period_rejects_a_doubled_verdict(monkeypatch):
     classify = quotients.classify_geodesic
+    tamper = {}
 
-    def doubled(L, X):
+    def tampered(L, X):
         causal, v = classify(L, X)
-        m = None if v.witness_m is None else 2 * v.witness_m
-        return causal, PeriodicityVerdict(v.kind, v.minimal_T * 2, m)
+        return causal, tamper["verdict"](L, X, v)
 
-    monkeypatch.setattr(quotients, "classify_geodesic", doubled)
+    def doubled(L, X, v):
+        m = None if v.witness_m is None else 2 * v.witness_m
+        return PeriodicityVerdict(v.kind, v.minimal_T * 2, m)
+
+    def halved(L, X, v):
+        return PeriodicityVerdict(v.kind, v.minimal_T / 2, v.witness_m)
+
+    def witness(shift):
+        # m + shift stays in the residue class of m; T follows the claimed m
+        def claim(L, X, v):
+            m = v.witness_m + shift
+            return PeriodicityVerdict(v.kind, L.t_step * m / abs(X.a0), m)
+        return claim
+
+    def non_closed(L, X, v):
+        return PeriodicityVerdict(VerdictKind.NON_CLOSED)
+
+    def periodic(L, X, v):
+        # one period unit: the first return of t, or T = 1 for a line
+        if X.a0.is_zero():
+            return PeriodicityVerdict(VerdictKind.PERIODIC, Scalar(1))
+        return PeriodicityVerdict(VerdictKind.PERIODIC, L.t_step / abs(X.a0), 1)
+
+    def stationary(L, X, v):
+        return PeriodicityVerdict(VerdictKind.STATIONARY_POINT)
+
+    # the quarter-twist witness m = 5 sits in the class 1 mod 4
+    quarter = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(5*pi)")
+    assert classify(L1Q, quarter)[1].witness_m == 5
+    m300 = parse_vector("a0=2,a1=-6/5,a2=9/5,a3=-117/100 + 1/(1200*pi)")
     cases = [
-        (L1H, TangentVector.of(1, Fraction(1, 3), 0, Fraction(-1, 18))),
-        (L10, TangentVector.of(0, 0, 0, 1)),
-        (L10, TangentVector.of(0, Fraction(1, 2), 0, Fraction(1, 3))),
+        (L1H, TangentVector.of(1, Fraction(1, 3), 0, Fraction(-1, 18)), doubled),
+        (L10, TangentVector.of(0, 0, 0, 1), doubled),
+        (L10, TangentVector.of(0, Fraction(1, 2), 0, Fraction(1, 3)), doubled),
+        (L10, TangentVector.of(0, Fraction(1, 2), 0, Fraction(1, 3)), halved),
+        (L1Q, quarter, witness(-4)),
+        (L1Q, quarter, witness(4)),
+        (L20, m300, witness(-1)),
+        (L20, m300, witness(1)),
+        (L1H, TangentVector.of(1, Fraction(1, 3), 0, Fraction(-1, 18)), non_closed),
+        (L10, TangentVector.of(0, 0, 0, 1), non_closed),
+        (L10, TangentVector.of(1, 0, 0, 1), periodic),
+        (L1Q, TangentVector.of(PI, 0, 0, Scalar(1) / (2 * PI)), periodic),
+        (L10, TangentVector.of(0, 1, PI, 0), periodic),
+        (L10, TangentVector.of(0, 0, 0, 0), periodic),
+        (L10, TangentVector.of(0, 0, 0, 1), stationary),
+        (L1Q, quarter, stationary),
     ]
-    for L, X in cases:
+    monkeypatch.setattr(quotients, "classify_geodesic", tampered)
+    for L, X, claim in cases:
+        tamper["verdict"] = lambda L, X, v: v
+        minimal_period(L, X)  # the true verdict is proved
+        tamper["verdict"] = claim
         with pytest.raises(AssertionError):
             minimal_period(L, X)
 
 
+def test_minimal_period_on_tampered_evaluations(monkeypatch):
+    # the proof rests on c being central and, for an irrational z_c, on a rational
+    # intercept z_r - (r/cycle) z_c; an evaluator that breaks either is refused
+    evaluate = quotients.exp_scaled
+    X = TangentVector.of(1, 0, 0, 1)  # non-closed: z_c = 2 pi, u = pi/2 on L1Q
+
+    def shifted(at, dx, dz):
+        def tampered(X, s):
+            g = evaluate(X, s)
+            return GroupElement(g.t, g.x + dx, g.y, g.z + dz) if s == at else g
+        return tampered
+
+    assert minimal_period(L1Q, X) is None
+    for at, dx, dz in ((PI_HALF, 0, Scalar(1) / PI), (2 * PI, 1, 0)):
+        monkeypatch.setattr(quotients, "exp_scaled", shifted(at, dx, dz))
+        with pytest.raises(AssertionError):
+            minimal_period(L1Q, X)
+    # with a rational z_c, an irrational z_r closes nothing in its class: the
+    # witness m = 3 still comes from the class 3 mod 4
+    X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
+    monkeypatch.setattr(quotients, "exp_scaled", shifted(PI_HALF, 0, Scalar(1) / PI))
+    assert minimal_period(L1Q, X) == 3 * PI_HALF
+
+
 def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch):
-    # one evaluation of exp(sX) at s = T and one per prime factor of the witness,
-    # all from one computation of the direction's turn constants
+    # one evaluation of exp(sX) per residue class, s = r u for r = 1..cycle with
+    # u = t_step/|a0|, whatever the witness; all from one computation of the
+    # direction's turn constants
     calls = []
     computed = []
     evaluate = quotients.exp_scaled
@@ -319,46 +389,82 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     monkeypatch.setattr(TangentVector, "scale", refused)
     X = parse_vector("a0=2,a1=-6/5,a2=9/5,a3=-117/100 + 1/(1200*pi)")
     T = minimal_period(L20, X)
-    assert T == 300 * PI and calls == [T, T / 2, T / 3, T / 5]  # m = 300 = 2^2 3 5^2
+    # a full twist has one class: u = 2 pi/2, and m = 300
+    assert T == 300 * PI and calls == [PI]
     assert computed == [X]
+    calls.clear()
+    # a quarter twist has four: the full turn first, then r = 1, 2, 3; m = 3
+    X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
+    T = minimal_period(L1Q, X)
+    u = PI_HALF
+    assert T == 3 * u and calls == [4 * u, u, 2 * u, 3 * u]
 
 
 def test_minimal_period_large_witnesses():
     def central(m):
         return parse_vector(f"a0=1,a1=0,a2=0,a3=1/(4*{m}*pi)")
 
-    assert minimal_period(L10, central(10**9)) == 2000000000 * PI
-    assert minimal_period(L10, central(999999937)) == 2 * 999999937 * PI
-    # 1000003 * 1000033: both prime factors lie beyond the trial-division limit
-    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
-        minimal_period(L10, central(1000036000099))
+    # no factoring: 1000003 * 1000033, the Mersenne prime 2^521 - 1 and their product
+    mersenne = 2**521 - 1
+    for m in (10**9, 999999937, 1000003 * 1000033, mersenne, 1000003 * 1000033 * mersenne):
+        X = central(m)
+        assert classify_geodesic(L10, X)[1].witness_m == m
+        assert minimal_period(L10, X) == 2 * m * PI
 
 
-def test_prime_factors_small():
-    for n in range(1, 2000):
-        naive = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
-        assert quotients._prime_factors(n) == naive
+def _random_q_pi(rng, nonzero=False):
+    """A random element of Q(pi) with numerator and denominator of degree <= 2."""
+    while True:
+        num, den = (tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))) for _ in range(2))
+        if any(den) and (any(num) or not nonzero):
+            return Scalar(num, den)
 
-    # trial divisors go in blocks: products of the primes on both sides of a boundary
-    def is_prime(p):
-        return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
-    width = 2 * quotients._BLOCK
-    last = (quotients._TRIAL_LIMIT - 3) // width
-    for boundary in [3 + j * width for j in (1, 2, 3, 50, last - 1, last)]:
-        below = max(p for p in range(boundary - width, boundary) if is_prime(p))
-        above = min(p for p in range(boundary, boundary + width) if is_prime(p))
-        # the 200th powers keep the cofactor larger than a block's product
-        cases = (((1, 1), []), ((3, 1), [2]), ((1, 2), [3, 1000003]), ((200, 1), []), ((1, 200), []))
-        for powers, extra in cases:
-            n = below ** powers[0] * above ** powers[1] * math.prod(extra)
-            assert quotients._prime_factors(n) == sorted({below, above, *extra}), n
-    # a huge witness whose cofactor has no prime factor up to the limit is still refused
-    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
-        quotients._prime_factors(4 * (1000003 * 1000033) ** 150)
-    # both primes lie past the block crossing the limit: every block below it is skipped as coprime
-    with pytest.raises(PeriodUnverified, match="_TRIAL_LIMIT"):
-        quotients._prime_factors(1000081 * 1000099)
+def _pinned_corpus():
+    """(L, X) for the pinned answers: five kinds of direction on each of the nine families."""
+    rng = random.Random(20130)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def non_null():
+        return TangentVector.of(rational() or 1, rational(), rational(), rational())
+
+    def irrational_a0():
+        a0 = _random_q_pi(rng, nonzero=True)
+        n1, n2 = (Fraction(rng.randint(-4, 4), 2) for _ in range(2))
+        a1, a2 = (a0 * n1, a0 * n2) if rng.random() < 0.7 else (_random_q_pi(rng), _random_q_pi(rng))
+        if rng.random() < 0.5:
+            return TangentVector(a0, a1, a2, _random_q_pi(rng))
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        return TangentVector(a0, a1, a2, -(a1 * a1 + a2 * a2) / (2 * a0) + Scalar(c) / PI)
+
+    kinds = (
+        lambda: random_null(rng, allow_line=False),
+        non_null,
+        lambda: _random_closing_rotation(rng),
+        lambda: _random_line(rng),
+        irrational_a0,
+    )
+    return [(L, kind()) for _ in range(44) for L in ALL_FAMILIES for kind in kinds]
+
+
+# sha256 of the corpus answers: a rewrite of the gcd, the evaluator or the proof
+# must leave every verdict, witness and str(T) as it is
+_PINNED_ANSWERS = "e0ee663699236353ed475e33062dbcaaec35b161f11c97bcb406d07fd5ec76e8"
+
+
+def test_answers_match_the_pinned_corpus():
+    digest = hashlib.sha256()
+    kinds = set()
+    for L, X in _pinned_corpus():
+        causal, verdict = classify_geodesic(L, X)
+        T = minimal_period(L, X)
+        kinds.add((L, verdict.kind))
+        line = json.dumps(verdict_to_json(causal, verdict), sort_keys=True) + f"\t{T}\n"
+        digest.update(line.encode())
+    assert {(L, kind) for L in ALL_FAMILIES for kind in (VerdictKind.PERIODIC, VerdictKind.NON_CLOSED)} <= kinds
+    assert digest.hexdigest() == _PINNED_ANSWERS
 
 
 def test_residue_solver_verdicts_hold_exactly(monkeypatch):
@@ -415,11 +521,12 @@ def test_residue_solver_verdicts_hold_exactly(monkeypatch):
         # an irrational one never does, as an integral u makes a1/a0, a2/a0 and B rational
         rational_A = (X.norm_sq() * PI / (X.a0 * X.a0)).is_rational()
         assert (verdict.kind is VerdictKind.PERIODIC) == rational_A, (L, X)
-        if rational_A:
-            assert minimal_period(L, X) == verdict.minimal_T
-            return
         # an irrational A is decided before any residue is solved
-        assert not calls, (L, X, calls)
+        assert rational_A or not calls, (L, X, calls)
+        # the residue classes prove every verdict, the non-closed ones included
+        assert minimal_period(L, X) == verdict.minimal_T
+        if rational_A:
+            return
         irrational_cases.append((L, X))
         unit = L.t_step / abs(X.a0)
         for m in range(1, 41):

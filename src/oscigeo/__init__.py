@@ -30,7 +30,7 @@ _EXPORTS = {
         "CausalType", "TangentVector", "bracket", "causal_type", "curvature_op",
         "killing_form", "metric_at", "ricci",
     ),
-    "geodesics": ("GeodesicCurve", "exp_map", "exp_scaled", "geodesic_eval"),
+    "geodesics": ("GeodesicCurve", "exp_map", "exp_scaled", "exp_turns", "geodesic_eval"),
     "isometries": (
         "IsometryOfG", "IsotropyElement", "NotOrthogonal", "ambrose_hicks_check",
         "discrete_isometry", "fiber_preserving", "heis_action", "inner_aut",

@@ -375,17 +375,20 @@ def _rk4_block(block: np.ndarray, h: float) -> None:
     vt2, vt4 = vt + h2 * 0.0, vt + h * 0.0
     nvt, nvt2, nvt4 = -vt, -vt2, -vt4
     xs, ys = [vx], [vy]
+    x_append, y_append = xs.append, ys.append
+    # each one-use stage is nested where it is read, with every operation kept in
+    # its order, so the bits do not change; 2.0 * b, unlike 2 * b, stays on
+    # CPython's float * float fast path and is exactly the same product
     for _ in range(len(block) - 1):
         a5, a6 = nvt * vy, vt * vx
-        vx2, vy2 = vx + h2 * a5, vy + h2 * a6
-        b5, b6 = nvt2 * vy2, vt2 * vx2
-        vx3, vy3 = vx + h2 * b5, vy + h2 * b6
-        c5, c6 = nvt2 * vy3, vt2 * vx3
-        vx4, vy4 = vx + h * c5, vy + h * c6
-        vx = vx + h6 * (a5 + 2 * b5 + 2 * c5 + nvt4 * vy4)
-        vy = vy + h6 * (a6 + 2 * b6 + 2 * c6 + vt4 * vx4)
-        xs.append(vx)
-        ys.append(vy)
+        b5, b6 = nvt2 * (vy + h2 * a6), vt2 * (vx + h2 * a5)
+        c5, c6 = nvt2 * (vy + h2 * b6), vt2 * (vx + h2 * b5)
+        vx, vy = (
+            vx + h6 * (a5 + 2.0 * b5 + 2.0 * c5 + nvt4 * (vy + h * c6)),
+            vy + h6 * (a6 + 2.0 * b6 + 2.0 * c6 + vt4 * (vx + h * c5)),
+        )
+        x_append(vx)
+        y_append(vy)
     block[..., 5], block[..., 6] = np.array(xs, dtype=float), np.array(ys, dtype=float)
     vx, vy = block[:-1, ..., 5], block[:-1, ..., 6]
     a5, a6 = nvt * vy, vt * vx

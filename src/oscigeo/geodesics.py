@@ -11,20 +11,28 @@ the one-parameter subgroups, with explicit components branching on a0:
   a0 == 0:  (0, a1 s, a2 s, a3 s), a straight line.
 
 A geodesic through h is the left translate h exp(sX).  The exact layer
-evaluates only when a0 s is an integer multiple of pi/2, where sin and
-cos are exact.  The float view lives in ``oscigeo.floats``: the same
-closed form at any s, the packed vector form of exp for the middle
-coordinates, (1/a0)(R(a0)J - J)(a1, a2)^T, which agrees with the
-componentwise formulas identically, and an independent RK4 oracle.
+evaluates only when a0 s is an integer multiple j of pi/2, where sin and
+cos are exact, and it evaluates at the integer j: with p = a1/a0,
+q = a2/a0, rho = (p^2 + q^2)/2 and zq = (rho + a3/a0) pi/2 the z above is
+j zq - rho sin(j pi/2).  These constants (TangentVector.slopes and
+z_constants) are computed once per direction and kept by its scaled
+copies.  ``exp_turns(L, X, m)`` takes j from the m-th return of t to the
+lattice of L, with no Scalar parameter; ``exp_scaled(X, s)`` forms a0 s
+only to read j off it.
+
+The float view lives in ``oscigeo.floats``: the same closed form at any
+s, the packed vector form of exp for the middle coordinates,
+(1/a0)(R(a0)J - J)(a1, a2)^T, which agrees with the componentwise
+formulas identically, and an independent RK4 oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import QUARTER_TURNS, ExactRotationUnavailable, GroupElement, g_mul
+from .groups import QUARTER_TURNS, ExactRotationUnavailable, GroupElement, LatticeSpec, g_mul
 from .metric import TangentVector
-from .scalar import ONE, ZERO, Scalar, ScalarLike, quarter_turns
+from .scalar import ONE, PI_HALF, ZERO, Scalar, ScalarLike, quarter_turns
 
 
 @dataclass(frozen=True)
@@ -35,15 +43,42 @@ class GeodesicCurve:
     direction: TangentVector
 
 
+def _turned(X: TangentVector, j: int, t: Scalar) -> GroupElement:
+    """exp(sX) at a0 s = t = j pi/2, for a0 != 0, from the direction's constants.
+
+    The quarter turn QUARTER_TURNS[j % 4] gives sin and R(t), and
+    (x, y) = R(t)(q, -p) - (q, -p), z = j zq - rho sin.
+    """
+    p, q = X.slopes
+    zq, rho = X.z_constants
+    sin, turn = QUARTER_TURNS[j % 4]
+    rx, ry = turn(q, -p)
+    z = zq * j
+    if sin:
+        z = z - rho if sin > 0 else z + rho
+    return GroupElement(t, rx - q, ry + p, z)
+
+
+def exp_turns(L: LatticeSpec, X: TangentVector, m: int) -> GroupElement:
+    """exp(m u X) with u = t_step/|a0|, for a0 != 0 and any integer m.
+
+    The geodesic after m returns of its t-coordinate to the lattice of L:
+    a0 m u = sign(a0) quarters m pi/2 is j = sign(a0) quarters m quarter
+    turns, so t = j pi/2 and everything else is read from X's constants
+    with no Scalar parameter at all.  z = m (w u) -+ rho, where
+    w u = sign(a0) quarters zq is an integer multiple of zq.
+    """
+    j = X.quarter_turn[0] * L.t_step_quarters * m
+    return _turned(X, j, PI_HALF * j)
+
+
 def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
     """exp(sX) without forming sX, the geodesic from the identity at s.
 
-    For a0 != 0 and (a1, a2) != 0 it reads the direction's cached
-    ``turn_constants`` (p, q, w, rho), so evaluations of one direction
-    divide by a0 once in all.  At a0 s = j pi/2 the quarter turn
-    ``QUARTER_TURNS[j % 4]`` gives sin and R(a0 s), and
-    (x, y) = R(a0 s)(q, -p) - (q, -p), z = w s - rho sin.  Any other
-    angle raises ExactRotationUnavailable.
+    For a0 != 0 and (a1, a2) != 0 it forms a0 s only to read the
+    quarter-turn count j with a0 s = j pi/2, and then evaluates from the
+    direction's cached ``slopes`` and ``z_constants`` as ``exp_turns``
+    does.  Any other angle raises ExactRotationUnavailable.
     """
     a0, a1, a2, a3 = X.components
     if a0.is_zero():
@@ -55,13 +90,7 @@ def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
     j = quarter_turns(t)
     if j is None:
         raise ExactRotationUnavailable(f"angle {t} is not an integer multiple of pi/2")
-    p, q, w, rho = X.turn_constants
-    sin, turn = QUARTER_TURNS[j % 4]
-    rx, ry = turn(q, -p)
-    z = w * s
-    if sin:
-        z = z - rho if sin > 0 else z + rho
-    return GroupElement(t, rx - q, ry + p, z)
+    return _turned(X, j, t)
 
 
 def geodesic_eval(c: GeodesicCurve, s: ScalarLike) -> GroupElement:

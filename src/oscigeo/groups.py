@@ -9,8 +9,8 @@ operation, not by the element type.
 ``rotate`` is the one exact rotation.  It exists only at quarter-turn
 angles t in (pi/2)Z, where R(t) is a signed permutation of (x, y), read
 from the one table QUARTER_TURNS; every lattice, normalizer, isometry
-and periodicity decision needs only these.  The classifier and
-``geodesics.exp_scaled``, which already hold the quarter-turn count,
+and periodicity decision needs only these.  The classifier and the
+evaluators in ``geodesics``, which already hold the quarter-turn count,
 read the table directly, and every other exact rotation goes through
 ``rotate``.  The float layer in
 ``oscigeo.floats`` covers arbitrary angles for tracing and numeric
@@ -168,6 +168,7 @@ class Twist(enum.Enum):
 
 
 _TWIST_QUARTERS = {Twist.FULL: 4, Twist.HALF: 2, Twist.QUARTER: 1}
+_TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS.items()}
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ class LatticeSpec:
 
     @property
     def t_step(self) -> Scalar:
-        return PI_HALF * _TWIST_QUARTERS[self.twist]
+        return _TWIST_STEPS[self.twist]
 
     @property
     def t_step_quarters(self) -> int:

@@ -10,6 +10,13 @@ The Lie algebra has structure relations [X0,X1] = X2, [X0,X2] = -X1,
 curvature operator is algebraic, R(X,Y)Z = -1/4 [[X,Y],Z], and the Ricci
 tensor is -1/4 of the Killing form.  Everything here is exact; the float
 coordinate metric and frames live in ``oscigeo.floats``.
+
+A TangentVector with a0 != 0 keeps the constants of its geodesic once
+they are first read: ``slopes`` (p, q) = (a1/a0, a2/a0), which the
+classifier and the evaluators share, ``z_constants`` (zq, rho), which only
+the evaluators read, and ``quarter_turn``, the sign of a0 and the
+parameter length (pi/2)/|a0| of one quarter turn.  The first two are
+ratios to a0, so ``scale(f)`` hands them on to f X for every f != 0.
 """
 
 from __future__ import annotations
@@ -17,10 +24,32 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .groups import GroupElement
-from .scalar import Scalar, ScalarLike
+from .scalar import PI_HALF, Scalar, ScalarLike
+
+
+class _cached:
+    """A constant of a vector, computed on its first read and kept in the vector's dict.
+
+    functools.cached_property without its lock: on Python 3.11 the lock
+    costs about 0.6 us of each first read, which a direction pays once
+    per constant; later reads find the dict entry and never reach here.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, vector, owner=None):
+        if vector is None:
+            return self
+        value = vector.__dict__[self.name] = self.func(vector)
+        return value
+
+
+# the constants f X shares with X for every f != 0
+_SCALE_FREE = ("slopes", "z_constants")
 
 
 @dataclass(frozen=True)
@@ -43,24 +72,54 @@ class TangentVector:
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.components)
 
-    @cached_property
-    def turn_constants(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        """(p, q, |X|^2/(2 a0), (p^2 + q^2)/2) with p = a1/a0, q = a2/a0; needs a0 != 0.
+    @_cached
+    def slopes(self) -> tuple[Scalar, Scalar]:
+        """(p, q) = (a1/a0, a2/a0), the (x, y) part of exp(sX); needs a0 != 0.
 
-        exp(sX) is R(a0 s)(q, -p) - (q, -p) in (x, y) and
-        |X|^2/(2 a0) s - (p^2 + q^2)/2 sin(a0 s) in z.  Computed on first
-        use and kept on the vector, so every evaluation of one direction
-        shares them; |X|^2/a0 is p a1 + q a2 + 2 a3, with no second division.
+        Read by the classifier and by both evaluators, so one direction
+        divides by a0 twice in all.
         """
-        p, q = self.a1 / self.a0, self.a2 / self.a0
-        return p, q, (p * self.a1 + q * self.a2) / 2 + self.a3, (p * p + q * q) / 2
+        a0 = self.a0
+        return self.a1 / a0, self.a2 / a0
+
+    @_cached
+    def quarter_turn(self) -> tuple[int, Scalar]:
+        """(sign(a0), (pi/2)/|a0|): exp(sX) turns by one quarter turn per (pi/2)/|a0| of s.
+
+        So the t-coordinate returns to the lattice after u = quarters (pi/2)/|a0|,
+        and a period u m is this unit times the integer quarters m.
+        """
+        sign = self.a0.sign()
+        return sign, (PI_HALF if sign > 0 else -PI_HALF) / self.a0
+
+    @_cached
+    def z_constants(self) -> tuple[Scalar, Scalar]:
+        """(zq, rho) = ((w/a0) pi/2, (p^2 + q^2)/2) with w = |X|^2/(2 a0); needs a0 != 0.
+
+        At a0 s = j pi/2, z = w s - rho sin(a0 s) = j zq - rho sin(j pi/2), so
+        every evaluation of z is an integer multiple of zq and one sum; and
+        w/a0 = |X|^2/(2 a0^2) = rho + a3/a0 takes one more division by a0.
+        Only the evaluators read these, never the classifier.
+        """
+        p, q = self.slopes
+        rho = (p * p + q * q) / 2
+        return (rho + self.a3 / self.a0) * PI_HALF, rho
 
     def norm_sq(self) -> Scalar:
         return self.a1 * self.a1 + self.a2 * self.a2 + 2 * self.a0 * self.a3
 
     def scale(self, factor: ScalarLike) -> "TangentVector":
+        """f X; for f != 0 it keeps the slopes and z_constants X has computed.
+
+        Both are ratios to a0, so f cancels from them: f X has the same
+        values, and a fresh computation gives the same canonical Scalars.
+        """
         f = Scalar.coerce(factor)
-        return TangentVector(self.a0 * f, self.a1 * f, self.a2 * f, self.a3 * f)
+        out = TangentVector(self.a0 * f, self.a1 * f, self.a2 * f, self.a3 * f)
+        if not f.is_zero():
+            known = self.__dict__
+            out.__dict__.update({name: known[name] for name in _SCALE_FREE if name in known})
+        return out
 
     def add(self, other: "TangentVector") -> "TangentVector":
         return TangentVector(

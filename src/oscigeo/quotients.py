@@ -17,7 +17,8 @@ sin(a0 T) then depend only on m modulo the residue cycle 4/quarters (1,
 are walked in integer quarter turns: residue r turns by sign(a0)
 quarters r quarter turns, and ``groups.QUARTER_TURNS`` at that count mod
 4 gives sin and the rotation exactly, with no angle built in Q(pi).
-With p = a1/a0 and q = a2/a0, per residue the middle-coordinate
+With p = a1/a0 and q = a2/a0 (TangentVector.slopes, which the
+evaluators read too), per residue the middle-coordinate
 condition is the integrality of the constant u = R(a0 T)(q, -p) -
 (q, -p), and the z-condition has the form A m - B in Z with
 B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
@@ -45,6 +46,10 @@ lies in the lattice iff v_r is integral and 2k (z_r + j z_c) is an
 integer, one linear congruence in j.  An irrational z_c leaves a rational
 intercept z_r - (r/cycle) z_c, and z is then irrational for every j.  A
 line's T is minimal iff its multiples of the _period_units have gcd 1.
+Every exp(m u X) is ``geodesics.exp_turns(L, X, m)``, keyed by the integer
+m: no angle a0 s is formed, and z is m times one constant w u of the
+direction, plus or minus rho.  The classifier's T = u m and the proof's
+read the same unit u/quarters = (pi/2)/|a0| (TangentVector.quarter_turn).
 """
 
 from __future__ import annotations
@@ -53,10 +58,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .geodesics import exp_scaled
+from .geodesics import exp_scaled, exp_turns
 from .groups import QUARTER_TURNS, LatticeSpec, lattice_contains
 from .metric import CAUSAL_BY_SIGN, CausalType, TangentVector
-from .scalar import PI, PI_HALF, Scalar
+from .scalar import PI, Scalar
 
 
 class VerdictKind(enum.Enum):
@@ -105,13 +110,10 @@ def _solve_rational(an: int, ad: int, bn: int, bd: int, r: int, cycle: int) -> i
 # ---------------------------------------------------------------------------
 
 def _period_units(L: LatticeSpec, X: TangentVector) -> list[Scalar]:
-    """Lengths every period of exp(sX) is an integer multiple of.
+    """Lengths every period of the line exp(sX), a0 = 0, is an integer multiple of.
 
-    t_step/|a0| from the t-coordinate when a0 != 0; for a line, step/|a_i|
-    for each nonzero component.
+    step/|a_i| for each nonzero component.
     """
-    if not X.a0.is_zero():
-        return [L.t_step / abs(X.a0)]
     steps = (L.v_step, L.v_step, L.z_step)
     return [Scalar(step) / abs(a) for a, step in zip((X.a1, X.a2, X.a3), steps) if not a.is_zero()]
 
@@ -133,17 +135,17 @@ def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
 
 def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> PeriodicityVerdict:
     """a0 != 0: closed iff A is rational; then the least m over the residues."""
-    a0, a1, a2, _ = X.components
-    sign = a0.sign()
-    quarters = L.t_step_quarters
+    a0 = X.a0
     A = norm_sq * PI / (a0 * a0)
     if not A.is_rational():
         return PeriodicityVerdict(VerdictKind.NON_CLOSED)
     A = A.rational_value()
+    sign, unit = X.quarter_turn
+    quarters = L.t_step_quarters
     # A = |X|^2 pi k quarters sign(a0) / (2 a0^2) = an/ad
     an, ad = A.numerator * L.k * quarters * sign, 2 * A.denominator
     cycle = 4 // quarters
-    p, q = a1 / a0, a2 / a0
+    p, q = X.slopes
     # Flipping the sign of the turn or of sin changes no verdict or witness:
     # 2B is an integer in every residue with an integral u, and the residues
     # r and cycle - r have the same u condition, so no test can see such a flip.
@@ -163,9 +165,8 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
         m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m
-    # the residue r = cycle always admits a solution
-    T = PI_HALF * (quarters * best * sign) / a0
-    return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=T, witness_m=best)
+    # the residue r = cycle always admits a solution; T = u m with u = quarters unit
+    return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=unit * (quarters * best), witness_m=best)
 
 
 def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, PeriodicityVerdict]:
@@ -201,15 +202,15 @@ def _prove_line(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -
 
 def _prove_rotating(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -> None:
     """a0 != 0: the least closing m over the residue classes, from exp(r u X) for r = 1..cycle."""
-    u = L.t_step / abs(X.a0)
-    cycle = 4 // L.t_step_quarters
-    c = exp_scaled(X, u * cycle)
+    quarters = L.t_step_quarters
+    cycle = 4 // quarters
+    c = exp_turns(L, X, cycle)
     if not (c.x.is_zero() and c.y.is_zero()):
         raise AssertionError(f"exp({cycle} u X) = {c} is not a central full turn")
     zc, two_k = c.z, 2 * L.k
     best: int | None = None
     for r in range(1, cycle + 1):
-        e = c if r == cycle else exp_scaled(X, u * r)
+        e = c if r == cycle else exp_turns(L, X, r)
         if not (e.x.is_integer() and e.y.is_integer()):
             continue
         if not zc.is_rational():
@@ -218,16 +219,19 @@ def _prove_rotating(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdic
             continue
         if not e.z.is_rational():
             continue
-        # 2k (z_r + j z_c) = A m - B for m = r + cycle j
-        A = two_k * zc.rational_value() / cycle
-        B = A * r - two_k * e.z.rational_value()
-        m = _solve_rational(A.numerator, A.denominator, B.numerator, B.denominator, r, cycle)
+        # 2k (z_r + j z_c) = A m - B for m = r + cycle j, with A = 2k z_c / cycle = an/ad
+        # and B = A r - 2k z_r = bn/bd in integers; _solve_rational needs no lowest terms
+        zcq, zrq = zc.rational_value(), e.z.rational_value()
+        an, ad = two_k * zcq.numerator, cycle * zcq.denominator
+        bn, bd = an * r * zrq.denominator - two_k * zrq.numerator * ad, ad * zrq.denominator
+        m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m
     if best is None:
         proved = PeriodicityVerdict(VerdictKind.NON_CLOSED)
     else:
-        proved = PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=u * best, witness_m=best)
+        T = X.quarter_turn[1] * (quarters * best)
+        proved = PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=T, witness_m=best)
     if verdict != proved:
         raise AssertionError(f"verdict {verdict}, but the residue classes prove {proved}")
 
@@ -237,9 +241,10 @@ def minimal_period(L: LatticeSpec, X: TangentVector, verify: bool = True) -> Sca
 
     With verify=True every verdict is proved exactly, a non-closed one
     included, as the module docstring sets out: for a0 != 0 from the
-    cycle <= 4 evaluations exp_scaled(X, r u), r = 1..cycle, which share
-    X.turn_constants, whatever the size of the witness; for a line from
-    exp(T X) and the _period_units.  A wrong verdict raises AssertionError.
+    cycle <= 4 evaluations exp_turns(L, X, r), r = 1..cycle, at integer
+    turn counts and from the direction's cached constants, whatever the
+    size of the witness; for a line from exp(T X) and the _period_units.
+    A wrong verdict raises AssertionError.
     """
     causal, verdict = classify_geodesic(L, X)
     if verify and X.is_zero() != (verdict.kind is VerdictKind.STATIONARY_POINT):

@@ -29,7 +29,8 @@ membership into exact decisions.
 
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
-and the coefficients of a power within MAX_DIGITS digits.  Inputs
+and the coefficients of a power within MAX_DIGITS digits, and
+parentheses nest at most MAX_NESTING deep.  Inputs
 beyond these limits raise a ValueError that names the limit.  A plain
 rational, an optionally negative integer or fraction such as "-3/4", is
 read by one regex match whose digit counts carry MAX_DIGITS, and
@@ -47,9 +48,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-# parser limits: exponents and degrees, and digits per numeral or power coefficient
+# parser limits: exponents and degrees, digits per numeral or power coefficient, and
+# the depth of parentheses, which bounds the recursion of the descent
 MAX_DEGREE = 64
 MAX_DIGITS = 1000
+MAX_NESTING = 100
 _MAX_BITS = math.ceil(MAX_DIGITS * math.log2(10))
 
 
@@ -660,6 +663,7 @@ class _Tokenizer:
                 raise ValueError(f"unexpected character {tok!r} in scalar text {text!r}")
         self.tokens.append(None)
         self.index = 0
+        self.depth = 0
 
     def next(self) -> str:
         tok = self.tokens[self.index]
@@ -776,9 +780,13 @@ def _parse_factor(tk: _Tokenizer) -> Scalar:
 def _parse_atom(tk: _Tokenizer) -> Scalar:
     tok = tk.next()
     if tok == "(":
+        tk.depth += 1
+        if tk.depth > MAX_NESTING:
+            raise ValueError(f"parentheses nested deeper than the limit MAX_NESTING = {MAX_NESTING}")
         value = _parse_sum(tk)
         if tk.next() != ")":
             raise ValueError(f"unbalanced parentheses in scalar text {tk.text!r}")
+        tk.depth -= 1
         return value
     if tok == "pi":
         return PI

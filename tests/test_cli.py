@@ -7,7 +7,7 @@ import pytest
 
 import oscigeo
 from oscigeo.cli import _build_parser, main, parse_vector
-from oscigeo.scalar import PI, Scalar
+from oscigeo.scalar import MAX_NESTING, PI, Scalar
 from oscigeo.metric import TangentVector
 
 # the child interpreter imports the same package as the tests, installed or not
@@ -326,6 +326,28 @@ def test_parser_limit_is_usage_error(capsys):
     code = main(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
     assert code == 2
     assert "MAX_DEGREE = 64" in capsys.readouterr().err
+
+
+def test_parser_nesting_limit_is_usage_error():
+    # the recursive descent would overflow Python's stack near 250 levels; the
+    # limit refuses deeper literals with exit code 2 before any recursion error
+    def nested(depth, inner):
+        return "(" * depth + inner + ")" * depth
+
+    for depth in (MAX_NESTING + 1, 300):
+        for extra in (
+            ["classify", "--lattice", "k=1,twist=full", "--vector", f"a0={nested(depth, '1')},a1=0,a2=0,a3=0"],
+            ["trace", "--vector", "1,0,0,0", "--s-end", "0.1", "--base", f"({nested(depth, '0')}; 0, 0; 0)"],
+        ):
+            proc = run_cli(extra)
+            assert proc.returncode == 2 and not proc.stdout, (depth, extra[0])
+            assert proc.stderr == f"error: parentheses nested deeper than the limit MAX_NESTING = {MAX_NESTING}\n"
+    vector = f"a0={nested(MAX_NESTING, '1')},a1=0,a2=0,a3=0"
+    proc = run_cli(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
+    assert proc.returncode == 0 and proc.stdout == "null, periodic, T = 2*pi (float 6.28318530717959), m = 1\n"
+    base = f"({nested(MAX_NESTING, '0')}; 0, 0; 0)"
+    proc = run_cli(["trace", "--vector", "1,0,0,0", "--s-end", "0.1", "--base", base])
+    assert proc.returncode == 0 and proc.stdout.startswith("s,t,x,y,z\n")
 
 
 def _imports_numpy(args):

@@ -189,6 +189,31 @@ def test_exp_scaled_matches_the_componentwise_oracle():
     assert rotating >= 240
 
 
+_COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+Q_PI = st.tuples(_COEFFS, _COEFFS.filter(any)).map(lambda nd: Scalar(tuple(nd[0]), tuple(nd[1])))
+NONZERO_Q_PI = Q_PI.filter(lambda v: not v.is_zero())
+FACTORS = st.one_of(st.sampled_from([Scalar(-3), 2 * PI, -PI / 3, 1 + PI]), NONZERO_Q_PI)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@hypothesis.given(NONZERO_Q_PI, Q_PI, Q_PI, Q_PI, FACTORS, st.integers(-8, 8), st.booleans(), st.booleans())
+def test_exp_of_a_scaled_vector_shares_the_constants(a0, a1, a2, a3, f, j, s_first, flat):
+    # s with a0 s = j pi/2: s from a0, or a0 from a factor s such as 1 + pi
+    if s_first and j:
+        s, a0 = f, PI_HALF * j / f
+    else:
+        s = PI_HALF * j / a0
+    if flat:
+        a1 = a2 = ZERO
+    X = TangentVector(a0, a1, a2, a3)
+    expected = _exp_scaled_oracle(X, s)
+    # X.scale(s) first computes its own constants, then, once exp_scaled has
+    # computed those of X, inherits them
+    assert exp_map(X.scale(s)) == expected, (X, s)
+    assert exp_scaled(X, s) == expected, (X, s)
+    assert exp_map(X.scale(s)) == expected, (X, s)
+
+
 def test_left_translation_of_curve():
     h = GroupElement.of(PI_HALF, (1, 2), Fraction(3, 2))
     X = TangentVector.of(2, 0, 0, 1)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 
 from oscigeo.scalar import PI, Scalar
@@ -200,3 +202,35 @@ def test_trace_route_catches_curvature_sign_flip():
         total = total + frame_inner(wrong, dual[i])
     assert total == Scalar(Fraction(-1, 2))
     assert ricci(X0, X0) == Scalar(Fraction(1, 2))
+
+
+# Q(pi) values with numerator and denominator of degree <= 2
+_COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+Q_PI = st.tuples(_COEFFS, _COEFFS.filter(any)).map(lambda nd: Scalar(tuple(nd[0]), tuple(nd[1])))
+NONZERO_Q_PI = Q_PI.filter(lambda v: not v.is_zero())
+# scale factors: negative, multiples of pi, irrational, zero, or any of the above
+FACTORS = st.one_of(
+    st.sampled_from([Scalar(-3), Scalar(Fraction(-1, 2)), 2 * PI, -PI / 3, 1 + PI, Scalar(0)]),
+    Q_PI,
+)
+_SCALE_FREE = ("slopes", "z_constants")
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@hypothesis.given(NONZERO_Q_PI, Q_PI, Q_PI, Q_PI, FACTORS, st.sampled_from([(), ("slopes",), _SCALE_FREE]))
+def test_scale_keeps_the_constants_a_fresh_vector_computes(a0, a1, a2, a3, f, known):
+    X = TangentVector(a0, a1, a2, a3)
+    for name in known:
+        getattr(X, name)
+    X.quarter_turn  # depends on the sign of f, so never carried
+    Y = X.scale(f)
+    carried = {name: value for name, value in vars(Y).items() if not name.startswith("a")}
+    if f.is_zero():
+        assert carried == {}
+        return
+    assert set(carried) == set(known)
+    fresh = TangentVector(*Y.components)
+    for name, value in carried.items():
+        assert value == getattr(fresh, name), (name, X, f)
+    # what was not carried is computed for Y itself, to the same values as for X
+    assert (Y.slopes, Y.z_constants) == (X.slopes, X.z_constants)

@@ -17,10 +17,10 @@ from oscigeo.groups import (
     lattice_contains,
 )
 from oscigeo.metric import CausalType, TangentVector
-from oscigeo.geodesics import exp_map
+from oscigeo.geodesics import exp_map, exp_scaled
 from oscigeo.floats import InvalidStep, project_geodesic
 from oscigeo.cli import parse_vector
-from oscigeo import quotients
+from oscigeo import geodesics, groups, quotients, scalar
 from oscigeo.quotients import (
     PeriodicityVerdict,
     VerdictKind,
@@ -342,62 +342,106 @@ def test_minimal_period_rejects_a_doubled_verdict(monkeypatch):
 def test_minimal_period_on_tampered_evaluations(monkeypatch):
     # the proof rests on c being central and, for an irrational z_c, on a rational
     # intercept z_r - (r/cycle) z_c; an evaluator that breaks either is refused
-    evaluate = quotients.exp_scaled
+    evaluate = quotients.exp_turns
     X = TangentVector.of(1, 0, 0, 1)  # non-closed: z_c = 2 pi, u = pi/2 on L1Q
 
     def shifted(at, dx, dz):
-        def tampered(X, s):
-            g = evaluate(X, s)
-            return GroupElement(g.t, g.x + dx, g.y, g.z + dz) if s == at else g
+        def tampered(L, X, m):
+            g = evaluate(L, X, m)
+            return GroupElement(g.t, g.x + dx, g.y, g.z + dz) if m == at else g
         return tampered
 
     assert minimal_period(L1Q, X) is None
-    for at, dx, dz in ((PI_HALF, 0, Scalar(1) / PI), (2 * PI, 1, 0)):
-        monkeypatch.setattr(quotients, "exp_scaled", shifted(at, dx, dz))
+    # m = 1 is the class 1 mod 4 and m = 4 the full turn c
+    for at, dx, dz in ((1, 0, Scalar(1) / PI), (4, 1, 0)):
+        monkeypatch.setattr(quotients, "exp_turns", shifted(at, dx, dz))
         with pytest.raises(AssertionError):
             minimal_period(L1Q, X)
     # with a rational z_c, an irrational z_r closes nothing in its class: the
     # witness m = 3 still comes from the class 3 mod 4
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
-    monkeypatch.setattr(quotients, "exp_scaled", shifted(PI_HALF, 0, Scalar(1) / PI))
+    monkeypatch.setattr(quotients, "exp_turns", shifted(1, 0, Scalar(1) / PI))
     assert minimal_period(L1Q, X) == 3 * PI_HALF
 
 
 def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch):
-    # one evaluation of exp(sX) per residue class, s = r u for r = 1..cycle with
-    # u = t_step/|a0|, whatever the witness; all from one computation of the
-    # direction's turn constants
+    # one evaluation of exp(m u X) per residue class, m = r for r = 1..cycle with
+    # u = t_step/|a0|, whatever the witness; each constant of the direction is
+    # computed once, the slopes for the classifier and the evaluator together
     calls = []
     computed = []
-    evaluate = quotients.exp_scaled
-    descriptor = TangentVector.__dict__["turn_constants"]
-    constants = descriptor.func
+    evaluate = quotients.exp_turns
 
-    def counted(X, s):
-        calls.append(s)
-        return evaluate(X, s)
+    def counted(L, X, m):
+        calls.append(m)
+        return evaluate(L, X, m)
 
-    def counted_constants(X):
-        computed.append(X)
-        return constants(X)
+    def counted_constant(name, func):
+        def constant(X):
+            computed.append((name, X))
+            return func(X)
+        return constant
 
     def refused(self, factor):
         raise RuntimeError("minimal_period scaled the direction")
 
-    monkeypatch.setattr(quotients, "exp_scaled", counted)
-    monkeypatch.setattr(descriptor, "func", counted_constants)
+    monkeypatch.setattr(quotients, "exp_turns", counted)
+    names = ("slopes", "quarter_turn", "z_constants")
+    for name in names:
+        descriptor = TangentVector.__dict__[name]
+        monkeypatch.setattr(descriptor, "func", counted_constant(name, descriptor.func))
     monkeypatch.setattr(TangentVector, "scale", refused)
     X = parse_vector("a0=2,a1=-6/5,a2=9/5,a3=-117/100 + 1/(1200*pi)")
     T = minimal_period(L20, X)
     # a full twist has one class: u = 2 pi/2, and m = 300
-    assert T == 300 * PI and calls == [PI]
-    assert computed == [X]
+    assert T == 300 * PI and calls == [1]
+    assert sorted(computed) == sorted((name, X) for name in names)
     calls.clear()
     # a quarter twist has four: the full turn first, then r = 1, 2, 3; m = 3
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
     T = minimal_period(L1Q, X)
-    u = PI_HALF
-    assert T == 3 * u and calls == [4 * u, u, 2 * u, 3 * u]
+    assert T == 3 * PI_HALF and calls == [4, 1, 2, 3]
+
+
+def test_minimal_period_reads_no_angle_on_rotating_directions(monkeypatch):
+    # the proof evaluates at integer turn counts only: no exp_scaled, and no
+    # quarter_turns(a0 s) to recover a count it already holds
+    def refused(*args):
+        raise RuntimeError("minimal_period evaluated at a Scalar angle")
+
+    for module in (scalar, groups, geodesics):
+        monkeypatch.setattr(module, "quarter_turns", refused)
+    monkeypatch.setattr(geodesics, "exp_scaled", refused)
+    monkeypatch.setattr(quotients, "exp_scaled", refused)
+    rng = random.Random(5)
+    verdicts = set()
+    for L in ALL_FAMILIES:
+        for X in (random_null(rng, allow_line=False), _random_closing_rotation(rng),
+                  TangentVector.of(1, 0, 0, 1), parse_vector("a0=pi,a1=1,a2=2,a3=1/pi")):
+            minimal_period(L, X)
+            verdicts.add(classify_geodesic(L, X)[1].kind)
+    assert verdicts == {VerdictKind.PERIODIC, VerdictKind.NON_CLOSED}
+
+
+def test_exp_turns_matches_exp_scaled_at_every_turn_count():
+    # exp(m u X) from the integer m against exp_scaled at the Scalar s = m u, on a
+    # fresh vector, for rational and irrational a0 and on the a1 = a2 = 0 branch
+    rng = random.Random(23)
+    kinds = set()
+    for L in ALL_FAMILIES:
+        for i in range(6):
+            if i % 2:
+                a0 = _random_q_pi(rng, nonzero=True)
+            else:
+                a0 = Scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1)))
+            a1, a2 = (Scalar(0), Scalar(0)) if i % 3 == 0 else (_random_q_pi(rng), _random_q_pi(rng))
+            X = TangentVector(a0, a1, a2, _random_q_pi(rng))
+            kinds.add((a0.is_rational(), a1.is_zero() and a2.is_zero()))
+            u = L.t_step / abs(a0)
+            for m in (*range(-8, 9), 10**9, 2**521 - 1):
+                expected = exp_scaled(TangentVector(*X.components), u * m)
+                assert quotients.exp_turns(L, X, m) == expected, (L, X, m)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_minimal_period_large_witnesses():

@@ -9,6 +9,7 @@ import pytest
 from oscigeo import scalar
 from oscigeo.scalar import (
     MAX_DIGITS,
+    MAX_NESTING,
     DivisionByZero,
     NotRational,
     PI,
@@ -230,6 +231,14 @@ def test_parser_limit_on_degree():
         parse_scalar("(pi^2+1)^33")
     with pytest.raises(ValueError, match="degree 65 .*MAX_DEGREE"):
         parse_scalar("1/(pi^64+1) + 1/(pi+2)")
+
+
+def test_parser_limit_on_nesting():
+    assert parse_scalar("(" * MAX_NESTING + "pi" + ")" * MAX_NESTING) == PI
+    # the limit is checked as each parenthesis opens, before the rest is read
+    for text in ("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), "(" * 10**5):
+        with pytest.raises(ValueError, match=f"MAX_NESTING = {MAX_NESTING}"):
+            parse_scalar(text)
 
 
 def test_parser_limit_on_digits():

@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--quotient", action="store_true", help="reduce samples to lattice coset normal forms"
     )
-    p_trace.add_argument("--lattice", default=None, help="required with --quotient")
+    p_trace.add_argument("--lattice", default=None, help="with --quotient only, which requires it")
     p_trace.add_argument(
         "--rk4", action="store_true", help="sample the RK4 integrator instead of the closed form"
     )
@@ -143,32 +143,18 @@ def cmd_trace(args) -> int:
     base = IDENTITY if args.base is None else parse_group_element(args.base)
     if not np.isfinite(vector.to_float() + base.to_float()).all():
         raise ValueError("the direction and the base point must lie within the float range")
-    header = "s,t,x,y,z"
-    if args.quotient:
-        if args.lattice is None:
-            raise ValueError("--quotient requires --lattice")
-        lattice = LatticeSpec.parse(args.lattice)
-        samples = floats.project_geodesic(lattice, base, vector, args.s_end, args.step)
-    else:
-        closed = floats.sample_geodesic(base, vector, args.s_end, args.step)
-        if args.rk4 or args.rk4_check:
-            rk4 = floats.integrate_geodesic(base, vector, args.s_end, args.step)
-        samples = rk4 if args.rk4 else closed
-        if args.rk4_check:
-            # for peak memory: a column at a time, with no (n, 4) temporaries, and
-            # the path that is not written freed before the (n + 1, 6) copy
-            diff = np.abs(closed[:, 1] - rk4[:, 1])
-            for k in (2, 3, 4):
-                np.maximum(diff, np.abs(closed[:, k] - rk4[:, k]), out=diff)
-            del closed, rk4
-            samples = np.column_stack([samples, diff])
-            header = "s,t,x,y,z,diff"
+    if args.quotient != (args.lattice is not None):
+        raise ValueError("--quotient and --lattice must be given together")
+    lattice = LatticeSpec.parse(args.lattice) if args.quotient else None
+    # the first chunk is computed here, so a request refused within it writes nothing
+    chunks = floats.trace_chunks(
+        base, vector, args.s_end, args.step, lattice, rk4=args.rk4, diff=args.rk4_check)
 
     def write(stream) -> None:
         if args.format == "json":
-            floats.path_to_json(samples, stream)
+            floats.path_to_json(chunks, stream)
         else:
-            floats.path_to_csv(samples, stream, header=header)
+            floats.path_to_csv(chunks, stream, "s,t,x,y,z,diff" if args.rk4_check else "s,t,x,y,z")
 
     try:
         if args.output == "-":

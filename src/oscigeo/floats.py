@@ -10,8 +10,9 @@ them against.
 
 Contents: the group law of G and the coset normal form, the coordinate
 metric and the frames, the isometry maps and the finite-difference
-isometry test, closed-form geodesics and their sampling, the RK4 oracle
-and CSV/JSON output of sampled paths.
+isometry test, closed-form geodesics, the RK4 oracle, and the trace
+stream ``trace_chunks``, the one place a trace path is sampled, integrated
+and reduced, a chunk of rows at a time, with its CSV/JSON writers.
 
 The RK4 oracle integrates the coordinate second-order system
 
@@ -22,9 +23,10 @@ with fixed-step classical RK4 (deterministic, no adaptivity).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from typing import IO, Callable
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,8 +35,7 @@ from .metric import TangentVector
 
 _A0_FLOAT_CUTOFF = 1e-12
 
-# most steps one sampling or integration call may take: every sample is held
-# in memory at once, so a larger request is refused instead of attempted
+# most steps one trace request may take: a bound on its work, as it holds one chunk at a time
 MAX_SAMPLES = 10**7
 
 # rows per CSV write
@@ -50,6 +51,12 @@ class InvalidStep(ValueError):
     """A sampling or integration step that is not positive and finite, one
     that would take more than MAX_SAMPLES steps, or samples too far out
     for a float coset reduction (MAX_REDUCED_STEPS)."""
+
+
+def _floats(value) -> np.ndarray:
+    """A float array, or the to_float() of a GroupElement or TangentVector."""
+    exact = isinstance(value, (GroupElement, TangentVector))
+    return np.asarray(value.to_float() if exact else value, dtype=float)
 
 
 def _stack(*columns) -> np.ndarray:
@@ -250,7 +257,7 @@ def is_isometry_numeric(
 
 
 # ---------------------------------------------------------------------------
-# closed-form geodesics and sampling
+# closed-form geodesics
 # ---------------------------------------------------------------------------
 
 def exp_map_packed_f(a) -> np.ndarray:
@@ -295,47 +302,6 @@ def closed_form_batch(a, s) -> np.ndarray:
         np.where(line, a2 * s, -(a1 / b0) * cs + (a2 / b0) * sn + a1 / b0),
         np.where(line, a3 * s, 0.5 * ((sq / b0 + 2 * a3) * s - (sq / (b0 * b0)) * sn)),
     ], axis=-1)
-
-
-def _step_count(s_end: float, step: float) -> int:
-    if not 0 < step < math.inf:
-        raise InvalidStep(f"step must be positive and finite, got {step}")
-    ratio = s_end / step
-    if not math.isfinite(ratio):
-        raise InvalidStep(f"s_end / step must be finite, got {s_end} / {step}")
-    n = max(int(round(ratio)), 0)
-    if n > MAX_SAMPLES:
-        raise InvalidStep(
-            f"s_end / step asks for {n} steps, above the limit MAX_SAMPLES = {MAX_SAMPLES}"
-        )
-    return n
-
-
-def sample_geodesic(h: GroupElement, X: TangentVector, s_end: float, step: float) -> np.ndarray:
-    """Closed-form samples (s, t, x, y, z) of h exp(sX) at s = i * step, i = 0..n.
-
-    n = round(s_end / step), at least 0, so s_end <= 0 gives the single
-    row at s = 0.
-    """
-    s = np.arange(_step_count(s_end, step) + 1) * step
-    return np.column_stack([s, g_mul_f(h.to_float(), closed_form_batch(X.to_float(), s))])
-
-
-def project_geodesic(
-    L: LatticeSpec,
-    h: GroupElement,
-    X: TangentVector,
-    s_end: float,
-    step: float,
-) -> np.ndarray:
-    """Float samples (s, t, x, y, z) of the quotient-reduced geodesic.
-
-    Each sample is h exp(sX) reduced to the canonical coset
-    representative; trace output only, never used for decisions.
-    """
-    rows = sample_geodesic(h, X, s_end, step)
-    rows[:, 1:5] = coset_normal_form_f(L, rows[:, 1:5])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +378,9 @@ def _rk4_block(block: np.ndarray, h: float) -> None:
     block[1:, ..., 4] = vt + h6 * 0.0
 
 
-def _rk4_spans(state: np.ndarray, n_steps: int) -> list[tuple[int, int]]:
-    """(i, m) per block of steps i + 1..i + m from the state: m * paths <= _RK4_BLOCK, or m = 1."""
-    size = max(1, _RK4_BLOCK // max(1, state.size // 8))
+def _rk4_spans(paths: int, n_steps: int) -> list[tuple[int, int]]:
+    """(i, m) per block of steps i + 1..i + m: m * paths <= _RK4_BLOCK, or m = 1."""
+    size = max(1, _RK4_BLOCK // max(1, paths))
     return [(i, min(size, n_steps - i)) for i in range(0, n_steps, size)]
 
 
@@ -426,7 +392,7 @@ def rk4_states(state0: np.ndarray, n_steps: int, h: float, observer=None) -> np.
     compare as they go.  A path gets the same bits alone and in any batch.
     """
     state = np.array(state0, dtype=float)
-    for i, m in _rk4_spans(state, n_steps):
+    for i, m in _rk4_spans(state.size // 8, n_steps):
         block = np.empty((m + 1,) + state.shape)
         block[0] = state
         _rk4_block(block, float(h))
@@ -442,26 +408,9 @@ def initial_state(h, X) -> np.ndarray:
 
     h and X are (..., 4) arrays, or a GroupElement and a TangentVector.
     """
-    base = np.asarray(h.to_float() if isinstance(h, GroupElement) else h, dtype=float)
-    a = np.asarray(X.to_float() if isinstance(X, TangentVector) else X, dtype=float)
+    base, a = _floats(h), _floats(X)
     velocity = np.einsum("...ij,...j->...i", x_frame_f(base), a)
     return np.concatenate([np.broadcast_to(base, velocity.shape), velocity], axis=-1)
-
-
-def integrate_states(h, X, s_end: float, step: float) -> np.ndarray:
-    """States (s, t, x, y, z, t', x', y', z') of the RK4 path at s = i * step, i = 0..n,
-    filled in place a block at a time by the kernel of ``rk4_states``."""
-    rows = np.empty((_step_count(s_end, step) + 1, 9))
-    rows[:, 0] = np.arange(len(rows)) * step
-    rows[0, 1:] = initial_state(h, X)
-    for i, m in _rk4_spans(rows[0, 1:], len(rows) - 1):
-        _rk4_block(rows[i:i + m + 1, 1:], float(step))
-    return rows
-
-
-def integrate_geodesic(h, X, s_end: float, step: float) -> np.ndarray:
-    """Sampled path (s, t, x, y, z) of the RK4-integrated geodesic."""
-    return integrate_states(h, X, s_end, step)[:, 0:5]
 
 
 def speed_f(states: np.ndarray) -> np.ndarray:
@@ -473,8 +422,68 @@ def speed_f(states: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization of sampled paths
+# the trace stream and its CSV/JSON serialization
 # ---------------------------------------------------------------------------
+
+def _step_count(s_end: float, step: float) -> int:
+    if not 0 < step < math.inf:
+        raise InvalidStep(f"step must be positive and finite, got {step}")
+    ratio = s_end / step
+    if not math.isfinite(ratio):
+        raise InvalidStep(f"s_end / step must be finite, got {s_end} / {step}")
+    n = max(int(round(ratio)), 0)
+    if n > MAX_SAMPLES:
+        raise InvalidStep(
+            f"s_end / step asks for {n} steps, above the limit MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+    return n
+
+
+def trace_chunks(h, X, s_end: float, step: float, lattice: LatticeSpec | None = None,
+                 rk4: bool = False, diff: bool = False) -> Iterator[np.ndarray]:
+    """Rows (s, t, x, y, z[, diff]) of h exp(sX) at s = i * step, i = 0..round(s_end / step).
+
+    A chunk is one RK4 span (_rk4_spans), the first with row 0 too.  It takes
+    the closed form if written or diffed, the RK4 states carried on from the
+    last chunk if rk4 or diff, diff, the sup distance of the unreduced paths,
+    and the written path (RK4 if rk4) reduced to coset normal forms of lattice.
+    The first chunk is computed before this returns, so a request refused
+    within it (InvalidStep) raises here, a later chunk when it is reached.
+    """
+    n = _step_count(s_end, step)
+    base, a = _floats(h), _floats(X)
+    state = initial_state(base, a) if rk4 or diff else None
+
+    def chunk(i: int, m: int) -> np.ndarray:
+        nonlocal state
+        lo = 1 if i else 0  # row i, the last chunk's end, is not repeated
+        s = np.arange(i + lo, i + m + 1) * step
+        if diff or not rk4:
+            closed = g_mul_f(base, closed_form_batch(a, s))
+        if rk4 or diff:
+            block = np.empty((m + 1, 8))
+            block[0] = state
+            _rk4_block(block, float(step))
+            state, integrated = block[-1], block[lo:, :4]
+        path = integrated if rk4 else closed
+        if lattice is not None:
+            path = coset_normal_form_f(lattice, path)
+        columns = [s, path, np.abs(closed - integrated).max(axis=1)] if diff else [s, path]
+        return np.column_stack(columns)
+
+    spans = _rk4_spans(1, n) or [(0, 0)]
+    return itertools.chain([chunk(*spans[0])], itertools.starmap(chunk, spans[1:]))
+
+
+def project_geodesic(L: LatticeSpec, h, X, s_end: float, step: float) -> np.ndarray:
+    """Samples (s, t, x, y, z) of h exp(sX) reduced to coset normal forms, in one array."""
+    return np.concatenate(list(trace_chunks(h, X, s_end, step, lattice=L)))
+
+
+def integrate_geodesic(h, X, s_end: float, step: float) -> np.ndarray:
+    """Sampled path (s, t, x, y, z) of the RK4-integrated geodesic, in one array."""
+    return np.concatenate(list(trace_chunks(h, X, s_end, step, rk4=True)))
+
 
 # %.17g on whole chunks of floats.  %.17g writes x as 17 digits D and an
 # exponent E, x ~ D * 10**(E - 16) rounded half to even; inside this band of
@@ -651,11 +660,11 @@ def _format_fields(x: np.ndarray, seps: np.ndarray) -> bytes:
     return rows[_LAYOUTS.take(key, axis=0)].tobytes()
 
 
-def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z") -> None:
-    """CSV with dot decimals, LF endings and 17 significant digits.
+def path_to_csv(chunks: Iterable[np.ndarray], stream: IO[str], header: str = "s,t,x,y,z") -> None:
+    """CSV of the rows of float chunks in turn: dot decimals, LF endings, 17 significant digits.
 
     Every field is the text of ``"%.17g" % v``, byte for byte.  Rows go out
-    _CHUNK_ROWS at a time, and a chunk is formatted by numpy in a fixed
+    _CHUNK_ROWS at a time, and a piece is formatted by numpy in a fixed
     number of array passes: the 17 digits come from |v| * 10**(16 - E) as
     a double-double with a proven error bound (_PRODUCT_ERR), rounded half
     to even, and fixed or exponent notation, the sign and the stripped
@@ -664,14 +673,17 @@ def path_to_csv(samples: np.ndarray, stream: IO[str], header: str = "s,t,x,y,z")
     _FAST_BAND, and inf and nan are formatted by Python's own ``%``
     instead, so the output is the same as a per-value ``%`` writer's.
     """
-    samples = np.asarray(samples, dtype=float)
     stream.write(header + "\n")
-    cols = samples.shape[1]
-    seps = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint8), _CHUNK_ROWS)
-    for start in range(0, len(samples), _CHUNK_ROWS):
-        chunk = samples[start:start + _CHUNK_ROWS].ravel()
-        stream.write(_format_fields(chunk, seps[:chunk.size]).decode("ascii"))
+    for rows in chunks:
+        seps = np.tile(np.array([ord(",")] * (rows.shape[1] - 1) + [ord("\n")], np.uint8), _CHUNK_ROWS)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            piece = rows[start:start + _CHUNK_ROWS].ravel()
+            stream.write(_format_fields(piece, seps[:piece.size]).decode("ascii"))
 
 
-def path_to_json(samples: np.ndarray, stream: IO[str]) -> None:
-    json.dump(samples.tolist(), stream)
+def path_to_json(chunks: Iterable[np.ndarray], stream: IO[str]) -> None:
+    """The rows of nonempty float chunks as one JSON array, the bytes of json.dump of them all."""
+    stream.write("[")
+    for k, chunk in enumerate(chunks):
+        stream.write((", " if k else "") + json.dumps(chunk.tolist())[1:-1])
+    stream.write("]")

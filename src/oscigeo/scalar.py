@@ -557,6 +557,8 @@ def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
             return _new((x // g,), (y // g,))
         # (u n) / (v d): constant factors keep the pair coprime
         return _from_coprime(_pscale(an, u), _pscale(ad, v))
+    if an is bn and ad is bd:  # a square of a canonical pair is canonical, as in __pow__
+        return _new(_pmul(an, an), _pmul(ad, ad))
     return _canonical(_pmul(an, bn), _pmul(ad, bd))
 
 

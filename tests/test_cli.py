@@ -3,10 +3,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oscigeo
 from oscigeo.cli import _build_parser, main, parse_vector
+from oscigeo.floats import (
+    _RK4_BLOCK,
+    closed_form_batch,
+    coset_normal_form_f,
+    g_mul_f,
+    initial_state,
+    rk4_states,
+)
+from oscigeo.groups import LatticeSpec, parse_group_element
 from oscigeo.scalar import MAX_NESTING, PI, Scalar
 from oscigeo.metric import TangentVector
 
@@ -140,6 +150,95 @@ def test_trace_quotient_wraps(tmp_path):
 def test_trace_quotient_requires_lattice(capsys):
     code = main(["trace", "--vector", "1,0,0,0", "--quotient", "--output", "-"])
     assert code == 2
+
+
+def test_trace_lattice_without_quotient_is_usage_error(capsys):
+    for lattice in ("k=1,twist=bogus", "k=1,twist=full"):
+        code = main(["trace", "--vector", "1,0,0,0", "--lattice", lattice, "--output", "-"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", lattice
+        assert captured.err.startswith("error:") and "--quotient" in captured.err, lattice
+
+
+TRACE_VECTOR, TRACE_BASE, TRACE_LATTICE = "1,1,-1/2,1/3", "(1/2; 1, -1; 1/4)", "k=1,twist=quarter"
+# every combination of the flags that choose what a trace computes
+TRACE_MODES = [
+    [*quotient, *rk4, *check]
+    for quotient in ([], ["--quotient", "--lattice", TRACE_LATTICE])
+    for rk4 in ([], ["--rk4"])
+    for check in ([], ["--rk4-check"])
+]
+
+
+def _trace_oracle(vector, base, n, h, mode):
+    """The rows of a trace, built from whole paths at once: the closed form, the
+    RK4 states, the sup distance of the two, and the coset normal forms."""
+    a = np.array(parse_vector(vector).to_float())
+    base = np.array(parse_group_element(base).to_float())
+    s = np.arange(n + 1) * h
+    closed = g_mul_f(base, closed_form_batch(a, s))
+    states = [initial_state(base, a)]
+    rk4_states(states[0], n, h, lambda i, st: states.append(st))
+    integrated = np.array(states)[:, :4]
+    path = integrated if "--rk4" in mode else closed
+    if "--quotient" in mode:
+        path = coset_normal_form_f(LatticeSpec.parse(mode[mode.index("--lattice") + 1]), path)
+    if "--rk4-check" in mode:
+        return np.column_stack([s, path, np.max(np.abs(closed - integrated), axis=1)])
+    return np.column_stack([s, path])
+
+
+def _csv_text(rows, header):
+    return header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, _RK4_BLOCK - 1, _RK4_BLOCK, _RK4_BLOCK + 1, 2 * _RK4_BLOCK + 1])
+def test_trace_output_at_chunk_boundaries_matches_whole_path_oracles(tmp_path, n):
+    # a chunk is _RK4_BLOCK steps; --quotient composes with --rk4 and --rk4-check,
+    # the diff taken before the reduction
+    h = 0.01
+    out = tmp_path / "trace.out"
+    for mode in TRACE_MODES:
+        whole = _trace_oracle(TRACE_VECTOR, TRACE_BASE, n, h, mode)
+        header = "s,t,x,y,z,diff" if "--rk4-check" in mode else "s,t,x,y,z"
+        for fmt, want in (("csv", _csv_text(whole, header)), ("json", json.dumps(whole.tolist()))):
+            argv = ["trace", "--vector", TRACE_VECTOR, "--base", TRACE_BASE, "--s-end", repr(n * h),
+                    "--step", repr(h), "--format", fmt, "--output", str(out), *mode]
+            assert main(argv) == 0
+            assert out.read_bytes().decode() == want, (mode, fmt)
+
+
+def test_trace_refused_within_its_first_chunk_writes_nothing(tmp_path, capsys):
+    quotient = ["--quotient", "--lattice", "k=1,twist=full"]
+    refused = [
+        (["--s-end", "1e12", "--step", "1e-6"], "MAX_SAMPLES"),
+        (["--s-end", "1e300", "--step", "1e299", *quotient], "MAX_REDUCED_STEPS"),
+    ]
+    for extra, limit in refused:
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"refused.{fmt}"
+            for target in (str(out), "-"):
+                argv = ["trace", "--vector", "1,0,0,0", "--format", fmt, "--output", target, *extra]
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and limit in captured.err
+            assert not out.exists()
+
+
+def test_trace_refused_in_a_later_chunk_ends_after_the_rows_written(tmp_path, capsys):
+    # x = s on a line; rows 0.._RK4_BLOCK stay within MAX_REDUCED_STEPS = 2**52
+    # lattice steps, and row 4504, in the second chunk, does not
+    vector, base, n, h = "0,1,0,0", "(0; 0, 0; 0)", 5000, 1e12
+    mode = ["--quotient", "--lattice", "k=1,twist=full"]
+    assert (_RK4_BLOCK + 1) * h < 2**52 < n * h
+    first = _trace_oracle(vector, base, _RK4_BLOCK, h, mode)
+    out = tmp_path / "partial.out"
+    for fmt, want in (("csv", _csv_text(first, "s,t,x,y,z")), ("json", json.dumps(first.tolist())[:-1])):
+        argv = ["trace", "--vector", vector, "--s-end", repr(n * h), "--step", repr(h),
+                "--format", fmt, "--output", str(out), *mode]
+        assert main(argv) == 2
+        assert "MAX_REDUCED_STEPS = 2**52" in capsys.readouterr().err
+        assert out.read_bytes().decode() == want, fmt
 
 
 def test_trace_json_format(capsys):

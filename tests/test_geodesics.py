@@ -44,13 +44,12 @@ from oscigeo.floats import (
     heis_action_f,
     initial_state,
     integrate_geodesic,
-    integrate_states,
     metric_matrix_f,
     path_to_csv,
     path_to_json,
     rk4_states,
-    sample_geodesic,
     speed_f,
+    trace_chunks,
     x_frame_f,
 )
 
@@ -294,15 +293,15 @@ def test_sampling_rejects_bad_step():
     X = TangentVector.of(1, 0, 0, 0)
     for s_end, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, np.inf), (1.0, np.nan), (np.inf, 1e-3)):
         with pytest.raises(InvalidStep):
-            sample_geodesic(IDENTITY, X, s_end, step)
-    assert sample_geodesic(IDENTITY, X, -1.0, 0.1).shape == (1, 5)
+            trace_chunks(IDENTITY, X, s_end, step)
+    assert np.concatenate(list(trace_chunks(IDENTITY, X, -1.0, 0.1))).shape == (1, 5)
 
 
 def test_step_count_limit():
     # checked without allocating: a request at the limit is accepted, one past it refused
     assert _step_count(MAX_SAMPLES * 1e-3, 1e-3) == MAX_SAMPLES
     X = TangentVector.of(1, 0, 0, 0)
-    for run in (sample_geodesic, integrate_geodesic):
+    for run in (trace_chunks, integrate_geodesic):
         with pytest.raises(InvalidStep, match="MAX_SAMPLES"):
             run(IDENTITY, X, (MAX_SAMPLES + 1) * 1e-3, 1e-3)
 
@@ -349,9 +348,9 @@ def test_rk4_one_path_observer_and_rows_match_a_batch_of_one():
     rk4_states(state[None, :], n, h, lambda i, st: seen_batch.append((i, st[0].copy())))
     assert [i for i, _ in seen_path] == [i for i, _ in seen_batch] == list(range(1, n + 1))
     assert all(np.array_equal(p, b) for (_, p), (_, b) in zip(seen_path, seen_batch))
-    rows = integrate_states(base, a, n * h, h)
-    assert np.array_equal(rows[0, 1:], state)
-    assert np.array_equal(rows[1:, 1:], np.array([st for _, st in seen_batch]))
+    rows = integrate_geodesic(base, a, n * h, h)
+    assert np.array_equal(rows[0, 1:], state[:4])
+    assert np.array_equal(rows[1:, 1:], np.array([st[:4] for _, st in seen_batch]))
 
 
 def _deriv_reference(state):
@@ -472,12 +471,12 @@ def test_rk4_states_matches_the_path_kernel_on_every_pattern_of_signed_zeros():
             assert _same_bits(rk4_states(part, n, h), want), h
 
 
-def test_integrate_states_matches_the_path_kernel_it_replaced_bitwise():
+def test_integrate_geodesic_matches_the_path_kernel_it_replaced_bitwise():
     rng = np.random.default_rng(11)
     for base, a in ((rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)), (np.zeros(4), [0.0, 1.5, -0.5, 0.25])):
         for n in (0, 1, _RK4_BLOCK, 2 * _RK4_BLOCK + 1):
-            rows = integrate_states(base, a, n * 1e-3, 1e-3)
-            assert _same_bits(rows[:, 1:], _rk4_path_reference(initial_state(base, a), n, 1e-3))
+            rows = integrate_geodesic(base, a, n * 1e-3, 1e-3)
+            assert _same_bits(rows[:, 1:], _rk4_path_reference(initial_state(base, a), n, 1e-3)[:, :4])
 
 
 def test_rk4_observer_may_keep_its_states_without_copying():
@@ -518,8 +517,14 @@ def test_rk4_bits_are_pinned():
 
 
 def test_speed_conservation():
-    states = integrate_states(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]), 10.0, 1e-3)[::100]
-    speeds = speed_f(states[:, 1:])
+    states = [initial_state(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]))]
+
+    def every_100th(i, st):
+        if i % 100 == 0:
+            states.append(st)
+
+    rk4_states(states[0], 10000, 1e-3, every_100th)
+    speeds = speed_f(np.array(states))
     assert np.max(np.abs(speeds - speeds[0])) / max(1.0, abs(speeds[0])) < 1e-8
 
 
@@ -559,6 +564,29 @@ def test_integrated_left_invariance():
         assert np.max(np.abs(direct[:4] - g_mul_f(h, from_e[:4]))) < 1e-12
 
 
+def test_trace_chunks_are_the_rk4_spans():
+    # B = _RK4_BLOCK steps a chunk; row 0 joins the first, so no chunk exceeds B + 1 rows
+    B, h = _RK4_BLOCK, 1e-3
+    X = TangentVector.of(1, 1, 0, 0)
+    for n, sizes in ((0, [1]), (1, [2]), (B - 1, [B]), (B, [B + 1]), (B + 1, [B + 1, 1]),
+                     (2 * B + 1, [B + 1, B, 1])):
+        for flags in ({}, {"rk4": True}, {"diff": True}, {"lattice": LatticeSpec.parse("k=1,twist=full")}):
+            chunks = list(trace_chunks(IDENTITY, X, n * h, h, **flags))
+            assert [len(c) for c in chunks] == sizes, (n, flags)
+            assert max(len(c) for c in chunks) <= B + 1
+            assert np.array_equal(np.concatenate(chunks)[:, 0], np.arange(n + 1) * h)
+
+
+def test_trace_chunks_refuse_before_the_first_chunk(monkeypatch):
+    calls = []
+    for name in ("closed_form_batch", "_rk4_block", "coset_normal_form_f"):
+        monkeypatch.setattr(floats, name, lambda *args, name=name: calls.append(name))
+    X, L = TangentVector.of(1, 1, 0, 0), LatticeSpec.parse("k=1,twist=full")
+    with pytest.raises(InvalidStep, match="MAX_SAMPLES"):
+        trace_chunks(IDENTITY, X, (MAX_SAMPLES + 1) * 1e-3, 1e-3, lattice=L, rk4=True, diff=True)
+    assert calls == []
+
+
 def test_integrate_geodesic_sampling_shape():
     path = integrate_geodesic(IDENTITY, TangentVector.of(1, 1, 0, 0), 1.0, 0.01)[::10]
     assert path.shape[1] == 5
@@ -569,7 +597,7 @@ def test_integrate_geodesic_sampling_shape():
 def test_csv_serialization_format():
     samples = np.array([[0.0, 0.1, 0.2, 0.3, 0.4], [1.0, -1.5, 2.25, 1e-17, 3.0]])
     buf = io.StringIO()
-    path_to_csv(samples, buf)
+    path_to_csv([samples], buf)
     text = buf.getvalue()
     lines = text.split("\n")
     assert lines[0] == "s,t,x,y,z"
@@ -582,7 +610,7 @@ def test_csv_serialization_format():
 def test_json_serialization():
     samples = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
     buf = io.StringIO()
-    path_to_json(samples, buf)
+    path_to_json([samples], buf)
     data = json.loads(buf.getvalue())
     assert data == [[0.0, 1.0, 2.0, 3.0, 4.0]]
 
@@ -607,7 +635,7 @@ def test_csv_chunks_match_the_per_element_writer():
             flat[-len(EDGE_VALUES):] = EDGE_VALUES[-flat.size:]
             expected, got = io.StringIO(), io.StringIO()
             _csv_per_element(samples, expected, header)
-            path_to_csv(samples, got, header=header)
+            path_to_csv([samples], got, header=header)
             assert got.getvalue() == expected.getvalue()
 
 
@@ -617,7 +645,7 @@ def _assert_csv_matches_percent(values, cols=5):
     samples = np.concatenate([values, np.ones(-values.size % cols)]).reshape(-1, cols)
     expected, got = io.StringIO(), io.StringIO()
     _csv_per_element(samples, expected, "h")
-    path_to_csv(samples, got, header="h")
+    path_to_csv([samples], got, header="h")
     assert got.getvalue() == expected.getvalue()
 
 
@@ -706,7 +734,7 @@ def test_csv_exponent_follows_rounding_and_notation_boundaries(monkeypatch):
     boundary = [b * f for b in (1e-5, 1e-4, 1e16, 1e17) for f in (1.0, -1.0)]
     _assert_csv_matches_percent(boundary + [math.nextafter(v, d) for v in boundary for d in (0.0, math.inf)])
     got = io.StringIO()
-    path_to_csv(np.array([[1e-14, 1e-4, 9.999999999999999e-05, 1e16, 1e17]]), got, header="h")
+    path_to_csv([np.array([[1e-14, 1e-4, 9.999999999999999e-05, 1e16, 1e17]])], got, header="h")
     assert got.getvalue() == "h\n1e-14,0.0001,9.9999999999999991e-05,10000000000000000,1e+17\n"
     # a floor next to 10**16 or 10**17 prints the same power of ten on either
     # side, so these exact doubles are decided by the bound, not by %
@@ -729,13 +757,23 @@ def test_csv_fallback_alone_gives_the_same_bytes(monkeypatch):
     monkeypatch.setattr(floats, "_POW10", pow10)
     seen = _count_fallbacks(monkeypatch)
     got = io.StringIO()
-    path_to_csv(samples, got, header="h")
+    path_to_csv([samples], got, header="h")
     assert got.getvalue() == expected.getvalue()
     assert sum(seen) == np.count_nonzero(samples)
+
+
+def test_json_of_chunks_is_the_json_of_the_whole_path():
+    rng = np.random.default_rng(13)
+    parts = [rng.standard_normal((n, 6)) for n in (3, 1, 4)]
+    for chunks in (parts, parts[1:], parts[:1], []):
+        buf = io.StringIO()
+        path_to_json(chunks, buf)
+        whole = np.concatenate(chunks) if chunks else np.empty((0, 6))
+        assert buf.getvalue() == json.dumps(whole.tolist())
 
 
 def test_json_matches_the_per_element_writer():
     samples = np.array([EDGE_VALUES[:5] + [2.5], [1.0, -1.5, 2.25, 1e-17, 0.1, -0.0]])
     buf = io.StringIO()
-    path_to_json(samples, buf)
+    path_to_json([samples], buf)
     assert buf.getvalue() == json.dumps([[float(v) for v in row] for row in samples])

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscigeo import scalar
 from oscigeo.scalar import PI, ZERO, Scalar, _canonical, _padd, _pmul
 
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
@@ -207,13 +208,8 @@ def _sympy_pair(sympy, x, op, a, b):
     return tuple(v // c for v in n), tuple(v // c for v in d)
 
 
-def test_rational_operand_fast_paths_match_the_general_form_and_sympy():
-    # a rational operand skips the pi-strip and the polynomial gcd in _add and
-    # _mul; the result must be the pair the general path and sympy give
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    rationals = [Scalar(v) for v in (0, 1, -1, 6, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(-2, 9))]
-    # the content 2 of base's denominator divides the rationals 6 and -12
+def _non_rational_values():
+    """Seeded non-rational Scalars; the content 2 of base's denominator divides 6 and -12."""
     base = (PI + 2) / (4 * PI + 2)
     others = [
         base,
@@ -228,7 +224,16 @@ def test_rational_operand_fast_paths_match_the_general_form_and_sympy():
         (3 * PI**3 - 6 * PI) / (9 * PI**2 + 12),
     ]
     rng = random.Random(15)
-    others += [s for s in (rand_scalar(rng) for _ in range(40)) if not s.is_rational()]
+    return others + [s for s in (rand_scalar(rng) for _ in range(40)) if not s.is_rational()]
+
+
+def test_rational_operand_fast_paths_match_the_general_form_and_sympy():
+    # a rational operand skips the pi-strip and the polynomial gcd in _add and
+    # _mul; the result must be the pair the general path and sympy give
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rationals = [Scalar(v) for v in (0, 1, -1, 6, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(-2, 9))]
+    others = _non_rational_values()
     checked = 0
     for r in rationals:
         for s in others:
@@ -242,3 +247,17 @@ def test_rational_operand_fast_paths_match_the_general_form_and_sympy():
                     assert pair == _sympy_pair(sympy, x, op, a, b), (op, a, b)
                     checked += 1
     assert checked > 1500
+
+
+def test_squares_skip_the_gcd_and_match_the_general_form_and_sympy(monkeypatch):
+    # the square of a canonical pair is canonical, so x * x runs no polynomial gcd
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    values = _non_rational_values()
+    want = [(_general_pair(operator.mul, s, s), _sympy_pair(sympy, x, operator.mul, s, s)) for s in values]
+    gcds, pgcd = [], scalar._pgcd
+    monkeypatch.setattr(scalar, "_pgcd", lambda *args: gcds.append(args) or pgcd(*args))
+    for s, (general, cancelled) in zip(values, want):
+        got = s * s
+        assert (got._n, got._d) == general == cancelled, s
+    assert gcds == [] and len(values) > 40

@@ -454,6 +454,8 @@ def trace_chunks(h, X, s_end: float, step: float, lattice: LatticeSpec | None = 
     base, a = _floats(h), _floats(X)
     state = initial_state(base, a) if rk4 or diff else None
 
+    # a path that leaves the float range goes on as inf and nan, with no warning per kernel line
+    @np.errstate(over="ignore", invalid="ignore")
     def chunk(i: int, m: int) -> np.ndarray:
         nonlocal state
         lo = 1 if i else 0  # row i, the last chunk's end, is not repeated

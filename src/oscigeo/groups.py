@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalar import (
     PI,
@@ -171,12 +172,19 @@ _TWIST_QUARTERS = {Twist.FULL: 4, Twist.HALF: 2, Twist.QUARTER: 1}
 _TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS.items()}
 
 
+# membership tests and normal forms read z_step with no new Fraction; a process uses few k
+@lru_cache(maxsize=16)
+def _z_step(k: int) -> Fraction:
+    return Fraction(1, 2 * k)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """One lattice of the three twisted families over Z x Z x (1/2k)Z."""
 
     k: int
     twist: Twist
+    v_step = Fraction(1)  # not a field: the one x- and y-step of every lattice
 
     def __post_init__(self):
         if self.k < 1:
@@ -192,11 +200,7 @@ class LatticeSpec:
 
     @property
     def z_step(self) -> Fraction:
-        return Fraction(1, 2 * self.k)
-
-    @property
-    def v_step(self) -> Fraction:
-        return Fraction(1)
+        return _z_step(self.k)
 
     def generators(self) -> list[GroupElement]:
         return [
@@ -274,14 +278,14 @@ def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     fx = x.floor()
     fy = y.floor()
     if fx or fy:
-        shift = (Scalar(-fx), Scalar(-fy))
+        shift = (Scalar.coerce(-fx), Scalar.coerce(-fy))
         rotate(-t1, *shift)
         z = z + cross((x, y), shift) / 2
-        x = x - Scalar(fx)
-        y = y - Scalar(fy)
+        x = x - fx
+        y = y - fy
 
     # z-reduction by (0, 0, z_lam)
-    return GroupElement(t1, x, y, _reduce(z, Scalar(L.z_step)))
+    return GroupElement(t1, x, y, _reduce(z, Scalar.coerce(L.z_step)))
 
 
 def coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
@@ -296,10 +300,10 @@ def n_coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     fx, fy = x.floor(), y.floor()
     if fx or fy:
         # left multiplication by (0, (-fx, -fy), 0): z gains cross(v_lam, v)/2
-        z = z + cross((Scalar(-fx), Scalar(-fy)), (x, y)) / 2
-        x = x - Scalar(fx)
-        y = y - Scalar(fy)
-    return GroupElement(t, x, y, _reduce(z, Scalar(L.z_step)))
+        z = z + cross((Scalar.coerce(-fx), Scalar.coerce(-fy)), (x, y)) / 2
+        x = x - fx
+        y = y - fy
+    return GroupElement(t, x, y, _reduce(z, Scalar.coerce(L.z_step)))
 
 
 def n_coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:

@@ -11,13 +11,15 @@ canonical form:
 
 Equality is therefore structural and zero-testing is free.  A rational
 a/b is ((a,), (b,)) and costs one integer gcd per operation; no
-Fraction is built on the arithmetic path.  With one rational operand u/v
-and the other n/d, the results (v n + u d)/(v d), (u n)/(v d) and
-(v n)/(u d) stay coprime as polynomials, since a common factor would
-divide both n and d, and they share no power of pi; so they skip the
-polynomial gcd and cost one content gcd.  The read-only views ``num``
-and ``den`` give the same value as Fraction tuples with a monic
-denominator.
+Fraction is built on the arithmetic path.  Polynomials of length at most 2
+are added, scaled and divided by their content into tuples built directly,
+and the Scalars of -256..256 come from one shared table (a Scalar is never
+mutated).  With one rational operand u/v and the other n/d, the results
+(v n + u d)/(v d), (u n)/(v d) and (v n)/(u d) stay coprime as
+polynomials, since a common factor would divide both n and d, and they
+share no power of pi; so they skip the polynomial gcd and cost one
+content gcd.  The read-only views ``num`` and ``den`` give the same
+value as Fraction tuples with a monic denominator.
 
 Sign queries evaluate the polynomials on shrinking rational enclosures
 A/10^d of pi, in integers: with p+ and p- the parts of p with positive
@@ -83,6 +85,12 @@ def _strip(c: list[int]) -> Poly:
 def _padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
+    if len(a) <= 2 and b:  # the usual degree <= 1 sums, without a list
+        low = a[0] + b[0]
+        if len(a) == 1:
+            return (low,) if low else ()
+        top = a[1] + b[1] if len(b) == 2 else a[1]
+        return (low, top) if top else ((low,) if low else ())
     out = list(a)
     for i, v in enumerate(b):
         out[i] += v
@@ -90,6 +98,12 @@ def _padd(a: Poly, b: Poly) -> Poly:
 
 
 def _pscale(a: Poly, k: int) -> Poly:
+    if k == 1:
+        return a
+    if len(a) == 2:
+        return (k * a[0], k * a[1])
+    if len(a) == 1:
+        return (k * a[0],)
     return tuple([k * v for v in a])
 
 
@@ -108,12 +122,21 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
+def _pdiv(a: Poly, c: int) -> Poly:
+    """a divided exactly by the integer c."""
+    if len(a) == 2:
+        return (a[0] // c, a[1] // c)
+    if len(a) == 1:
+        return (a[0] // c,)
+    return tuple([v // c for v in a])
+
+
 def _pprimitive(a: Poly) -> Poly:
     """a divided by its content, with a positive leading coefficient."""
     c = _gcd(*a)
     if a[-1] < 0:
         c = -c
-    return a if c == 1 else tuple(v // c for v in a)
+    return a if c == 1 else _pdiv(a, c)
 
 
 def _prem(a: Poly, b: Poly) -> Poly:
@@ -257,8 +280,11 @@ def _int_coeffs(value) -> tuple[Poly, int]:
     return _strip([v.numerator * (den // v.denominator) for v in fracs]), den
 
 
+_alloc = object.__new__  # one global lookup on the per-operation allocations
+
+
 def _new(n: Poly, d: Poly) -> "Scalar":
-    out = object.__new__(Scalar)
+    out = _alloc(Scalar)
     out._n = n
     out._d = d
     return out
@@ -274,9 +300,10 @@ def _from_coprime(n: Poly, d: Poly) -> "Scalar":
     if d[-1] < 0:
         c = -c
     if c != 1:
-        n = tuple([v // c for v in n])
-        d = tuple([v // c for v in d])
-    return _new(n, d)
+        n, d = _pdiv(n, c), _pdiv(d, c)
+    out = _alloc(Scalar)
+    out._n, out._d = n, d
+    return out
 
 
 def _canonical(n: Poly, d: Poly) -> "Scalar":
@@ -300,7 +327,7 @@ def _coerce(value) -> "Scalar":
     if kind is Scalar:
         return value
     if kind is int:
-        return _new((value,), (1,)) if value else ZERO
+        return _SMALL_INTS[value + 256] if -256 <= value <= 256 else _new((value,), (1,))
     if kind is Fraction:
         return _new((value.numerator,), (value.denominator,)) if value else ZERO
     if isinstance(value, (int, Fraction)):
@@ -382,11 +409,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(tuple([-v for v in self._n]), self._d)
+        return _new(_pscale(self._n, -1), self._d)
 
     def __sub__(self, other):
         o = other if type(other) is Scalar else _coerce(other)
-        return _add(self._n, self._d, tuple([-v for v in o._n]), o._d)
+        return _add(self._n, self._d, _pscale(o._n, -1), o._d)
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
@@ -415,7 +442,7 @@ class Scalar:
                 raise DivisionByZero("scalar division by zero")
             n, d, exponent = d, n, -exponent
             if d[-1] < 0:
-                n, d = tuple(-v for v in n), tuple(-v for v in d)
+                n, d = _pscale(n, -1), _pscale(d, -1)
         # powers of a canonical pair stay coprime, primitive and positive-led
         pn, pd = (1,), (1,)
         while exponent:
@@ -531,7 +558,9 @@ def _add(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
                 return ZERO
             y = ad[0] * v
             g = _gcd(x, y)
-            return _new((x // g,), (y // g,))
+            out = _alloc(Scalar)
+            out._n, out._d = (x // g,), (y // g,)
+            return out
         # n/d + u/v = (v n + u d) / (v d): a factor of d that divides the
         # numerator divides v n, hence n, so the pair stays coprime
         return _from_coprime(_padd(_pscale(an, v), _pscale(ad, u)), _pscale(ad, v))
@@ -545,25 +574,28 @@ def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
     if not an or not bn:
         return ZERO
     if len(an) == 1 and len(ad) == 1:
-        # a rational operand goes to b
-        an, ad, bn, bd = bn, bd, an, ad
-    if len(bn) == 1 and len(bd) == 1:
-        u, v = bn[0], bd[0]
-        if len(an) == 1 and len(ad) == 1:
-            x, y = an[0] * u, ad[0] * v
+        if len(bn) == 1 and len(bd) == 1:
+            x, y = an[0] * bn[0], ad[0] * bd[0]
             if y < 0:
                 x, y = -x, -y
             g = _gcd(x, y)
-            return _new((x // g,), (y // g,))
+            out = _alloc(Scalar)
+            out._n, out._d = (x // g,), (y // g,)
+            return out
+        # a rational operand goes to b
+        an, ad, bn, bd = bn, bd, an, ad
+    if len(bn) == 1 and len(bd) == 1:
         # (u n) / (v d): constant factors keep the pair coprime
-        return _from_coprime(_pscale(an, u), _pscale(ad, v))
+        return _from_coprime(_pscale(an, bn[0]), _pscale(ad, bd[0]))
     if an is bn and ad is bd:  # a square of a canonical pair is canonical, as in __pow__
         return _new(_pmul(an, an), _pmul(ad, ad))
     return _canonical(_pmul(an, bn), _pmul(ad, bd))
 
 
 ZERO = _new((), (1,))
-ONE = _new((1,), (1,))
+# the Scalars of -256..256, shared: a Scalar is never mutated
+_SMALL_INTS = tuple(_new((v,), (1,)) if v else ZERO for v in range(-256, 257))
+ONE = _SMALL_INTS[257]
 PI = Scalar.pi()
 PI_HALF = PI / 2
 
@@ -645,17 +677,18 @@ _TOKEN = re.compile(r"[0-9]+|pi|\*\*|[-+*/^()]|\S")
 _SYMBOLS = frozenset(("pi", "+", "-", "*", "/", "^", "(", ")"))
 
 
-class _Tokenizer:
-    """The tokens of a scalar text, ending in the sentinel None, and a read index."""
+class _Tokens(list):
+    """The tokens of a scalar text, last first, above the sentinel None: tk[-1] is the next one."""
+
+    __slots__ = ("text", "depth")
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[str | None] = _TOKEN.findall(text)
-        for i, tok in enumerate(self.tokens):
+        tokens: list[str | None] = _TOKEN.findall(text)
+        for i, tok in enumerate(tokens):
             if tok in _SYMBOLS:
                 continue
             if tok == "**":
-                self.tokens[i] = "^"
+                tokens[i] = "^"
             elif "0" <= tok[0] <= "9":
                 if len(tok) > MAX_DIGITS:
                     raise ValueError(
@@ -663,15 +696,16 @@ class _Tokenizer:
                     )
             else:
                 raise ValueError(f"unexpected character {tok!r} in scalar text {text!r}")
-        self.tokens.append(None)
-        self.index = 0
+        tokens.append(None)
+        tokens.reverse()
+        super().__init__(tokens)
+        self.text = text
         self.depth = 0
 
     def next(self) -> str:
-        tok = self.tokens[self.index]
+        tok = self.pop()
         if tok is None:
             raise ValueError(f"unexpected end of scalar text {self.text!r}")
-        self.index += 1
         return tok
 
 
@@ -680,7 +714,7 @@ def _degree(value: Scalar) -> int:
 
 
 def _bounded(value: Scalar) -> Scalar:
-    deg = _degree(value)
+    deg = max(len(value._n), len(value._d)) - 1  # _degree, inlined on this per-operation path
     if deg > MAX_DEGREE:
         raise ValueError(f"parsed value of degree {deg} is above the limit MAX_DEGREE = {MAX_DEGREE}")
     return value
@@ -730,46 +764,44 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _parse_text(text: str) -> Scalar:
-    tk = _Tokenizer(text)
+    tk = _Tokens(text)
     value = _parse_sum(tk)
-    tok = tk.tokens[tk.index]
-    if tok is not None:
-        raise ValueError(f"trailing token {tok!r} in scalar text {text!r}")
+    if tk[-1] is not None:
+        raise ValueError(f"trailing token {tk[-1]!r} in scalar text {text!r}")
     return value
 
 
-def _parse_sum(tk: _Tokenizer) -> Scalar:
+def _parse_sum(tk: _Tokens) -> Scalar:
     value = _parse_term(tk)
-    while (op := tk.tokens[tk.index]) in ("+", "-"):
-        tk.index += 1
+    while tk[-1] in ("+", "-"):
+        op = tk.pop()
         rhs = _parse_term(tk)
         value = _bounded(value + rhs if op == "+" else value - rhs)
     return value
 
 
-def _parse_term(tk: _Tokenizer) -> Scalar:
+def _parse_term(tk: _Tokens) -> Scalar:
     value = _parse_factor(tk)
-    while (op := tk.tokens[tk.index]) in ("*", "/"):
-        tk.index += 1
+    while tk[-1] in ("*", "/"):
+        op = tk.pop()
         rhs = _parse_factor(tk)
         value = _bounded(value * rhs if op == "*" else value / rhs)
     return value
 
 
-def _signs(tk: _Tokenizer) -> bool:
+def _signs(tk: _Tokens) -> bool:
     """Consume a run of unary signs; True iff it negates."""
     negate = False
-    while (op := tk.tokens[tk.index]) in ("+", "-"):
-        negate ^= op == "-"
-        tk.index += 1
+    while tk[-1] in ("+", "-"):
+        negate ^= tk.pop() == "-"
     return negate
 
 
-def _parse_factor(tk: _Tokenizer) -> Scalar:
+def _parse_factor(tk: _Tokens) -> Scalar:
     negate = _signs(tk)
     value = _parse_atom(tk)
-    if tk.tokens[tk.index] == "^":
-        tk.index += 1
+    if tk[-1] == "^":
+        tk.pop()
         exp_negate = _signs(tk)
         tok = tk.next()
         if not tok.isdigit():
@@ -779,7 +811,7 @@ def _parse_factor(tk: _Tokenizer) -> Scalar:
     return -value if negate else value
 
 
-def _parse_atom(tk: _Tokenizer) -> Scalar:
+def _parse_atom(tk: _Tokens) -> Scalar:
     tok = tk.next()
     if tok == "(":
         tk.depth += 1

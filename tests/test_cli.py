@@ -250,6 +250,16 @@ def test_trace_json_format(capsys):
     assert abs(data[2][2] - 0.2) < 1e-15
 
 
+@pytest.mark.parametrize("fmt, nan", [("csv", "nan"), ("json", "NaN")])
+def test_trace_leaving_the_float_range_writes_nan_without_warnings(fmt, nan):
+    # RK4 at step 1 overflows to inf and then nan: the rows say so, stderr stays empty
+    result = run_cli(["trace", "--vector", "3,-2/4,-2*pi/1,0", "--s-end", "5425", "--step", "1",
+                      "--rk4", "--rk4-check", "--format", fmt])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert nan in result.stdout.splitlines()[-1]
+
+
 def test_trace_non_finite_step_is_usage_error(capsys):
     quotient = ["--quotient", "--lattice", "k=1,twist=full"]
     for extra in (["--step", "inf"], ["--s-end", "inf"], ["--step", "inf", *quotient]):

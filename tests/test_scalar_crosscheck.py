@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from oscigeo import scalar
-from oscigeo.scalar import PI, ZERO, Scalar, _canonical, _padd, _pmul
+from oscigeo.scalar import PI, ZERO, Scalar, _canonical
 
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
@@ -177,23 +177,51 @@ def test_rational_constructor_matches_the_general_form():
         assert hash(fast) == hash(general) == hash(v), v
 
 
+def _ref_add(a, b):
+    """a + b for ascending coefficient sequences, stripped, in lists: no oscigeo helper."""
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, v in enumerate(p):
+            out[i] += v
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_mul(a, b):
+    """a * b for ascending coefficient sequences, in lists: no oscigeo helper."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+def _pair(x):
+    """The canonical pair of a Scalar, int or Fraction, read without the Scalar constructor."""
+    if isinstance(x, Scalar):
+        return x._n, x._d
+    x = Fraction(x)
+    return ((x.numerator,) if x else ()), (x.denominator,)
+
+
 def _general_pair(op, a, b):
-    """The canonical pair of op(a, b) through _canonical, the general path."""
-    an, ad, bn, bd = a._n, a._d, b._n, b._d
+    """The canonical pair of op(a, b) through _canonical, the general path, from the pairs of a and b."""
+    (an, ad), (bn, bd) = _pair(a), _pair(b)
     if op is operator.sub:
         op, bn = operator.add, tuple(-v for v in bn)
     if op is operator.truediv:
         op, bn, bd = operator.mul, bd, bn
     if op is operator.add:
-        s = _canonical(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+        s = _canonical(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)), _ref_mul(ad, bd))
     else:
-        s = _canonical(_pmul(an, bn), _pmul(ad, bd)) if an and bn else ZERO
+        s = _canonical(_ref_mul(an, bn), _ref_mul(ad, bd)) if an and bn else ZERO
     return s._n, s._d
 
 
 def _sympy_pair(sympy, x, op, a, b):
     """op(a, b) cancelled by sympy over Z[x], as ascending coefficients in the canonical normalization."""
-    P, Q, R, S = (sympy.Poly(list(reversed(c)) or [0], x, domain="ZZ") for c in (a._n, a._d, b._n, b._d))
+    P, Q, R, S = (sympy.Poly(list(reversed(c)) or [0], x, domain="ZZ") for c in (*_pair(a), *_pair(b)))
     num, den = {
         operator.add: (P * S + R * Q, Q * S),
         operator.sub: (P * S - R * Q, Q * S),
@@ -261,3 +289,53 @@ def test_squares_skip_the_gcd_and_match_the_general_form_and_sympy(monkeypatch):
         got = s * s
         assert (got._n, got._d) == general == cancelled, s
     assert gcds == [] and len(values) > 40
+
+
+def _short_values():
+    """Scalars whose numerator and denominator have length 1 or 2, with every sign pattern.
+
+    They include monomials (0, c), contents above 1 that scaling exposes,
+    and denominators whose leading coefficient turns negative when scaled
+    by a negative rational or divided into one.
+    """
+    nums = [(3,), (-3,), (2, 5), (2, -5), (-2, 5), (-2, -5), (0, 4), (0, -4), (6, 6)]
+    dens = [(1,), (4,), (-6,), (1, 3), (1, -3), (-1, 3), (-1, -3), (0, 2)]
+    return [Scalar(n, d) for n in nums for d in dens]
+
+
+def test_short_operand_fast_paths_match_the_general_form_and_sympy():
+    # length <= 2 operands take the tuple fast cases of _padd, _pscale and the
+    # content division, and ints in -256..256 the shared table; each op, plain
+    # and reflected, must give the pair of the test-local general path and of sympy
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    shorts = _short_values()
+    top_cancels = [PI / (PI + 1), (3 + 2 * PI) / 5, (1 - 2 * PI) / 5, (3 + 3 * PI) / 2]
+    partners = [0, 1, -1, 256, -256, 257, -257, Fraction(2, 3), Fraction(-5, 6), Scalar(-1)]
+    partners += top_cancels + shorts[::5]
+    checked = cancelled = 0
+    for a in shorts + top_cancels:
+        for b in partners:
+            for lhs, rhs in ((a, b), (b, a)):
+                for op in OPS:
+                    if op is operator.truediv and _pair(rhs)[0] == ():
+                        continue
+                    got = op(lhs, rhs)
+                    assert type(got) is Scalar
+                    pair = (got._n, got._d)
+                    assert pair == _general_pair(op, lhs, rhs), (op, lhs, rhs)
+                    assert pair == _sympy_pair(sympy, x, op, lhs, rhs), (op, lhs, rhs)
+                    checked += 1
+                    # a sum or difference with a degree-1 numerator whose result lost its pi term
+                    if op in (operator.add, operator.sub) and max(len(_pair(v)[0]) for v in (lhs, rhs)) == 2:
+                        cancelled += len(got._n) < 2
+    assert checked > 3000 and cancelled > 50
+
+
+def test_small_integer_table_edges():
+    # the shared Scalars of -256..256 and the fresh ones beyond hold the integer itself
+    for v in range(-300, 301):
+        for s in (Scalar(v), Scalar.coerce(v), Scalar(Fraction(v)), Scalar(v) + 0, 0 + Scalar(v), -Scalar(-v)):
+            assert (s._n, s._d) == (((v,) if v else ()), (1,)), v
+            assert s == v and hash(s) == hash(v)
+    assert Scalar.coerce(256) is Scalar.coerce(256) and Scalar.coerce(0) is ZERO

@@ -10,9 +10,9 @@ them against.
 
 Contents: the group law of G and the coset normal form, the coordinate
 metric and the frames, the isometry maps and the finite-difference
-isometry test, closed-form geodesics, the RK4 oracle, and the trace
-stream ``trace_chunks``, the one place a trace path is sampled, integrated
-and reduced, a chunk of rows at a time, with its CSV/JSON writers.
+isometry test, closed-form geodesics, the RK4 oracle ``rk4_blocks``, and
+the trace stream ``trace_chunks``, the one place a trace path is sampled,
+integrated and reduced, a chunk of rows at a time, with its CSV/JSON writers.
 
 The RK4 oracle integrates the coordinate second-order system
 
@@ -228,20 +228,21 @@ def heis_action_f(vp, zp, p) -> np.ndarray:
     )
 
 
-# central-difference step, and the half-width of the cube points are drawn from
+# central-difference step, the half-width of the cube points are drawn from,
+# and the entrywise bound on the pulled-back metric's error
 _FD_STEP = 1e-6
 _SAMPLE_BOX = 2.0
+_PULLBACK_TOL = 1e-6
 
 
 def is_isometry_numeric(
     point_map: Callable[[np.ndarray], np.ndarray],
     samples: int = 50,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> bool:
     """Pull the metric back through a central-difference Jacobian.
 
-    True iff J^T G(f(p)) J matches G(p) entrywise within tol at every
+    True iff J^T G(f(p)) J matches G(p) entrywise within _PULLBACK_TOL at every
     point sampled from the cube [-2, 2]^4.  point_map must broadcast over
     (..., 4): it is called once, on an array of every sample and its eight
     displaced copies.
@@ -253,7 +254,7 @@ def is_isometry_numeric(
     images = point_map(p[:, None, :] + shifts)
     jac = np.swapaxes(images[:, 0:4] - images[:, 4:8], -1, -2) / (2 * _FD_STEP)
     pulled = np.swapaxes(jac, -1, -2) @ metric_matrix_f(images[:, 8]) @ jac
-    return not np.any(np.abs(pulled - metric_matrix_f(p)) > tol)
+    return not np.any(np.abs(pulled - metric_matrix_f(p)) > _PULLBACK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +380,32 @@ def _rk4_block(block: np.ndarray, h: float) -> None:
 
 
 def _rk4_spans(paths: int, n_steps: int) -> list[tuple[int, int]]:
-    """(i, m) per block of steps i + 1..i + m: m * paths <= _RK4_BLOCK, or m = 1."""
+    """(i, m) per block of steps i + 1..i + m: m * paths <= _RK4_BLOCK, or m = 1; n_steps = 0 is (0, 0)."""
     size = max(1, _RK4_BLOCK // max(1, paths))
-    return [(i, min(size, n_steps - i)) for i in range(0, n_steps, size)]
+    return [(i, min(size, n_steps - i)) for i in range(0, max(n_steps, 1), size)]
 
 
-def rk4_states(state0: np.ndarray, n_steps: int, h: float, observer=None) -> np.ndarray:
-    """Advance one state (8,) or a batch (..., 8) n_steps of size h; returns the final state.
+def rk4_blocks(state0: np.ndarray, n_steps: int, h: float) -> Iterator[np.ndarray]:
+    """The (m + 1, ..., 8) RK4 blocks of one state (8,) or a batch (..., 8), per _rk4_spans (i, m).
 
-    ``observer(i, state)``, if given, sees the state after each step i = 1..n_steps,
-    each time a fresh array that the kernel does not touch again, so that callers
-    compare as they go.  A path gets the same bits alone and in any batch.
+    Row j of a block is the state after step i + j, so row 0 is state0 or the
+    last row of the block before.  Each block is a fresh array that the stream
+    does not touch again.  A path gets the same bits alone and in any batch.
     """
-    state = np.array(state0, dtype=float)
-    for i, m in _rk4_spans(state.size // 8, n_steps):
+    state = np.asarray(state0, dtype=float)
+    for _, m in _rk4_spans(state.size // 8, n_steps):
         block = np.empty((m + 1,) + state.shape)
         block[0] = state
         _rk4_block(block, float(h))
         state = block[-1].copy()
-        if observer is not None:
-            for j in range(1, m + 1):
-                observer(i + j, block[j])
-    return state
+        yield block
+
+
+def rk4_states(state0: np.ndarray, n_steps: int, h: float) -> np.ndarray:
+    """Advance one state (8,) or a batch (..., 8) n_steps of size h; returns the final state."""
+    for block in rk4_blocks(state0, n_steps, h):
+        pass
+    return block[-1].copy()
 
 
 def initial_state(h, X) -> np.ndarray:
@@ -444,36 +449,32 @@ def trace_chunks(h, X, s_end: float, step: float, lattice: LatticeSpec | None = 
     """Rows (s, t, x, y, z[, diff]) of h exp(sX) at s = i * step, i = 0..round(s_end / step).
 
     A chunk is one RK4 span (_rk4_spans), the first with row 0 too.  It takes
-    the closed form if written or diffed, the RK4 states carried on from the
-    last chunk if rk4 or diff, diff, the sup distance of the unreduced paths,
+    the closed form if written or diffed, the rows of the span's rk4_blocks
+    block if rk4 or diff, diff, the sup distance of the unreduced paths,
     and the written path (RK4 if rk4) reduced to coset normal forms of lattice.
     The first chunk is computed before this returns, so a request refused
     within it (InvalidStep) raises here, a later chunk when it is reached.
     """
     n = _step_count(s_end, step)
     base, a = _floats(h), _floats(X)
-    state = initial_state(base, a) if rk4 or diff else None
+    blocks = rk4_blocks(initial_state(base, a), n, step) if rk4 or diff else None
 
     # a path that leaves the float range goes on as inf and nan, with no warning per kernel line
     @np.errstate(over="ignore", invalid="ignore")
     def chunk(i: int, m: int) -> np.ndarray:
-        nonlocal state
         lo = 1 if i else 0  # row i, the last chunk's end, is not repeated
         s = np.arange(i + lo, i + m + 1) * step
         if diff or not rk4:
             closed = g_mul_f(base, closed_form_batch(a, s))
         if rk4 or diff:
-            block = np.empty((m + 1, 8))
-            block[0] = state
-            _rk4_block(block, float(step))
-            state, integrated = block[-1], block[lo:, :4]
+            integrated = next(blocks)[lo:, :4]
         path = integrated if rk4 else closed
         if lattice is not None:
             path = coset_normal_form_f(lattice, path)
         columns = [s, path, np.abs(closed - integrated).max(axis=1)] if diff else [s, path]
         return np.column_stack(columns)
 
-    spans = _rk4_spans(1, n) or [(0, 0)]
+    spans = _rk4_spans(1, n)
     return itertools.chain([chunk(*spans[0])], itertools.starmap(chunk, spans[1:]))
 
 

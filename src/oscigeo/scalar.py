@@ -342,21 +342,22 @@ class Scalar:
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, num=0, den=1):
+    def __new__(cls, num=0, den=1):
         if type(num) in (int, Fraction) and type(den) is int and den == 1:
-            s = _coerce(num)
-        else:
-            n, n_den = _int_coeffs(num)
-            d, d_den = _int_coeffs(den)
-            if not d:
-                raise DivisionByZero("scalar denominator is zero")
-            # (n / n_den) / (d / d_den)
-            if d_den != 1:
-                n = _pscale(n, d_den)
-            if n_den != 1:
-                d = _pscale(d, n_den)
-            s = _canonical(n, d)
-        self._n, self._d = s._n, s._d
+            return _coerce(num)
+        n, n_den = _int_coeffs(num)
+        d, d_den = _int_coeffs(den)
+        if not d:
+            raise DivisionByZero("scalar denominator is zero")
+        # (n / n_den) / (d / d_den)
+        if d_den != 1:
+            n = _pscale(n, d_den)
+        if n_den != 1:
+            d = _pscale(d, n_den)
+        return _canonical(n, d)
+
+    def __reduce__(self):  # copies rebuild the pair, as the constructor may return a shared Scalar
+        return _new, (self._n, self._d)
 
     # -- views ---------------------------------------------------------------
 

@@ -63,8 +63,11 @@ class SuiteResult:
             self.failures.append(message)
 
 
-def _rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+_SPAN = 9  # random fractions are -_SPAN.._SPAN over 1.._SPAN
+
+
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-_SPAN, _SPAN), rng.randint(1, _SPAN))
 
 
 def _rand_scalar(rng: random.Random, max_deg: int = 3) -> Scalar:
@@ -256,43 +259,32 @@ def suite_curvature(rng: random.Random) -> SuiteResult:
 # geodesics suite: closed form vs RK4, conservation, left invariance
 # ---------------------------------------------------------------------------
 
-# RK4 steps buffered per closed-form comparison in the geodesics suite
-_OBSERVER_CHUNK = 1000
+# the geodesics suite integrates _N_DIRECTIONS random directions over
+# [0, _S_END] at _STEP; the closed form must stay within _SUP_TOL of RK4 and
+# the speed drift, read every 200 steps and at the end, within _DRIFT_TOL
+_N_DIRECTIONS, _S_END, _STEP = 50, 10.0, 1e-4
+_SUP_TOL, _DRIFT_TOL = 1e-7, 1e-8
 
 
-def suite_geodesics(
-    rng: random.Random,
-    n_directions: int = 50,
-    s_end: float = 10.0,
-    step: float = 1e-4,
-    sup_tol: float = 1e-7,
-    drift_tol: float = 1e-8,
-) -> SuiteResult:
+def suite_geodesics(rng: random.Random) -> SuiteResult:
     res = SuiteResult("geodesics")
     nprng = np.random.default_rng(rng.randint(0, 2**31))
-    dirs = nprng.uniform(-2, 2, (n_directions, 4))
+    dirs = nprng.uniform(-2, 2, (_N_DIRECTIONS, 4))
     states = floats.initial_state(IDENTITY, dirs)
-    n = int(round(s_end / step))
+    n = int(round(_S_END / _STEP))
     speed0 = floats.speed_f(states)
-    tracker = {"sup": 0.0, "drift": 0.0}
-    chunk = np.empty((_OBSERVER_CHUNK, n_directions, 4))
-
-    def observer(i, state):
-        k = (i - 1) % _OBSERVER_CHUNK
-        chunk[k] = state[:, :4]
-        if k == _OBSERVER_CHUNK - 1 or i == n:
-            s_grid = np.arange(i - k, i + 1) * step
-            cf = floats.closed_form_batch(dirs, s_grid[:, None])
-            tracker["sup"] = max(tracker["sup"], float(np.max(np.abs(chunk[: k + 1] - cf))))
-        if i % 200 == 0 or i == n:
-            sp = floats.speed_f(state)
-            rel = np.abs(sp - speed0) / np.maximum(1.0, np.abs(speed0))
-            tracker["drift"] = max(tracker["drift"], float(np.max(rel)))
-
-    floats.rk4_states(states, n, step, observer)
-    sup, drift = tracker["sup"], tracker["drift"]
-    res.check(sup <= sup_tol, f"closed form vs RK4 sup deviation {sup:.3e}")
-    res.check(drift <= drift_tol, f"speed drift {drift:.3e}")
+    sup = drift = 0.0
+    i = 0  # the step of each block's row 0
+    for block in floats.rk4_blocks(states, n, _STEP):
+        steps = np.arange(i, i + len(block))
+        cf = floats.closed_form_batch(dirs, steps[:, None] * _STEP)
+        sup = max(sup, float(np.max(np.abs(block[..., :4] - cf))))
+        sp = floats.speed_f(block[(steps % 200 == 0) | (steps == n)])
+        rel = np.abs(sp - speed0) / np.maximum(1.0, np.abs(speed0))
+        drift = max(drift, float(np.max(rel, initial=0.0)))
+        i += len(block) - 1
+    res.check(sup <= _SUP_TOL, f"closed form vs RK4 sup deviation {sup:.3e}")
+    res.check(drift <= _DRIFT_TOL, f"speed drift {drift:.3e}")
 
     for _ in range(100):
         a = nprng.uniform(-2, 2, 4)

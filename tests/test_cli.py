@@ -14,7 +14,7 @@ from oscigeo.floats import (
     coset_normal_form_f,
     g_mul_f,
     initial_state,
-    rk4_states,
+    rk4_blocks,
 )
 from oscigeo.groups import LatticeSpec, parse_group_element
 from oscigeo.scalar import MAX_NESTING, PI, Scalar
@@ -177,9 +177,8 @@ def _trace_oracle(vector, base, n, h, mode):
     base = np.array(parse_group_element(base).to_float())
     s = np.arange(n + 1) * h
     closed = g_mul_f(base, closed_form_batch(a, s))
-    states = [initial_state(base, a)]
-    rk4_states(states[0], n, h, lambda i, st: states.append(st))
-    integrated = np.array(states)[:, :4]
+    blocks = list(rk4_blocks(initial_state(base, a), n, h))
+    integrated = np.concatenate([blocks[0][:1], *(block[1:] for block in blocks)])[:, :4]
     path = integrated if "--rk4" in mode else closed
     if "--quotient" in mode:
         path = coset_normal_form_f(LatticeSpec.parse(mode[mode.index("--lattice") + 1]), path)

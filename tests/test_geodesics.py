@@ -47,6 +47,7 @@ from oscigeo.floats import (
     metric_matrix_f,
     path_to_csv,
     path_to_json,
+    rk4_blocks,
     rk4_states,
     speed_f,
     trace_chunks,
@@ -339,18 +340,40 @@ def test_rk4_one_path_kernel_matches_batch_kernel_bitwise():
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-def test_rk4_one_path_observer_and_rows_match_a_batch_of_one():
-    base, a = np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4])
-    state = initial_state(base, a)
+def _stream_rows(state, n_steps, h):
+    """The states after steps 0..n_steps, joined from the blocks of rk4_blocks."""
+    blocks = list(rk4_blocks(state, n_steps, h))
+    return np.concatenate([blocks[0][:1], *(block[1:] for block in blocks)])
+
+
+def test_rk4_one_path_blocks_match_a_batch_of_one():
+    state = initial_state(np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4]))
     n, h = 2 * _RK4_BLOCK + 1, 1e-3
-    seen_path, seen_batch = [], []
-    rk4_states(state, n, h, lambda i, st: seen_path.append((i, st.copy())))
-    rk4_states(state[None, :], n, h, lambda i, st: seen_batch.append((i, st[0].copy())))
-    assert [i for i, _ in seen_path] == [i for i, _ in seen_batch] == list(range(1, n + 1))
-    assert all(np.array_equal(p, b) for (_, p), (_, b) in zip(seen_path, seen_batch))
-    rows = integrate_geodesic(base, a, n * h, h)
-    assert np.array_equal(rows[0, 1:], state[:4])
-    assert np.array_equal(rows[1:, 1:], np.array([st[:4] for _, st in seen_batch]))
+    alone = list(rk4_blocks(state, n, h))
+    batch = list(rk4_blocks(state[None, :], n, h))
+    assert [len(block) for block in alone] == [len(block) for block in batch] == [_RK4_BLOCK + 1] * 2 + [2]
+    assert all(block.shape[1:] == (1, 8) for block in batch)
+    assert all(_same_bits(p, b[:, 0]) for p, b in zip(alone, batch))
+
+
+def test_rk4_blocks_chain():
+    # row 0 of the first block is the start state, of every later one the last row of the block before
+    rng = np.random.default_rng(13)
+    for state in (_edge_states(rng, ()), _edge_states(rng, (3,))):
+        size = _RK4_BLOCK // (state.size // 8)
+        blocks = list(rk4_blocks(state, 2 * size + 1, 1e-3))
+        assert [block.shape for block in blocks] == [(m + 1,) + state.shape for m in (size, size, 1)]
+        assert _same_bits(blocks[0][0], state)
+        for before, block in zip(blocks, blocks[1:]):
+            assert _same_bits(block[0], before[-1])
+
+
+def test_integrate_geodesic_rows_are_the_stream_rows():
+    base, a = np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4])
+    for n in (0, 1, _RK4_BLOCK, 2 * _RK4_BLOCK + 1):
+        rows = integrate_geodesic(base, a, n * 1e-3, 1e-3)
+        assert _same_bits(rows[:, 0], np.arange(n + 1) * 1e-3)
+        assert _same_bits(rows[:, 1:], _stream_rows(initial_state(base, a), n, 1e-3)[:, :4])
 
 
 def _deriv_reference(state):
@@ -449,10 +472,8 @@ def test_rk4_states_matches_the_kernels_it_replaced_bitwise(shape):
             want = reference(state, steps[-1], h)
             for n in steps:
                 assert _same_bits(rk4_states(state, n, h), want[n]), (n, h)
-            seen = []
-            rk4_states(state, steps[-1], h, lambda i, st: seen.append((i, st.copy())))
-            assert [i for i, _ in seen] == list(range(1, steps[-1] + 1))
-            assert _same_bits(np.array([st for _, st in seen]), want[1:])
+            for n in (0, 1, steps[-1]):
+                assert _same_bits(_stream_rows(state, n, h), want[:n + 1]), (n, h)
 
 
 def test_rk4_states_matches_the_path_kernel_on_every_pattern_of_signed_zeros():
@@ -479,15 +500,21 @@ def test_integrate_geodesic_matches_the_path_kernel_it_replaced_bitwise():
             assert _same_bits(rows[:, 1:], _rk4_path_reference(initial_state(base, a), n, 1e-3)[:, :4])
 
 
-def test_rk4_observer_may_keep_its_states_without_copying():
+def test_rk4_blocks_may_be_kept_without_copying():
+    # the stream reads no block it has yielded: kept blocks stay right, and
+    # a consumer that overwrites each block does not change the next
     rng = np.random.default_rng(12)
     for state in (_edge_states(rng, ()), _edge_states(rng, (3,))):
         n, h = 2 * (_RK4_BLOCK // (state.size // 8)) + 1, 1e-3
-        kept = []
-        final = rk4_states(state, n, h, lambda i, st: kept.append(st))
         want = _rk4_batch_reference(state, n, h)
-        assert len(kept) == n and _same_bits(np.array(kept), want[1:])
-        assert _same_bits(final, want[-1])
+        kept = list(rk4_blocks(state, n, h))
+        assert _same_bits(np.concatenate([kept[0][:1], *(block[1:] for block in kept)]), want)
+        copies = []
+        for block in rk4_blocks(state, n, h):
+            copies.append(block.copy())
+            block.fill(np.nan)
+        assert all(_same_bits(a, b) for a, b in zip(copies, kept))
+        assert _same_bits(rk4_states(state, n, h), want[-1])
 
 
 # sha256 of rk4_states(state, n, 1e-3) as little-endian doubles, computed with
@@ -517,14 +544,8 @@ def test_rk4_bits_are_pinned():
 
 
 def test_speed_conservation():
-    states = [initial_state(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3]))]
-
-    def every_100th(i, st):
-        if i % 100 == 0:
-            states.append(st)
-
-    rk4_states(states[0], 10000, 1e-3, every_100th)
-    speeds = speed_f(np.array(states))
+    states = _stream_rows(initial_state(IDENTITY, np.array([1.0, 1.0, -0.5, 0.3])), 10000, 1e-3)
+    speeds = speed_f(states[::100])
     assert np.max(np.abs(speeds - speeds[0])) / max(1.0, abs(speeds[0])) < 1e-8
 
 
@@ -532,15 +553,10 @@ def test_closed_form_vs_rk4_small_batch():
     rng = np.random.default_rng(2)
     dirs = rng.uniform(-2, 2, (10, 4))
     states = np.array([initial_state(IDENTITY, a) for a in dirs])
-    worst = {"sup": 0.0}
     n, h = 2000, 1e-3
-
-    def observer(i, st):
-        cf = closed_form_batch(dirs, i * h)
-        worst["sup"] = max(worst["sup"], float(np.max(np.abs(st[:, :4] - cf))))
-
-    rk4_states(states, n, h, observer)
-    assert worst["sup"] < 1e-9
+    rows = _stream_rows(states, n, h)
+    cf = closed_form_batch(dirs, np.arange(n + 1)[:, None] * h)
+    assert np.max(np.abs(rows[..., :4] - cf)) < 1e-9
 
 
 def test_closed_form_left_invariance_float_vs_exact():

@@ -207,3 +207,117 @@ def test_unreferenced_name_detector(tmp_path):
         "probe.py:5 defines orphan",
         "probe.py:13 defines Used.view",
     ]
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[int, str, str, int | None]]:
+    """Each parameter with a default of each def in the module, dunder methods
+    aside, as (line, function, parameter, position): the position is its index
+    among the arguments a call passes, after self or cls for a method, and
+    None for a keyword-only parameter."""
+    methods = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        first = len(positional) - len(args.defaults)
+        found += [
+            (node.lineno, node.name, arg.arg, index - skip)
+            for index, arg in enumerate(positional)
+            if index >= first
+        ]
+        found += [
+            (node.lineno, node.name, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def _calls(tree: ast.Module) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """Per called name (``f(...)`` or ``x.f(...)``), each call's positional
+    count and keyword names; a ``*args`` or ``**kwargs`` call counts as
+    setting every parameter (count infinite, names None)."""
+    found: dict[str, list] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        found.setdefault(name, []).append((
+            float("inf") if starred else len(node.args),
+            None if None in keywords else keywords,
+        ))
+    return found
+
+
+def _unset_defaults(modules: list[Path], callers: list[Path]) -> list[str]:
+    """Each defaulted parameter of a def in the modules that no call in the
+    caller files sets, by keyword or by position: a knob nobody turns."""
+    calls: dict[str, list] = {}
+    for path in callers:
+        for name, seen in _calls(ast.parse(path.read_text(), filename=str(path))).items():
+            calls.setdefault(name, []).extend(seen)
+    found = []
+    for path in modules:
+        for line, function, parameter, position in _defaulted_parameters(
+            ast.parse(path.read_text(), filename=str(path))
+        ):
+            if not any(
+                keywords is None or parameter in keywords or (position is not None and count > position)
+                for count, keywords in calls.get(function, [])
+            ):
+                found.append(f"{path.name}:{line} {function} never sets {parameter}")
+    return found
+
+
+def test_every_default_is_set_by_some_call():
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = modules + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
+    assert len(callers) >= 25
+    found = _unset_defaults(modules, callers)
+    assert not found, found
+
+
+def test_unset_default_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=0, b=1): pass\n"
+        "def h(a=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, p=0, q=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(p=0, q=1): pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "import probe\n"
+        "probe.f(0, 1, d=5)\n"
+        "g(*range(2))\n"
+        "h(**{})\n"
+        "K().m(0)\n"
+        "K.s(0)\n"
+    )
+    assert _unset_defaults([probe], [probe, user]) == [
+        "probe.py:1 f never sets c",
+        "probe.py:1 f never sets e",
+        "probe.py:6 m never sets q",
+        "probe.py:8 s never sets q",
+    ]

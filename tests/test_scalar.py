@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -104,6 +106,21 @@ def test_canonical_form_idempotent():
     s = Scalar((2, 2), (4,))
     assert s.den == (Fraction(1),)
     assert s.num == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_constructor_allocates_once_and_copies_leave_shared_scalars_alone(monkeypatch):
+    # Scalar(int or Fraction) is the one Scalar _coerce builds, or the shared small int
+    assert Scalar(3) is Scalar.coerce(3) is Scalar(3)
+    made = []
+    monkeypatch.setattr(scalar, "_alloc", lambda cls: made.append(object.__new__(cls)) or made[-1])
+    for value in (10**30, Fraction(-7, 3)):
+        made.clear()
+        assert Scalar(value) is made[0] and len(made) == 1, value
+    monkeypatch.undo()
+    for value in (Scalar(0), Scalar(1), Scalar(3), Scalar(10**30), Scalar((1, 2), (3, 4)), PI):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and str(twin) == str(value)
+    assert Scalar(0).is_zero() and str(Scalar(1)) == "1" and str(Scalar(3)) == "3"
 
 
 def test_float_view_homomorphism():

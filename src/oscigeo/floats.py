@@ -87,13 +87,6 @@ def g_mul_f(p, q) -> np.ndarray:
     ], axis=-1)
 
 
-def g_inv_f(p) -> np.ndarray:
-    """Float inverse in G of a (..., 4) array."""
-    p = np.asarray(p, dtype=float)
-    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
-    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
-
-
 # a float within this fraction of a step below a box's upper boundary
 # snaps to the lower one, so that lattice-exact inputs reduce stably
 _BOX_SNAP = 1e-9

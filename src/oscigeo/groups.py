@@ -31,11 +31,13 @@ cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .scalar import (
+    MAX_DIGITS,
     PI,
     PI_HALF,
     Scalar,
@@ -172,6 +174,10 @@ _TWIST_QUARTERS = {Twist.FULL: 4, Twist.HALF: 2, Twist.QUARTER: 1}
 _TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS.items()}
 
 
+# matches a lattice's k value: the ASCII digits 0-9 only, as in every numeral
+_K_VALUE = re.compile(f"[0-9]{{1,{MAX_DIGITS}}}").fullmatch
+
+
 # membership tests and normal forms read z_step with no new Fraction; a process uses few k
 @lru_cache(maxsize=16)
 def _z_step(k: int) -> Fraction:
@@ -218,13 +224,19 @@ class LatticeSpec:
             key, _, value = chunk.partition("=")
             key = key.strip().lower()
             value = value.strip().lower()
-            if key == "k":
+            if key == "k" and k is None:
+                if not _K_VALUE(value):
+                    raise ValueError(
+                        f"lattice field 'k' must be 1 to MAX_DIGITS = {MAX_DIGITS} digits 0-9, got {value!r}"
+                    )
                 k = int(value)
-            elif key == "twist":
+            elif key == "twist" and twist is None:
                 try:
                     twist = Twist(value)
                 except ValueError:
                     raise ValueError(f"unknown twist {value!r}") from None
+            elif key in ("k", "twist"):
+                raise ValueError(f"lattice field {key!r} is given twice in {text!r}")
             else:
                 raise ValueError(f"unknown lattice field {key!r}")
         if k is None or twist is None:
@@ -278,8 +290,9 @@ def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     fx = x.floor()
     fy = y.floor()
     if fx or fy:
+        if quarter_turns(t1) is None:
+            raise ExactRotationUnavailable(f"angle {-t1} is not an integer multiple of pi/2")
         shift = (Scalar.coerce(-fx), Scalar.coerce(-fy))
-        rotate(-t1, *shift)
         z = z + cross((x, y), shift) / 2
         x = x - fx
         y = y - fy

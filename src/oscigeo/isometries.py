@@ -27,29 +27,19 @@ The Heisenberg group acts isometrically by
     (v', z') . (t, v, z) = (t, v - R(t) v', z - z' - v^T J R(t) v' / 2),
 
 which is exactly right translation by (0, v', z')^{-1}; it descends to
-the nilmanifold quotients.  On a solvmanifold quotient of G, the only
-isotropy isometries that preserve lattice cosets are the inner chi_h
-with h in the normalizer of the lattice.
+the nilmanifold quotients Lam\\N, which the ``verify`` isometries suite
+checks exactly on the full-twist lattices.  On a solvmanifold quotient
+of G, the only isotropy isometries that preserve lattice cosets are the
+inner chi_h with h in the normalizer of the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .groups import (
-    GroupElement,
-    LatticeSpec,
-    Twist,
-    coset_equal,
-    cross,
-    g_mul,
-    lattice_contains,
-    normalizer_contains,
-    rotate,
-)
+from .groups import GroupElement, LatticeSpec, cross, g_mul, normalizer_contains, rotate
 from .metric import FRAME, FRAME_GRAM, TangentVector, bracket, frame_inner
-from .scalar import ONE, ZERO, Scalar, in_quarter_lattice
+from .scalar import Scalar, in_quarter_lattice
 
 Matrix4 = tuple[tuple[Scalar, ...], ...]
 
@@ -109,14 +99,6 @@ def extract_isotropy(A: Matrix4) -> IsotropyElement:
     a_tilde = ((A[1][1], A[1][2]), (A[2][1], A[2][2]))
     w = (A[1][0], A[2][0])
     return IsotropyElement(eps, a_tilde, w)
-
-
-def ad_matrix_group(t: Scalar, v: tuple[Scalar, Scalar]) -> Matrix4:
-    """Ad(t, v) of the group: A~ = R(t) (exact quarter angle), w = J v."""
-    c, s = rotate(t, ONE, ZERO)
-    a_tilde = ((c, -s), (s, c))
-    w = (v[1], -v[0])  # J v with J = [[0, 1], [-1, 0]]
-    return isotropy_matrix(IsotropyElement(1, a_tilde, w))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +205,7 @@ def heis_action(h: tuple[tuple[Scalar, Scalar], Scalar], p: GroupElement) -> Gro
 
 
 # ---------------------------------------------------------------------------
-# isometries of G in normal form, quotient predicates
+# isometries of G in normal form, fiber preservation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -260,18 +242,3 @@ def fiber_preserving(L: LatticeSpec, iso: IsometryOfG) -> bool:
     if iso.inner is not None:
         return normalizer_contains(L, iso.inner)
     return True
-
-
-def induced_translation_trivial(L: LatticeSpec, h: GroupElement) -> bool:
-    """tau_h is trivial on G/Lam iff h = (2 pi s, 0, z) with z in (1/2k)Z."""
-    return h.x.is_zero() and h.y.is_zero() and lattice_contains(LatticeSpec(L.k, Twist.FULL), h)
-
-
-def induced_maps_equal(
-    L: LatticeSpec,
-    iso1: IsometryOfG,
-    iso2: IsometryOfG,
-    points: Sequence[GroupElement],
-) -> bool:
-    """Equality of the induced quotient maps on the given coset samples."""
-    return all(coset_equal(L, iso1.apply(p), iso2.apply(p)) for p in points)

@@ -28,6 +28,8 @@ from .groups import (
     g_inv,
     g_mul,
     lattice_contains,
+    n_coset_equal,
+    n_coset_normal_form,
     n_mul,
     normalizer_contains,
 )
@@ -389,6 +391,25 @@ def suite_isometries(rng: random.Random) -> SuiteResult:
                     trivial == isometries.inner_trivial_on_g(g),
                     f"conjugation kernel at {g}",
                 )
+
+    # the Heisenberg action descends to Lam\N, whose lattice 2 pi Z x Gamma_k is
+    # the full-twist point set, and moves cosets there
+    for k in (1, 2, 3):
+        L = LatticeSpec(k, Twist.FULL)
+        moved = False
+        for _ in range(5):
+            p = _rand_quarter_element(rng)
+            h = ((Scalar(_rand_fraction(rng)), Scalar(_rand_fraction(rng))), Scalar(_rand_fraction(rng)))
+            base = isometries.heis_action(h, p)
+            moved = moved or not n_coset_equal(L, base, p)
+            for gamma in L.generators():
+                image = isometries.heis_action(h, n_mul(gamma, p))
+                res.check(n_coset_equal(L, image, base), f"Heisenberg action descends at {p} on {L}")
+                res.check(
+                    n_coset_normal_form(L, image) == n_coset_normal_form(L, base),
+                    f"descended Heisenberg action has one normal form at {p} on {L}",
+                )
+        res.check(moved, f"the Heisenberg action moves some coset of {L}")
     return res
 
 

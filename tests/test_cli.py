@@ -17,7 +17,7 @@ from oscigeo.floats import (
     rk4_blocks,
 )
 from oscigeo.groups import LatticeSpec, parse_group_element
-from oscigeo.scalar import MAX_NESTING, PI, Scalar
+from oscigeo.scalar import MAX_DIGITS, MAX_NESTING, PI, Scalar
 from oscigeo.metric import TangentVector
 
 # the child interpreter imports the same package as the tests, installed or not
@@ -92,6 +92,37 @@ def test_classify_parse_error_names_token(capsys):
     code = main(["classify", "--lattice", "k=1,twist=oops", "--vector", "1,0,0,0"])
     err = capsys.readouterr().err
     assert code == 2 and "oops" in err
+
+
+_K_DIGITS = f"lattice field 'k' must be 1 to MAX_DIGITS = {MAX_DIGITS} digits 0-9, got"
+
+
+@pytest.mark.parametrize("lattice, message", [
+    ("k=\u0663,twist=full", f"{_K_DIGITS} '\u0663'"),  # an Arabic-Indic three
+    ("k=1_0,twist=full", f"{_K_DIGITS} '1_0'"),
+    ("k=1.5,twist=full", f"{_K_DIGITS} '1.5'"),
+    ("k=+1,twist=full", f"{_K_DIGITS} '+1'"),
+    ("k=,twist=full", f"{_K_DIGITS} ''"),
+    (f"k={'1' * (MAX_DIGITS + 1)},twist=full", f"{_K_DIGITS} '{'1' * (MAX_DIGITS + 1)}'"),
+    ("k=1,twist=full,k=2", "lattice field 'k' is given twice in 'k=1,twist=full,k=2'"),
+    ("twist=half,k=1,twist=full", "lattice field 'twist' is given twice in 'twist=half,k=1,twist=full'"),
+])
+def test_malformed_lattice_is_a_usage_error_naming_the_field(capsys, lattice, message):
+    for command in (
+        ["classify", "--lattice", lattice, "--vector", "1,0,0,0"],
+        ["trace", "--vector", "1,0,0,0", "--s-end", "0.1", "--quotient", "--lattice", lattice],
+    ):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out, command
+
+
+def test_lattice_fields_take_any_order_case_and_spacing(capsys):
+    outputs = []
+    for lattice in ("k=2,twist=quarter", " Twist = QUARTER , K = 02 "):
+        assert main(["classify", "--lattice", lattice, "--vector", "1,1,0,-1/2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "null, periodic, T = 1/2*pi (float 1.5707963267949), m = 1\n"
 
 
 def test_trace_csv(tmp_path, capsys):

@@ -39,7 +39,6 @@ from oscigeo.floats import (
     f1_f,
     f2_f,
     f3_f,
-    g_inv_f,
     g_mul_f,
     heis_action_f,
     initial_state,
@@ -256,7 +255,6 @@ def test_float_layer_broadcasts_like_single_points():
         "closed_form_s_grid": (closed_form_batch(a[1], s), [closed_form_batch(a[1], v) for v in s]),
         "g_mul": (g_mul_f(p, a), [g_mul_f(p[i], a[i]) for i in range(12)]),
         "g_mul_one_base": (g_mul_f(p[0], a), [g_mul_f(p[0], a[i]) for i in range(12)]),
-        "g_inv": (g_inv_f(p), [g_inv_f(p[i]) for i in range(12)]),
         "coset_normal_form": (coset_normal_form_f(L, p), [coset_normal_form_f(L, q) for q in p]),
         "chi": (chi_f(p, a), [chi_f(p[i], a[i]) for i in range(12)]),
         "chi_one_g": (chi_f(p[0], a), [chi_f(p[0], a[i]) for i in range(12)]),

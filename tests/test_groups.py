@@ -25,12 +25,19 @@ from oscigeo.groups import (
     parse_group_element,
     rotate,
 )
-from oscigeo.floats import _rotate, coset_normal_form_f, g_inv_f, g_mul_f
+from oscigeo.floats import _rotate, coset_normal_form_f, g_mul_f
 
 L10 = LatticeSpec(1, Twist.FULL)
 L1H = LatticeSpec(1, Twist.HALF)
 L1Q = LatticeSpec(1, Twist.QUARTER)
 L2Q = LatticeSpec(2, Twist.QUARTER)
+
+
+def g_inv_f(p):
+    """Float inverse in G of a (..., 4) array, at any angle: (-t, -R(-t)v, -z)."""
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
+    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
 
 
 def rand_quarter(rng):
@@ -220,9 +227,9 @@ def test_coset_normal_form_ranges_and_consistency():
 
 
 def test_coset_normal_form_raises_when_rotation_needed_off_quarter():
-    g = GroupElement.of(Scalar(1), (5, 0), 0)
-    with pytest.raises(ExactRotationUnavailable):
-        coset_normal_form(L10, g)
+    for v in ((5, 0), (0, Fraction(-1, 2))):
+        with pytest.raises(ExactRotationUnavailable, match="^angle -1 is not an integer multiple of pi/2$"):
+            coset_normal_form(L10, GroupElement.of(Scalar(1), v, 0))
     # but no v-shift needed: reduction succeeds even at non-quarter t
     ok = coset_normal_form(L10, GroupElement.of(Scalar(1), (Fraction(1, 2), 0), Fraction(7, 3)))
     assert ok.t == Scalar(1) and ok.x == Fraction(1, 2)
@@ -314,6 +321,7 @@ def test_n_side_cosets():
     for _ in range(30):
         a, b = rand_quarter(rng), rand_quarter(rng)
         assert n_coset_equal(L10, a, b) == (n_coset_normal_form(L10, a) == n_coset_normal_form(L10, b))
+        assert n_coset_equal(L10, n_coset_normal_form(L10, a), a)
         lam = GroupElement.of(2 * PI * rng.randint(-2, 2), (rng.randint(-2, 2), rng.randint(-2, 2)), Fraction(rng.randint(-4, 4), 2))
         assert n_coset_equal(L10, n_mul(lam, a), a)
         assert n_mul(a, n_inv(a)) == IDENTITY

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oscigeo import isometries, verify
 from oscigeo.scalar import PI, PI_HALF, Scalar
 from oscigeo.groups import (
     ExactRotationUnavailable,
@@ -11,24 +12,24 @@ from oscigeo.groups import (
     IDENTITY,
     LatticeSpec,
     Twist,
+    coset_equal,
+    cross,
     g_inv,
     g_mul,
     n_coset_equal,
     n_coset_normal_form,
     n_mul,
+    rotate,
 )
 from oscigeo.isometries import (
     IsometryOfG,
     IsotropyElement,
     NotOrthogonal,
-    ad_matrix_group,
     ambrose_hicks_check,
     discrete_isometry,
     extract_isotropy,
     fiber_preserving,
     heis_action,
-    induced_maps_equal,
-    induced_translation_trivial,
     inner_aut,
     inner_trivial_on_g,
     isotropy_matrix,
@@ -65,13 +66,6 @@ def test_isotropy_matrix_identity():
     for i in range(4):
         for j in range(4):
             assert M[i][j] == Scalar(1 if i == j else 0)
-
-
-def test_isotropy_matrix_matches_group_adjoint():
-    v0 = (Scalar(Fraction(1, 3)), Scalar(2))
-    w = (v0[1], -v0[0])  # J v0
-    el = IsotropyElement(1, ROT90, w)
-    assert isotropy_matrix(el) == ad_matrix_group(PI_HALF, v0)
 
 
 def test_isotropy_matrix_reflected_row_signs():
@@ -239,7 +233,7 @@ def test_conjugation_covariance():
 
 def test_chi_differential_at_identity_is_adjoint():
     g = GroupElement.of(PI_HALF, (Fraction(1, 2), 1), 2)
-    Ad = ad_matrix_group(g.t, g.v)
+    Ad = isotropy_matrix(IsotropyElement(1, ROT90, (g.y, -g.x)))  # A~ = R(pi/2), w = J v
     Ad_f = np.array([[float(Ad[i][j]) for j in range(4)] for i in range(4)])
     gf = g.to_float()
     step = 1e-6
@@ -288,6 +282,29 @@ def test_heis_action_descends_to_nilmanifold():
                 assert n_coset_normal_form(L, moved) == n_coset_normal_form(L, base)
 
 
+def _heis_with_cross(sign):
+    """heis_action with its cross/2 term multiplied by sign."""
+    def action(h, p):
+        vp, zp = h
+        w = rotate(p.t, *vp)
+        return GroupElement(p.t, p.x - w[0], p.y - w[1], p.z - zp - sign * cross(p.v, w) / 2)
+    return action
+
+
+@pytest.mark.parametrize("mutant, failing", [
+    (lambda h, p: p, "moves some coset"),
+    (_heis_with_cross(-1), "descend"),
+    (_heis_with_cross(0), "descend"),
+], ids=["identity", "flipped-cross-sign", "no-cross-term"])
+def test_isometries_suite_catches_a_broken_heis_action(monkeypatch, mutant, failing):
+    monkeypatch.setattr(isometries, "heis_action", _heis_with_cross(1))
+    assert verify.suite_isometries(random.Random(0)).passed
+    monkeypatch.setattr(isometries, "heis_action", mutant)
+    for seed in (0, 1):
+        failures = verify.suite_isometries(random.Random(seed)).failures
+        assert failures and all(failing in message for message in failures), (seed, failures)
+
+
 def test_fiber_preserving():
     L10 = LatticeSpec(1, Twist.FULL)
     L1H = LatticeSpec(1, Twist.HALF)
@@ -300,42 +317,22 @@ def test_fiber_preserving():
 
 
 def test_induced_kernels():
-    L10 = LatticeSpec(1, Twist.FULL)
-    L2Q = LatticeSpec(2, Twist.QUARTER)
     assert inner_trivial_on_g(GroupElement.of(2 * PI, (0, 0), Fraction(9, 7)))
     assert not inner_trivial_on_g(GroupElement.of(PI, (0, 0), 0))
-    assert induced_translation_trivial(L10, GroupElement.of(2 * PI, (0, 0), Fraction(3, 2)))
-    assert not induced_translation_trivial(L10, GroupElement.of(2 * PI, (0, 0), Fraction(1, 3)))
-    assert induced_translation_trivial(L2Q, GroupElement.of(-2 * PI, (0, 0), Fraction(1, 4)))
-    assert not induced_translation_trivial(L2Q, GroupElement.of(PI, (0, 0), 0))
 
 
-def test_induced_maps_equal_on_cosets():
-    L10 = LatticeSpec(1, Twist.FULL)
+def test_isometry_of_g_applies_the_factors_right_to_left():
     rng = random.Random(9)
-    points = [rand_quarter(rng) for _ in range(12)]
-    ident = IsometryOfG()
-    # translation by a lattice-central element acts trivially on cosets
-    tau = IsometryOfG(translation=GroupElement.of(2 * PI, (0, 0), Fraction(1, 2)))
-    assert induced_maps_equal(L10, tau, ident, points)
-    # translation by a z-step outside (1/2k)Z does not
-    tau_bad = IsometryOfG(translation=GroupElement.of(0, (0, 0), Fraction(1, 3)))
-    assert not induced_maps_equal(L10, tau_bad, ident, points)
-    # inner automorphism by a kernel-pattern element is trivial on cosets
-    chi = IsometryOfG(inner=GroupElement.of(2 * PI, (0, 0), 5))
-    assert induced_maps_equal(L10, chi, ident, points)
-
-
-def test_kernel_predicates_match_induced_equality_on_grid():
-    L10 = LatticeSpec(1, Twist.FULL)
-    rng = random.Random(10)
-    points = [rand_quarter(rng) for _ in range(10)]
-    ident = IsometryOfG()
-    for t_j in (0, 2, 4):
-        for v in ((0, 0), (Fraction(1, 2), 0)):
-            for z in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
-                h = GroupElement.of(PI_HALF * t_j, v, z)
-                tau = IsometryOfG(translation=h)
-                assert induced_maps_equal(L10, tau, ident, points) == induced_translation_trivial(
-                    L10, h
-                )
+    g, h = rand_quarter(rng), rand_quarter(rng)
+    L = LatticeSpec(1, Twist.FULL)
+    for _ in range(12):
+        p = rand_quarter(rng)
+        assert IsometryOfG().apply(p) == p
+        assert IsometryOfG(translation=g).apply(p) == g_mul(g, p)
+        assert IsometryOfG(inner=h, tag="f1").apply(p) == inner_aut(h, discrete_isometry("f1", p))
+        full = IsometryOfG(translation=g, inner=h, tag="f2").apply(p)
+        assert full == g_mul(g, inner_aut(h, discrete_isometry("f2", p)))
+        # a central lattice translation fixes every coset, and a central conjugation every point
+        assert coset_equal(L, IsometryOfG(translation=GroupElement.of(2 * PI, (0, 0), Fraction(1, 2))).apply(p), p)
+        assert not coset_equal(L, IsometryOfG(translation=GroupElement.of(0, (0, 0), Fraction(1, 3))).apply(p), p)
+        assert IsometryOfG(inner=GroupElement.of(2 * PI, (0, 0), 5)).apply(p) == p

@@ -157,9 +157,9 @@ def _references(tree: ast.Module) -> set[str]:
     return read
 
 
-def _unreferenced_names(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Each top-level name, method or property of the modules that no reader
-    file refers to.
+def _unreferenced_names(modules: list[Path], readers: list[Path], members: bool = True) -> list[str]:
+    """Each top-level name of the modules, and with members each method or
+    property of a top-level class, that no reader file refers to.
 
     Dunder names are exempt, since Python itself reads them.
     """
@@ -169,6 +169,8 @@ def _unreferenced_names(modules: list[Path], readers: list[Path]) -> list[str]:
     found = []
     for path in modules:
         for line, name, label in _defined_names(ast.parse(path.read_text(), filename=str(path))):
+            if not members and label != name:
+                continue
             if name not in read and not (name.startswith("__") and name.endswith("__")):
                 found.append(f"{path.name}:{line} defines {label}")
     return found
@@ -206,6 +208,36 @@ def test_unreferenced_name_detector(tmp_path):
         "probe.py:4 defines Pair",
         "probe.py:5 defines orphan",
         "probe.py:13 defines Used.view",
+    ]
+
+
+def test_every_top_level_name_is_reached_from_the_package():
+    # a command, a verify suite or _EXPORTS reaches each one; tests alone do not
+    # count, and a method of an exported class stays API
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    found = _unreferenced_names(modules, modules, members=False)
+    assert not found, found
+
+
+def test_unreached_top_level_name_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_EXPORTS = {'probe': ('Exported', 'exported')}\n"
+        "__all__ = list(_EXPORTS)\n"
+        "def exported(): pass\n"
+        "def orphan(): pass\n"
+        "def suite_one(rng): return helper(rng)\n"
+        "def helper(rng): pass\n"
+        "SUITES = {'one': suite_one}\n"
+        "def __getattr__(name): return SUITES[name]\n"
+        "class Exported:\n"
+        "    def method(self): pass\n"
+    )
+    assert _unreferenced_names([probe], [probe], members=False) == ["probe.py:4 defines orphan"]
+    assert _unreferenced_names([probe], [probe]) == [
+        "probe.py:4 defines orphan",
+        "probe.py:10 defines Exported.method",
     ]
 
 

@@ -32,17 +32,17 @@ def parse_vector(text: str) -> TangentVector:
     if len(chunks) != 4:
         raise ValueError(f"vector needs 4 components, got {len(chunks)} in {text!r}")
     values: list[Scalar | None] = [None] * 4
+    # four chunks, each setting a different component, set all four
     for i, chunk in enumerate(chunks):
-        if "=" in chunk:
-            key, _, body = chunk.partition("=")
+        key, named, body = chunk.partition("=")
+        if named:
             key = key.strip().lower()
             if key not in ("a0", "a1", "a2", "a3"):
                 raise ValueError(f"unknown vector component {key!r}")
-            values[int(key[1])] = parse_scalar(body)
-        else:
-            values[i] = parse_scalar(chunk)
-    if any(v is None for v in values):
-        raise ValueError(f"vector {text!r} leaves components unset")
+            i = int(key[1])
+        if values[i] is not None:
+            raise ValueError(f"vector component 'a{i}' is given twice in {text!r}")
+        values[i] = parse_scalar(body if named else chunk)
     return TangentVector(*values)  # type: ignore[arg-type]
 
 

@@ -95,7 +95,7 @@ def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
 
 def geodesic_eval(c: GeodesicCurve, s: ScalarLike) -> GroupElement:
     """Exact evaluation of the geodesic at parameter s."""
-    return g_mul(c.base, exp_scaled(c.direction, Scalar.coerce(s)))
+    return g_mul(c.base, exp_scaled(c.direction, Scalar(s)))
 
 
 def exp_map(X: TangentVector) -> GroupElement:

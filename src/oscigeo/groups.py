@@ -33,11 +33,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .scalar import (
     MAX_DIGITS,
+    ONE,
     PI,
     PI_HALF,
     Scalar,
@@ -91,9 +90,7 @@ class GroupElement:
 
     @staticmethod
     def of(t: ScalarLike, v: tuple[ScalarLike, ScalarLike], z: ScalarLike) -> "GroupElement":
-        return GroupElement(
-            Scalar.coerce(t), Scalar.coerce(v[0]), Scalar.coerce(v[1]), Scalar.coerce(z)
-        )
+        return GroupElement(Scalar(t), Scalar(v[0]), Scalar(v[1]), Scalar(z))
 
     @property
     def v(self) -> tuple[Scalar, Scalar]:
@@ -178,19 +175,13 @@ _TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS
 _K_VALUE = re.compile(f"[0-9]{{1,{MAX_DIGITS}}}").fullmatch
 
 
-# membership tests and normal forms read z_step with no new Fraction; a process uses few k
-@lru_cache(maxsize=16)
-def _z_step(k: int) -> Fraction:
-    return Fraction(1, 2 * k)
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """One lattice of the three twisted families over Z x Z x (1/2k)Z."""
 
     k: int
     twist: Twist
-    v_step = Fraction(1)  # not a field: the one x- and y-step of every lattice
+    v_step = ONE  # not a field: the one x- and y-step of every lattice
 
     def __post_init__(self):
         if self.k < 1:
@@ -205,8 +196,8 @@ class LatticeSpec:
         return _TWIST_QUARTERS[self.twist]
 
     @property
-    def z_step(self) -> Fraction:
-        return _z_step(self.k)
+    def z_step(self) -> Scalar:
+        return ONE / (2 * self.k)
 
     def generators(self) -> list[GroupElement]:
         return [
@@ -292,13 +283,13 @@ def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     if fx or fy:
         if quarter_turns(t1) is None:
             raise ExactRotationUnavailable(f"angle {-t1} is not an integer multiple of pi/2")
-        shift = (Scalar.coerce(-fx), Scalar.coerce(-fy))
+        shift = (Scalar(-fx), Scalar(-fy))
         z = z + cross((x, y), shift) / 2
         x = x - fx
         y = y - fy
 
     # z-reduction by (0, 0, z_lam)
-    return GroupElement(t1, x, y, _reduce(z, Scalar.coerce(L.z_step)))
+    return GroupElement(t1, x, y, _reduce(z, L.z_step))
 
 
 def coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
@@ -313,10 +304,10 @@ def n_coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
     fx, fy = x.floor(), y.floor()
     if fx or fy:
         # left multiplication by (0, (-fx, -fy), 0): z gains cross(v_lam, v)/2
-        z = z + cross((Scalar.coerce(-fx), Scalar.coerce(-fy)), (x, y)) / 2
+        z = z + cross((Scalar(-fx), Scalar(-fy)), (x, y)) / 2
         x = x - fx
         y = y - fy
-    return GroupElement(t, x, y, _reduce(z, Scalar.coerce(L.z_step)))
+    return GroupElement(t, x, y, _reduce(z, L.z_step))
 
 
 def n_coset_equal(L: LatticeSpec, g1: GroupElement, g2: GroupElement) -> bool:
@@ -346,13 +337,14 @@ def normalizer_contains(L: LatticeSpec, h: GroupElement) -> bool:
     """
     if quarter_turns(h.t) is None:
         return False
+    # v in (1/n)Z^2 iff n v is integral
     if L.twist is Twist.FULL:
-        step = Fraction(1, 2 * L.k)
+        n = 2 * L.k
     elif L.twist is Twist.HALF or L.k % 2 == 0:
-        step = Fraction(1, 2)
+        n = 2
     else:
-        step = Fraction(1)
-    if not (in_lattice_1d(h.x, step) and in_lattice_1d(h.y, step)):
+        n = 1
+    if not ((h.x * n).is_integer() and (h.y * n).is_integer()):
         return False
     # (1/2)W for the quarter twist: x and y differ by an integer
-    return L.twist is not Twist.QUARTER or in_lattice_1d(h.x - h.y, Fraction(1))
+    return L.twist is not Twist.QUARTER or (h.x - h.y).is_integer()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import GroupElement
 from .scalar import PI_HALF, Scalar, ScalarLike
@@ -63,7 +62,7 @@ class TangentVector:
 
     @staticmethod
     def of(a0: ScalarLike, a1: ScalarLike, a2: ScalarLike, a3: ScalarLike) -> "TangentVector":
-        return TangentVector(*(Scalar.coerce(a) for a in (a0, a1, a2, a3)))
+        return TangentVector(*(Scalar(a) for a in (a0, a1, a2, a3)))
 
     @property
     def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -114,7 +113,7 @@ class TangentVector:
         Both are ratios to a0, so f cancels from them: f X has the same
         values, and a fresh computation gives the same canonical Scalars.
         """
-        f = Scalar.coerce(factor)
+        f = Scalar(factor)
         out = TangentVector(self.a0 * f, self.a1 * f, self.a2 * f, self.a3 * f)
         if not f.is_zero():
             known = self.__dict__
@@ -197,7 +196,7 @@ def bracket(X: TangentVector, Y: TangentVector) -> TangentVector:
 
 def curvature_op(X: TangentVector, Y: TangentVector, Z: TangentVector) -> TangentVector:
     """R(X, Y)Z = -1/4 [[X, Y], Z]."""
-    return bracket(bracket(X, Y), Z).scale(Fraction(-1, 4))
+    return bracket(bracket(X, Y), Z).scale(Scalar(-1, 4))
 
 
 def ad_matrix(X: TangentVector) -> tuple[tuple[Scalar, ...], ...]:
@@ -219,7 +218,7 @@ def killing_form(X: TangentVector, Y: TangentVector) -> Scalar:
 
 def ricci(X: TangentVector, Y: TangentVector) -> Scalar:
     """Ricci tensor via the Killing form: Ric = -1/4 B."""
-    return killing_form(X, Y) * Fraction(-1, 4)
+    return killing_form(X, Y) * Scalar(-1, 4)
 
 
 def ricci_from_curvature_trace(X: TangentVector, Y: TangentVector) -> Scalar:

@@ -115,7 +115,7 @@ def _period_units(L: LatticeSpec, X: TangentVector) -> list[Scalar]:
     step/|a_i| for each nonzero component.
     """
     steps = (L.v_step, L.v_step, L.z_step)
-    return [Scalar(step) / abs(a) for a, step in zip((X.a1, X.a2, X.a3), steps) if not a.is_zero()]
+    return [step / abs(a) for a, step in zip((X.a1, X.a2, X.a3), steps) if not a.is_zero()]
 
 
 def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
@@ -128,7 +128,7 @@ def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
         ratio = c / generator
         if not ratio.is_rational():
             return PeriodicityVerdict(VerdictKind.NON_CLOSED)
-        generator = generator * ratio.rational_value().numerator
+        generator = generator * ratio.as_integer_ratio()[0]
     assert generator is not None  # a nonzero X has at least one constraint
     return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=generator)
 
@@ -139,11 +139,11 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     A = norm_sq * PI / (a0 * a0)
     if not A.is_rational():
         return PeriodicityVerdict(VerdictKind.NON_CLOSED)
-    A = A.rational_value()
     sign, unit = X.quarter_turn
     quarters = L.t_step_quarters
     # A = |X|^2 pi k quarters sign(a0) / (2 a0^2) = an/ad
-    an, ad = A.numerator * L.k * quarters * sign, 2 * A.denominator
+    an, ad = A.as_integer_ratio()
+    an, ad = an * L.k * quarters * sign, 2 * ad
     cycle = 4 // quarters
     p, q = X.slopes
     # Flipping the sign of the turn or of sin changes no verdict or witness:
@@ -160,8 +160,8 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
         # p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
         bn, bd = 0, 1
         if sin:
-            pq = (p * p + q * q).rational_value()
-            bn, bd = pq.numerator * L.k * sin, pq.denominator
+            bn, bd = (p * p + q * q).as_integer_ratio()
+            bn *= L.k * sin
         m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m
@@ -195,7 +195,7 @@ def _prove_line(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -
         ratio = T / unit
         if not (ratio.is_integer() and ratio.sign() > 0):
             raise AssertionError(f"verdict T = {T} is not a positive multiple of the unit {unit}")
-        n = math.gcd(n, ratio.rational_value().numerator)
+        n = math.gcd(n, ratio.as_integer_ratio()[0])
     if n != 1:
         raise AssertionError(f"smaller admissible period {T / n} exists")
 
@@ -221,9 +221,9 @@ def _prove_rotating(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdic
             continue
         # 2k (z_r + j z_c) = A m - B for m = r + cycle j, with A = 2k z_c / cycle = an/ad
         # and B = A r - 2k z_r = bn/bd in integers; _solve_rational needs no lowest terms
-        zcq, zrq = zc.rational_value(), e.z.rational_value()
-        an, ad = two_k * zcq.numerator, cycle * zcq.denominator
-        bn, bd = an * r * zrq.denominator - two_k * zrq.numerator * ad, ad * zrq.denominator
+        (zcn, zcd), (zrn, zrd) = zc.as_integer_ratio(), e.z.as_integer_ratio()
+        an, ad = two_k * zcn, cycle * zcd
+        bn, bd = an * r * zrd - two_k * zrn * ad, ad * zrd
         m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m

@@ -330,20 +330,26 @@ def _coerce(value) -> "Scalar":
         return _SMALL_INTS[value + 256] if -256 <= value <= 256 else _new((value,), (1,))
     if kind is Fraction:
         return _new((value.numerator,), (value.denominator,)) if value else ZERO
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
+    if isinstance(value, (int, Fraction)):  # bool and other subclasses, read as a plain Fraction
+        return _coerce(Fraction(value))
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
 
 class Scalar:
-    """An exact element of Q(pi), a reduced fraction of polynomials in pi."""
+    """An exact element of Q(pi), a reduced fraction of polynomials in pi.
+
+    Scalar(x) takes any ScalarLike: a Scalar comes back unchanged, and an
+    int, a Fraction or a text in the syntax of parse_scalar becomes its
+    canonical Scalar.  Scalar(p, q) builds p(pi)/q(pi) from coefficient
+    sequences in ascending degree, or from an int or Fraction for either.
+    """
 
     __slots__ = ("_n", "_d")
 
     def __new__(cls, num=0, den=1):
-        if type(num) in (int, Fraction) and type(den) is int and den == 1:
+        if type(den) is int and den == 1 and not isinstance(num, (tuple, list)):
             return _coerce(num)
         n, n_den = _int_coeffs(num)
         d, d_den = _int_coeffs(den)
@@ -376,10 +382,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def coerce(cls, value: ScalarLike) -> "Scalar":
-        return _coerce(value)
-
-    @classmethod
     def pi(cls) -> "Scalar":
         return cls((0, 1))
 
@@ -391,12 +393,15 @@ class Scalar:
     def is_rational(self) -> bool:
         return len(self._n) <= 1 and len(self._d) == 1
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """(n, d) with d > 0 in lowest terms, as int, float and Fraction give it.
+
+        The canonical pair of a rational is already that pair, so no gcd is taken.
+        """
+        n, d = self._n, self._d
+        if len(n) > 1 or len(d) > 1:
             raise NotRational(f"{self} is not a rational constant")
-        if not self._n:
-            return Fraction(0)
-        return Fraction(self._n[0], self._d[0])
+        return (n[0], d[0]) if n else (0, 1)
 
     def is_integer(self) -> bool:
         return len(self._n) <= 1 and self._d == (1,)
@@ -464,7 +469,7 @@ class Scalar:
 
     def __hash__(self):
         # a rational value hashes like the equal int or Fraction
-        return hash(self.rational_value() if self.is_rational() else (self._n, self._d))
+        return hash(Fraction(*self.as_integer_ratio()) if self.is_rational() else (self._n, self._d))
 
     def sign(self) -> int:
         """Exact sign of the value at pi: -1, 0 or +1."""
@@ -605,19 +610,13 @@ PI_HALF = PI / 2
 # lattice membership helpers
 # ---------------------------------------------------------------------------
 
-def in_lattice_1d(s: ScalarLike, step: Fraction) -> bool:
-    """True iff s is rational and an integer multiple of the rational step."""
-    if type(step) is not Fraction:
-        step = Fraction(step)
-    if step.numerator <= 0:
-        raise ValueError("lattice step must be positive")
-    s = _coerce(s)
-    if not s.is_rational():
-        return False
-    if not s._n:
-        return True
-    # (n / d) / (p / q) is an integer iff d p divides n q
-    return (s._n[0] * step.denominator) % (s._d[0] * step.numerator) == 0
+def in_lattice_1d(s: ScalarLike, step: ScalarLike) -> bool:
+    """True iff s is an integer multiple of step, which must be a positive rational."""
+    step = _coerce(step)
+    # read from the canonical pair, with no sign refinement
+    if len(step._n) != 1 or len(step._d) != 1 or step._n[0] < 0:
+        raise ValueError(f"lattice step must be a positive rational, got {step}")
+    return (_coerce(s) / step).is_integer()
 
 
 def quarter_turns(s: ScalarLike) -> int | None:

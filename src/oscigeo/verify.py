@@ -146,7 +146,7 @@ def suite_groups(rng: random.Random) -> SuiteResult:
                 Scalar(0) <= nf.t < L.t_step
                 and Scalar(0) <= nf.x < Scalar(1)
                 and Scalar(0) <= nf.y < Scalar(1)
-                and Scalar(0) <= nf.z < Scalar(L.z_step)
+                and Scalar(0) <= nf.z < L.z_step
             )
             res.check(box_ok, "normal form lies in the fundamental box")
             g2 = _rand_quarter_element(rng)
@@ -392,18 +392,23 @@ def suite_isometries(rng: random.Random) -> SuiteResult:
                     f"conjugation kernel at {g}",
                 )
 
-    # the Heisenberg action descends to Lam\N, whose lattice 2 pi Z x Gamma_k is
-    # the full-twist point set, and moves cosets there
+    # the Heisenberg action is right translation by (0, v', z')^-1; it descends to
+    # Lam\N, whose lattice 2 pi Z x Gamma_k is the full-twist point set, and moves
+    # cosets there
     for k in (1, 2, 3):
         L = LatticeSpec(k, Twist.FULL)
         moved = False
         for _ in range(5):
             p = _rand_quarter_element(rng)
-            h = ((Scalar(_rand_fraction(rng)), Scalar(_rand_fraction(rng))), Scalar(_rand_fraction(rng)))
-            base = isometries.heis_action(h, p)
+            vp, zp = (Scalar(_rand_fraction(rng)), Scalar(_rand_fraction(rng))), Scalar(_rand_fraction(rng))
+            base = isometries.heis_action((vp, zp), p)
+            res.check(
+                base == g_mul(p, g_inv(GroupElement(Scalar(0), *vp, zp))),
+                f"Heisenberg action is right translation by (0, v', z')^-1 at {p}",
+            )
             moved = moved or not n_coset_equal(L, base, p)
             for gamma in L.generators():
-                image = isometries.heis_action(h, n_mul(gamma, p))
+                image = isometries.heis_action((vp, zp), n_mul(gamma, p))
                 res.check(n_coset_equal(L, image, base), f"Heisenberg action descends at {p} on {L}")
                 res.check(
                     n_coset_normal_form(L, image) == n_coset_normal_form(L, base),
@@ -486,10 +491,7 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                 periods.append(verdict.minimal_T)
             for big, small in zip(periods, periods[1:]):
                 ratio = big / small
-                res.check(
-                    ratio.is_rational() and ratio.rational_value().denominator == 1,
-                    "finer-family period divides the coarser one",
-                )
+                res.check(ratio.is_integer(), "finer-family period divides the coarser one")
 
     # closed implies periodic, with the classifier consistent
     L = LatticeSpec(1, Twist.FULL)
@@ -511,10 +513,7 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                         "coset return implies lattice membership of the gap",
                     )
                     ratio = gap / verdict.minimal_T
-                    res.check(
-                        ratio.is_rational() and ratio.rational_value().denominator == 1,
-                        "minimal period divides every return gap",
-                    )
+                    res.check(ratio.is_integer(), "minimal period divides every return gap")
         res.check(bool(hits), "periodic geodesics revisit cosets at step times")
     return res
 

@@ -231,7 +231,7 @@ def test_criterion_8_lattice_chain_consistency():
             full_T = periods[0]
             for finer_T in periods[1:]:
                 ratio = full_T / finer_T
-                ok &= ratio.is_rational() and ratio.rational_value().denominator == 1
+                ok &= ratio.is_integer()
                 checked += 1
     report(8, ok, f"{checked} divisibility checks across the lattice chain, all exact")
 

@@ -46,6 +46,20 @@ def test_parse_vector_forms():
         parse_vector("1,2,3")
     with pytest.raises(ValueError):
         parse_vector("b0=1,a1=0,a2=0,a3=0")
+    # named and positional chunks mix; a positional chunk i sets a_i
+    assert parse_vector(" A3 = 4, 2 ,a0=1,a2=3") == parse_vector("1,2,3,4") == parse_vector("a0=1,2,a2=3,4")
+
+
+@pytest.mark.parametrize("vector, name", [
+    ("a1=5,2,3,4", "a1"),
+    ("a0=1,a0=2,3,4", "a0"),
+    ("1,2,3,a2=4", "a2"),
+    ("a3=1,a3=1,a3=1,a3=1", "a3"),
+])
+def test_repeated_vector_component_is_a_usage_error_naming_it(capsys, vector, name):
+    assert main(["classify", "--lattice", "k=1,twist=full", "--vector", vector]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: vector component '{name}' is given twice in '{vector}'\n" and not captured.out
 
 
 def test_classify_null_example(capsys):

@@ -282,27 +282,34 @@ def test_heis_action_descends_to_nilmanifold():
                 assert n_coset_normal_form(L, moved) == n_coset_normal_form(L, base)
 
 
-def _heis_with_cross(sign):
-    """heis_action with its cross/2 term multiplied by sign."""
+def _heis_mutant(cross_sign=1, turn=1, z_shift=1):
+    """heis_action with its cross/2 term times cross_sign, R(t) as R(turn t) and z' times z_shift."""
     def action(h, p):
         vp, zp = h
-        w = rotate(p.t, *vp)
-        return GroupElement(p.t, p.x - w[0], p.y - w[1], p.z - zp - sign * cross(p.v, w) / 2)
+        w = rotate(turn * p.t, *vp)
+        return GroupElement(p.t, p.x - w[0], p.y - w[1], p.z - z_shift * zp - cross_sign * cross(p.v, w) / 2)
     return action
 
 
+_FORMULA = "right translation"
+
+
 @pytest.mark.parametrize("mutant, failing", [
-    (lambda h, p: p, "moves some coset"),
-    (_heis_with_cross(-1), "descend"),
-    (_heis_with_cross(0), "descend"),
-], ids=["identity", "flipped-cross-sign", "no-cross-term"])
+    (lambda h, p: p, {"moves some coset", _FORMULA}),
+    (_heis_mutant(cross_sign=-1), {"descend", _FORMULA}),
+    (_heis_mutant(cross_sign=0), {"descend", _FORMULA}),
+    (_heis_mutant(turn=-1), {_FORMULA}),
+    (_heis_mutant(z_shift=0), {_FORMULA}),
+], ids=["identity", "flipped-cross-sign", "no-cross-term", "rotated-back", "no-z-shift"])
 def test_isometries_suite_catches_a_broken_heis_action(monkeypatch, mutant, failing):
-    monkeypatch.setattr(isometries, "heis_action", _heis_with_cross(1))
+    monkeypatch.setattr(isometries, "heis_action", _heis_mutant())
     assert verify.suite_isometries(random.Random(0)).passed
     monkeypatch.setattr(isometries, "heis_action", mutant)
     for seed in (0, 1):
         failures = verify.suite_isometries(random.Random(seed)).failures
-        assert failures and all(failing in message for message in failures), (seed, failures)
+        # each named check fails, and no other
+        hit = {name for name in failing for message in failures if name in message}
+        assert hit == failing and all(any(name in m for name in failing) for m in failures), (seed, failures)
 
 
 def test_fiber_preserving():

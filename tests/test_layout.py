@@ -112,6 +112,50 @@ def test_unused_import_detector_sees_aliases_and_annotations(tmp_path):
     ]
 
 
+def _fractions_imports(path: Path) -> list[str]:
+    """Each absolute import of the standard fractions module, in either form."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "fractions" for module in modules):
+            found.append(f"{path.name}:{node.lineno} imports fractions")
+    return found
+
+
+def test_only_scalar_and_verify_import_fractions():
+    # Scalar is the engine's one number: scalar.py reads Fractions at the input
+    # boundary (coercion, the num/den views, __hash__) and verify.py draws its
+    # seeded random inputs as Fractions; no other module needs the type
+    paths = sorted(PACKAGE.glob("*.py"))
+    found = [hit for path in paths if path.name not in ("scalar.py", "verify.py") for hit in _fractions_imports(path)]
+    assert not found, found
+
+
+def test_fractions_import_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os, fractions\n"
+        "from fractions import Fraction as F\n"
+        "from .fractions import Fraction\n"
+        "import fractionsx\n"
+        "def f():\n"
+        "    import fractions as fr\n"
+        "    return 'fractions'\n"
+    )
+    assert _fractions_imports(probe) == [
+        "probe.py:2 imports fractions",
+        "probe.py:3 imports fractions",
+        "probe.py:7 imports fractions",
+    ]
+
+
 def _defined_names(tree: ast.Module) -> list[tuple[int, str, str]]:
     """Each def, class or assigned name at the top level of a module, and
     each method or property a top-level class defines, as (line, name, label)."""

@@ -267,7 +267,7 @@ def test_minimal_period_agrees_with_the_scan_oracle():
             T = minimal_period(L, X)
             scanned = _scan_minimal_period(L, X)
             if scanned is None:
-                assert T is None or (T / _scan_unit(L, X)).rational_value() > _SCAN_LIMIT
+                assert T is None or Fraction(*(T / _scan_unit(L, X)).as_integer_ratio()) > _SCAN_LIMIT
             else:
                 assert T == scanned, (L, X)
                 compared += 1
@@ -511,6 +511,19 @@ def test_answers_match_the_pinned_corpus():
     assert digest.hexdigest() == _PINNED_ANSWERS
 
 
+def test_decisions_build_no_fraction(monkeypatch):
+    # Fraction belongs to the input boundary: classifying and proving run on Scalars and ints
+    corpus = _pinned_corpus()
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for L, X in corpus:
+        classify_geodesic(L, X)
+        minimal_period(L, X)
+    monkeypatch.undo()
+    assert built == []
+
+
 def test_residue_solver_verdicts_hold_exactly(monkeypatch):
     # degree <= 2 directions over all nine families; a3 is either free or the
     # null value shifted by c/pi, which makes A rational for rational a0 and c
@@ -627,7 +640,7 @@ def test_lattice_chain_divisibility():
                 periods.append(verdict.minimal_T)
             for coarse, fine in zip(periods, periods[1:]):
                 ratio = coarse / fine
-                assert ratio.is_rational() and ratio.rational_value().denominator == 1
+                assert ratio.is_integer()
 
 
 def test_closed_implies_periodic_property():
@@ -646,7 +659,7 @@ def test_closed_implies_periodic_property():
                     gap = s1 - s0
                     assert lattice_contains(L10, exp_map(X.scale(gap)))
                     ratio = gap / verdict.minimal_T
-                    assert ratio.is_rational() and ratio.rational_value().denominator == 1
+                    assert ratio.is_integer()
         assert found_return
 
 

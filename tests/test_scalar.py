@@ -53,10 +53,32 @@ def test_division_by_zero():
 
 def test_is_rational_and_value():
     s = Scalar(Fraction(3, 2))
-    assert s.is_rational() and s.rational_value() == Fraction(3, 2)
+    assert s.is_rational() and s.as_integer_ratio() == (3, 2)
     assert not PI.is_rational()
-    with pytest.raises(NotRational):
-        PI.rational_value()
+    # lowest terms with a positive denominator, as int and Fraction give them
+    big = Fraction(-(10**40 + 1), 3 * 10**25)
+    for value in (0, -7, Fraction(-6, 4), big):
+        ratio = Scalar(value).as_integer_ratio()
+        assert ratio == value.as_integer_ratio() and all(type(v) is int for v in ratio)
+    for value in (PI, 1 / PI, PI / 2 + 1):
+        with pytest.raises(NotRational):
+            value.as_integer_ratio()
+
+
+def test_one_constructor_takes_every_scalar_like():
+    text = "29/3 + 2/(3*pi)"
+    assert Scalar(text) == parse_scalar(text) and Scalar("-1/2") == Fraction(-1, 2)
+    s = parse_scalar(text)
+    assert Scalar(s) is s
+    # bool and other subclasses of int and Fraction read as their plain value, with no recursion
+    class Half(Fraction):
+        pass
+
+    assert Scalar(True) == 1 and Scalar(False) == 0 and Scalar(Half(1, 2)) == Fraction(1, 2)
+    assert Scalar((1, 2), (3,)) == (1 + 2 * PI) / 3 and Scalar(1, Fraction(1, 3)) == 3
+    for value in (1.5, None, 1j):
+        with pytest.raises(TypeError):
+            Scalar(value)
 
 
 def test_gcd_reduction_before_deciding():
@@ -71,6 +93,14 @@ def test_in_lattice_1d():
     assert in_lattice_1d(Scalar(Fraction(1, 2)), Fraction(1, 2))
     assert not in_lattice_1d(PI, Fraction(1, 2))
     assert in_lattice_1d(Scalar(Fraction(3, 4)), Fraction(1, 4))
+    # a step may be any positive rational ScalarLike
+    for step in (3, Fraction(3), Scalar(3), "3"):
+        assert in_lattice_1d(-6, step) and in_lattice_1d(0, step)
+        assert not in_lattice_1d(2, step) and not in_lattice_1d(3 * PI, step)
+    assert in_lattice_1d(Fraction(5, 6), Scalar(1) / 6) and not in_lattice_1d(Fraction(5, 6), Scalar(1) / 4)
+    for step in (0, -1, Fraction(-1, 2), PI, 1 / PI):
+        with pytest.raises(ValueError, match="positive rational"):
+            in_lattice_1d(1, step)
 
 
 def test_in_lattice_closed_under_integer_multiples():
@@ -110,7 +140,7 @@ def test_canonical_form_idempotent():
 
 def test_constructor_allocates_once_and_copies_leave_shared_scalars_alone(monkeypatch):
     # Scalar(int or Fraction) is the one Scalar _coerce builds, or the shared small int
-    assert Scalar(3) is Scalar.coerce(3) is Scalar(3)
+    assert Scalar(3) is Scalar(Scalar(3)) is Scalar(3)
     made = []
     monkeypatch.setattr(scalar, "_alloc", lambda cls: made.append(object.__new__(cls)) or made[-1])
     for value in (10**30, Fraction(-7, 3)):

@@ -335,7 +335,7 @@ def test_short_operand_fast_paths_match_the_general_form_and_sympy():
 def test_small_integer_table_edges():
     # the shared Scalars of -256..256 and the fresh ones beyond hold the integer itself
     for v in range(-300, 301):
-        for s in (Scalar(v), Scalar.coerce(v), Scalar(Fraction(v)), Scalar(v) + 0, 0 + Scalar(v), -Scalar(-v)):
+        for s in (Scalar(v), Scalar(str(v)), Scalar(Fraction(v)), Scalar(v) + 0, 0 + Scalar(v), -Scalar(-v)):
             assert (s._n, s._d) == (((v,) if v else ()), (1,)), v
             assert s == v and hash(s) == hash(v)
-    assert Scalar.coerce(256) is Scalar.coerce(256) and Scalar.coerce(0) is ZERO
+    assert Scalar(256) is Scalar(256) and Scalar(0) is ZERO

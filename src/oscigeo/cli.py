@@ -173,11 +173,7 @@ def cmd_verify(args) -> int:
 
     seed = _default_seed(args.seed)
     names = args.suite if args.suite else None
-    try:
-        results = run_suites(names, seed=seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    results = run_suites(names, seed=seed)
     if args.format == "json":
         print(
             json.dumps(
@@ -202,6 +198,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+_COMMANDS = {"classify": cmd_classify, "trace": cmd_trace, "verify": cmd_verify}
+
+
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Join "--opt -value" into "--opt=-value".
 
@@ -218,20 +217,12 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "trace":
-            return cmd_trace(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
     reduced t the two give different representatives of the same coset.
     """
     p = np.asarray(p, dtype=float)
-    steps = np.array([float(L.t_step), float(L.v_step), float(L.v_step), float(L.z_step)])
+    steps = np.array([float(L.t_step), 1.0, 1.0, float(L.z_step)])
     if np.any(np.abs(p) > MAX_REDUCED_STEPS * steps):
         raise InvalidStep(
             f"a coordinate exceeds MAX_REDUCED_STEPS = 2**52 steps of the lattice {L}, "

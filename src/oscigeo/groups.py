@@ -41,7 +41,6 @@ from .scalar import (
     PI_HALF,
     Scalar,
     ScalarLike,
-    in_lattice_1d,
     in_quarter_lattice,
     quarter_turns,
 )
@@ -181,7 +180,6 @@ class LatticeSpec:
 
     k: int
     twist: Twist
-    v_step = ONE  # not a field: the one x- and y-step of every lattice
 
     def __post_init__(self):
         if self.k < 1:
@@ -239,12 +237,12 @@ class LatticeSpec:
 
 
 def lattice_contains(L: LatticeSpec, g: GroupElement) -> bool:
-    """Exact membership of g in the lattice of L."""
+    """Exact membership of g in the lattice of L, in integers on the canonical pairs."""
     return (
         in_quarter_lattice(g.t, L.t_step_quarters)
-        and in_lattice_1d(g.x, L.v_step)
-        and in_lattice_1d(g.y, L.v_step)
-        and in_lattice_1d(g.z, L.z_step)
+        and g.x.is_integer()
+        and g.y.is_integer()
+        and (g.z * (2 * L.k)).is_integer()
     )
 
 

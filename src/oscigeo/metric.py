@@ -138,16 +138,14 @@ X2 = TangentVector.of(0, 0, 1, 0)
 X3 = TangentVector.of(0, 0, 0, 1)
 FRAME = (X0, X1, X2, X3)
 
-# constant Gram matrix of the frame
-FRAME_GRAM = tuple(
-    tuple(Scalar(1) if {i, j} == {0, 3} or (i == j and i in (1, 2)) else Scalar(0) for j in range(4))
-    for i in range(4)
-)
-
 
 def frame_inner(u: TangentVector, w: TangentVector) -> Scalar:
     """<u, w> in the frame: u1 w1 + u2 w2 + u0 w3 + u3 w0."""
     return u.a1 * w.a1 + u.a2 * w.a2 + u.a0 * w.a3 + u.a3 * w.a0
+
+
+# constant Gram matrix of the frame, the one form frame_inner computes
+FRAME_GRAM = tuple(tuple(frame_inner(u, w) for w in FRAME) for u in FRAME)
 
 
 class CausalType(enum.Enum):

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from .geodesics import exp_scaled, exp_turns
 from .groups import QUARTER_TURNS, LatticeSpec, lattice_contains
 from .metric import CAUSAL_BY_SIGN, CausalType, TangentVector
-from .scalar import PI, Scalar
+from .scalar import ONE, PI, Scalar
 
 
 class VerdictKind(enum.Enum):
@@ -114,7 +114,7 @@ def _period_units(L: LatticeSpec, X: TangentVector) -> list[Scalar]:
 
     step/|a_i| for each nonzero component.
     """
-    steps = (L.v_step, L.v_step, L.z_step)
+    steps = (ONE, ONE, L.z_step)
     return [step / abs(a) for a, step in zip((X.a1, X.a2, X.a3), steps) if not a.is_zero()]
 
 

@@ -27,7 +27,8 @@ and negative coefficients, p lies in [p+(lo) - p-(hi), p+(hi) - p-(lo)]
 on the positive interval [lo, hi].  A nonzero polynomial with rational
 coefficients cannot vanish at a transcendental point, so the refinement
 always terminates; this is what turns comparisons, floors and lattice
-membership into exact decisions.
+membership into exact decisions.  One iterator runs the refinement, and
+sign, floor and the float fallback each stop it on their own test.
 
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
@@ -221,20 +222,6 @@ def _pbounds(a: Poly, lo: int, hi: int, scale: int) -> tuple[int, int]:
     return pos_lo - neg_hi, pos_hi - neg_lo
 
 
-def _float_by_enclosure(n: Poly, d: Poly) -> float:
-    """n(pi) / d(pi) from enclosures of relative width below 2^-64; +-inf beyond the float range."""
-    digits = 40
-    while True:
-        lo, hi, scale = _pi_scaled(digits)
-        (nl, nh), (dl, dh) = _pbounds(n, lo, hi, scale), _pbounds(d, lo, hi, scale)
-        if (nh - nl) << 64 < abs(nl) and (dh - dl) << 64 < abs(dl):
-            try:  # int / int rounds once; the homogenizing powers of scale cancel
-                return nl * scale ** len(d) / (dl * scale ** len(n))
-            except OverflowError:
-                return math.inf if (nl > 0) == (dl > 0) else -math.inf
-        digits *= 2
-
-
 # ---------------------------------------------------------------------------
 # rational enclosures of pi (Machin's formula, integer arithmetic)
 # ---------------------------------------------------------------------------
@@ -263,6 +250,30 @@ def _pi_scaled(digits: int) -> tuple[int, int, int]:
     scaled = approx // guard
     # series truncation plus flooring stays far below the guard scale
     return scaled - 2, scaled + 2, 10 ** digits
+
+
+def _enclosures(n: Poly, d: Poly):
+    """The one refinement loop: _pbounds of n and d on ever tighter enclosures of pi.
+
+    Yields ((nl, nh), (dl, dh), scale) on _pi_scaled(40), _pi_scaled(80)
+    and so on, without end: each caller stops it on its own test, which a
+    nonzero n and d at the transcendental pi always pass at some depth.
+    """
+    digits = 40
+    while True:
+        lo, hi, scale = _pi_scaled(digits)
+        yield _pbounds(n, lo, hi, scale), _pbounds(d, lo, hi, scale), scale
+        digits *= 2
+
+
+def _float_by_enclosure(n: Poly, d: Poly) -> float:
+    """n(pi) / d(pi) from enclosures of relative width below 2^-64; +-inf beyond the float range."""
+    for (nl, nh), (dl, dh), scale in _enclosures(n, d):
+        if (nh - nl) << 64 < abs(nl) and (dh - dl) << 64 < abs(dl):
+            try:  # int / int rounds once; the homogenizing powers of scale cancel
+                return nl * scale ** len(d) / (dl * scale ** len(n))
+            except OverflowError:
+                return math.inf if (nl > 0) == (dl > 0) else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +489,9 @@ class Scalar:
             return 0
         if len(n) == 1 and len(d) == 1:
             return 1 if n[0] > 0 else -1
-        digits = 40
-        while True:
-            lo, hi, scale = _pi_scaled(digits)
-            nl, nh = _pbounds(n, lo, hi, scale)
-            if nl > 0 or nh < 0:
-                dl, dh = _pbounds(d, lo, hi, scale)
-                if dl > 0 or dh < 0:
-                    return 1 if (nl > 0) == (dl > 0) else -1
-            digits *= 2
+        for (nl, nh), (dl, dh), _ in _enclosures(n, d):
+            if (nl > 0 or nh < 0) and (dl > 0 or dh < 0):
+                return 1 if (nl > 0) == (dl > 0) else -1
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -511,16 +516,12 @@ class Scalar:
         # n(pi)/d(pi) = N scale^len(d) / (D scale^len(n)) with N, D in the _pbounds
         # intervals; a non-rational value is irrational, so the floors of the
         # interval's corners meet once the enclosure is narrow enough
-        digits = 40
-        while True:
-            lo, hi, scale = _pi_scaled(digits)
-            (nl, nh), (dl, dh) = _pbounds(n, lo, hi, scale), _pbounds(d, lo, hi, scale)
+        for (nl, nh), (dl, dh), scale in _enclosures(n, d):
             if dl > 0 or dh < 0:
                 sn, sd = scale ** len(n), scale ** len(d)
                 corners = [N * sd // (D * sn) for N in (nl, nh) for D in (dl, dh)]
                 if min(corners) == max(corners):
                     return corners[0]
-            digits *= 2
 
     # -- conversions ---------------------------------------------------------
 

@@ -539,6 +539,6 @@ def run_suites(names: list[str] | None = None, seed: int = 0) -> list[SuiteResul
     results = []
     for name in selected:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+            raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
         results.append(SUITES[name](random.Random(seed)))
     return results

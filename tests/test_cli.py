@@ -19,6 +19,7 @@ from oscigeo.floats import (
 from oscigeo.groups import LatticeSpec, parse_group_element
 from oscigeo.scalar import MAX_DIGITS, MAX_NESTING, PI, Scalar
 from oscigeo.metric import TangentVector
+from oscigeo.verify import run_suites
 
 # the child interpreter imports the same package as the tests, installed or not
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(oscigeo.__file__))
@@ -394,9 +395,24 @@ def test_verify_single_suite(capsys):
     assert "curvature" in out and "PASS" in out
 
 
+def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
+    # run in process at seed 0; a check added or lost moves a count
+    results = run_suites(["groups", "normalizer", "metric", "quotients"], seed=0)
+    assert [(r.name, r.checks, r.failures) for r in results] == [
+        ("groups", 720, []),
+        ("normalizer", 1500, []),
+        ("metric", 321, []),
+        ("quotients", 2760, []),
+    ]
+
+
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nonsense"])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: unknown suite 'nonsense'; available: "
+        "scalar, groups, normalizer, metric, curvature, geodesics, isometries, quotients\n"
+    )
 
 
 def test_verify_deterministic_under_seed(capsys):
@@ -417,6 +433,9 @@ def test_env_seed_override(monkeypatch, capsys):
     explicit = capsys.readouterr().out
     assert code == code2 == 0
     assert with_env == explicit
+    monkeypatch.setenv("OSCIGEO_SEED", "nine")
+    assert main(["verify", "--suite", "scalar"]) == 2
+    assert capsys.readouterr().err == "error: OSCIGEO_SEED must be an integer, got 'nine'\n"
 
 
 def test_module_entrypoint_runs():

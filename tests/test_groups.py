@@ -182,6 +182,10 @@ def test_lattice_spec_validation_and_parse():
     assert str(spec) == "k=2,twist=quarter"
     with pytest.raises(ValueError, match="twist"):
         LatticeSpec.parse("k=1,twist=sideways")
+    with pytest.raises(ValueError, match="unknown lattice field 'q'"):
+        LatticeSpec.parse("k=1,twist=full,q=2")
+    with pytest.raises(ValueError, match=r"lattice spec needs k=<int>,twist=<full\|half\|quarter>, got 'k=1'"):
+        LatticeSpec.parse("k=1")
 
 
 def test_coset_normal_form_lattice_element_is_identity():

@@ -34,6 +34,7 @@ from oscigeo.isometries import (
     inner_trivial_on_g,
     isotropy_matrix,
 )
+from oscigeo.metric import FRAME_GRAM, TangentVector, frame_inner
 from oscigeo.floats import (
     chi_f,
     f1_f,
@@ -92,13 +93,23 @@ def test_ambrose_hicks_grid_and_extraction():
                 assert ambrose_hicks_check(A)
                 assert extract_isotropy(A) == el
                 assert isotropy_matrix(extract_isotropy(A)) == A
+    corner = [list(row) for row in isotropy_matrix(IsotropyElement(1, ID2, (S0, S0)))]
+    corner[0][0] = Scalar(2)
+    with pytest.raises(NotOrthogonal, match=r"corner entry 2 is not \+-1"):
+        extract_isotropy(tuple(tuple(row) for row in corner))
+
+
+def _diag(*entries):
+    return tuple(tuple(Scalar(entries[i] if i == j else 0) for j in range(4)) for i in range(4))
 
 
 def test_ambrose_hicks_rejects_non_members():
-    diag = tuple(
-        tuple(Scalar(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)) for i in range(4)
-    )
-    assert not ambrose_hicks_check(diag)
+    assert not ambrose_hicks_check(_diag(2, 1, 1, 1))
+    # diag(2, 1, 1, 1/2) keeps the Gram form, so only the double-bracket test rejects it
+    boost = _diag(2, 1, 1, Fraction(1, 2))
+    cols = [TangentVector(*(boost[i][j] for i in range(4))) for j in range(4)]
+    assert all(frame_inner(cols[i], cols[j]) == FRAME_GRAM[i][j] for i in range(4) for j in range(4))
+    assert not ambrose_hicks_check(boost)
     # perturb one entry of a family member
     A = [list(row) for row in isotropy_matrix(IsotropyElement(1, ROT90, (S1, S0)))]
     A[3][1] = A[3][1] + 1
@@ -343,3 +354,5 @@ def test_isometry_of_g_applies_the_factors_right_to_left():
         assert coset_equal(L, IsometryOfG(translation=GroupElement.of(2 * PI, (0, 0), Fraction(1, 2))).apply(p), p)
         assert not coset_equal(L, IsometryOfG(translation=GroupElement.of(0, (0, 0), Fraction(1, 3))).apply(p), p)
         assert IsometryOfG(inner=GroupElement.of(2 * PI, (0, 0), 5)).apply(p) == p
+    with pytest.raises(ValueError, match="unknown component tag 'f4'"):
+        IsometryOfG(tag="f4")

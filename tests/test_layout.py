@@ -156,6 +156,56 @@ def test_fractions_import_detector(tmp_path):
     ]
 
 
+_REFINEMENT = ("_pi_scaled", "_pbounds")
+
+
+def _refinement_reads(path: Path) -> list[str]:
+    """Each read of _pi_scaled or _pbounds, by bare name or as an attribute,
+    outside the body of _enclosures, with the def it sits in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in _REFINEMENT and owner != "_enclosures":
+                found.append(f"{path.name}:{child.lineno} {owner} reads {name}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_enclosures_refines_pi():
+    # one refinement loop: sign, floor and the float fallback stop it, none repeats it
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _refinement_reads(path)]
+    assert not found, found
+
+
+def test_refinement_read_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .scalar import _pbounds\n"
+        "def _enclosures(n, lo):\n"
+        "    yield _pbounds(n, lo, 2, 3), _pi_scaled(40)\n"
+        "def sign(n):\n"
+        "    lo, hi, scale = _pi_scaled(40)\n"
+        "    return _pbounds(n, lo, hi, scale)\n"
+        "class Scalar:\n"
+        "    def floor(self):\n"
+        "        return scalar._pi_scaled(80)\n"
+        "bound = _pbounds\n"
+        "def _pi_scaled(digits): pass\n"
+    )
+    assert _refinement_reads(probe) == [
+        "probe.py:5 sign reads _pi_scaled",
+        "probe.py:6 sign reads _pbounds",
+        "probe.py:9 floor reads _pi_scaled",
+        "probe.py:10 <module> reads _pbounds",
+    ]
+
+
 def _defined_names(tree: ast.Module) -> list[tuple[int, str, str]]:
     """Each def, class or assigned name at the top level of a module, and
     each method or property a top-level class defines, as (line, name, label)."""

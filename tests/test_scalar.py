@@ -246,6 +246,12 @@ def test_parse_errors_name_token():
         parse_scalar("qq")
     with pytest.raises(ValueError, match="unbalanced|unexpected"):
         parse_scalar("(1/2")
+    with pytest.raises(ValueError, match="exponent must be an integer, got 'pi'"):
+        parse_scalar("2^pi")
+    with pytest.raises(ValueError, match=r"unbalanced parentheses in scalar text '\(1 2\)'"):
+        parse_scalar("(1 2)")
+    with pytest.raises(ValueError, match=r"unexpected token '\)' in scalar text '1\+\)'"):
+        parse_scalar("1+)")
 
 
 def test_print_parse_roundtrip_random():
@@ -259,6 +265,15 @@ def test_pow():
     assert PI ** 0 == Scalar(1)
     assert PI ** 3 == PI * PI * PI
     assert PI ** -1 == Scalar(1) / PI
+    assert parse_scalar("pi**2") == parse_scalar("pi^2") == PI * PI
+    with pytest.raises(TypeError, match="scalar exponent must be an integer"):
+        PI ** 0.5
+    with pytest.raises(DivisionByZero, match="scalar division by zero"):
+        parse_scalar("0^-1")
+    # the inverted pair leads negative, and the power turns it positive-led
+    inverse_square = parse_scalar("(1-pi)^-2")
+    assert inverse_square == Scalar(1) / ((1 - PI) * (1 - PI))
+    assert str(inverse_square) == "(1)/(pi^2 - 2*pi + 1)"
 
 
 def test_parser_limit_on_exponent():
@@ -348,6 +363,22 @@ def test_float_view_keeps_the_monic_horner_bits():
         s = rand_scalar(rng)
         assert float(s) == _monic_horner(s) or s.is_zero(), s
     assert float(Scalar(0)) == 0.0 and float(Scalar(Fraction(-7, 3))) == -7 / 3
+
+
+def test_float_view_of_a_near_cancellation_refines_past_the_first_enclosure(monkeypatch):
+    # 39 digits of pi minus pi: the Horner view cancels to 0.0, and 40 digits
+    # of pi leave the enclosure wider than 2^-64 relative, so 80 are read
+    digits = []
+
+    def spy(n):
+        digits.append(n)
+        return _pi_scaled(n)
+
+    monkeypatch.setattr(scalar, "_pi_scaled", spy)
+    value = float(parse_scalar("314159265358979323846264338327950288419/10^38 - pi"))
+    assert digits == [40, 80]
+    exact = float(Fraction(314159265358979323846264338327950288419, 10**38) - PI_REFERENCE)
+    assert abs(value - exact) <= 2**-52 * abs(exact) and value < 0
 
 
 def test_float_view_beyond_float_range_coefficients():

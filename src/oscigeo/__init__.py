@@ -30,7 +30,7 @@ _EXPORTS = {
         "CausalType", "TangentVector", "bracket", "causal_type", "curvature_op",
         "killing_form", "metric_at", "ricci",
     ),
-    "geodesics": ("GeodesicCurve", "exp_map", "exp_scaled", "exp_turns", "geodesic_eval"),
+    "geodesics": ("exp_map", "exp_scaled", "exp_turns"),
     "isometries": (
         "IsometryOfG", "IsotropyElement", "NotOrthogonal", "ambrose_hicks_check",
         "discrete_isometry", "fiber_preserving", "heis_action", "inner_aut",
@@ -39,7 +39,7 @@ _EXPORTS = {
     "quotients": (
         "PeriodicityVerdict", "VerdictKind", "classify_geodesic", "minimal_period",
     ),
-    "floats": ("InvalidStep", "integrate_geodesic", "is_isometry_numeric", "project_geodesic"),
+    "floats": ("InvalidStep", "is_isometry_numeric", "trace_chunks"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

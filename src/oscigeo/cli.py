@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, DivisionByZero) as exc:
+    except (ValueError, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

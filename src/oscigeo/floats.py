@@ -202,14 +202,13 @@ def f2_f(p) -> np.ndarray:
 
 
 def f3_f(p) -> np.ndarray:
-    """f3(t, v, z) = (t, R(t) S v, z)."""
-    p = np.asarray(p, dtype=float)
-    wx, wy = _rotate(p[..., 0], -p[..., 1], p[..., 2])
-    return np.stack([p[..., 0], wx, wy, p[..., 3]], axis=-1)
+    """f3 = f1 o f2: (t, v, z) -> (t, R(t) S v, z)."""
+    return f1_f(f2_f(p))
 
 
 def heis_action_f(vp, zp, p) -> np.ndarray:
-    """(v', z') . (t, v, z) with v' of shape (..., 2); all three broadcast."""
+    """(v', z') . (t, v, z) = (t, v - R(t)v', z - z' - v^T J R(t) v' / 2), the
+    paper's formula at any angle, with v' of shape (..., 2); all three broadcast."""
     vp = np.asarray(vp, dtype=float)
     p = np.asarray(p, dtype=float)
     wx, wy = _rotate(p[..., 0], vp[..., 0], vp[..., 1])
@@ -469,16 +468,6 @@ def trace_chunks(h, X, s_end: float, step: float, lattice: LatticeSpec | None = 
 
     spans = _rk4_spans(1, n)
     return itertools.chain([chunk(*spans[0])], itertools.starmap(chunk, spans[1:]))
-
-
-def project_geodesic(L: LatticeSpec, h, X, s_end: float, step: float) -> np.ndarray:
-    """Samples (s, t, x, y, z) of h exp(sX) reduced to coset normal forms, in one array."""
-    return np.concatenate(list(trace_chunks(h, X, s_end, step, lattice=L)))
-
-
-def integrate_geodesic(h, X, s_end: float, step: float) -> np.ndarray:
-    """Sampled path (s, t, x, y, z) of the RK4-integrated geodesic, in one array."""
-    return np.concatenate(list(trace_chunks(h, X, s_end, step, rk4=True)))
 
 
 # %.17g on whole chunks of floats.  %.17g writes x as 17 digits D and an

@@ -10,9 +10,10 @@ the one-parameter subgroups, with explicit components branching on a0:
                       - ((a1^2 + a2^2)/a0^2) sin a0 s ]
   a0 == 0:  (0, a1 s, a2 s, a3 s), a straight line.
 
-A geodesic through h is the left translate h exp(sX).  The exact layer
-evaluates only when a0 s is an integer multiple j of pi/2, where sin and
-cos are exact, and it evaluates at the integer j: with p = a1/a0,
+A geodesic through h is the left translate h exp(sX), which callers
+write as g_mul(h, exp_scaled(X, s)).  The exact layer evaluates only
+when a0 s is an integer multiple j of pi/2, where sin and cos are
+exact, and it evaluates at the integer j: with p = a1/a0,
 q = a2/a0, rho = (p^2 + q^2)/2 and zq = (rho + a3/a0) pi/2 the z above is
 j zq - rho sin(j pi/2).  These constants (TangentVector.slopes and
 z_constants) are computed once per direction and kept by its scaled
@@ -28,19 +29,9 @@ formulas identically, and an independent RK4 oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import QUARTER_TURNS, ExactRotationUnavailable, GroupElement, LatticeSpec, g_mul
+from .groups import QUARTER_TURNS, ExactRotationUnavailable, GroupElement, LatticeSpec
 from .metric import TangentVector
-from .scalar import ONE, PI_HALF, ZERO, Scalar, ScalarLike, quarter_turns
-
-
-@dataclass(frozen=True)
-class GeodesicCurve:
-    """gamma(s) = base * exp(s * direction)."""
-
-    base: GroupElement
-    direction: TangentVector
+from .scalar import ONE, PI_HALF, ZERO, Scalar, quarter_turns
 
 
 def _turned(X: TangentVector, j: int, t: Scalar) -> GroupElement:
@@ -91,11 +82,6 @@ def exp_scaled(X: TangentVector, s: Scalar) -> GroupElement:
     if j is None:
         raise ExactRotationUnavailable(f"angle {t} is not an integer multiple of pi/2")
     return _turned(X, j, t)
-
-
-def geodesic_eval(c: GeodesicCurve, s: ScalarLike) -> GroupElement:
-    """Exact evaluation of the geodesic at parameter s."""
-    return g_mul(c.base, exp_scaled(c.direction, Scalar(s)))
 
 
 def exp_map(X: TangentVector) -> GroupElement:

@@ -22,24 +22,27 @@ and exact by multilinearity.  Maps themselves are certified numerically
 by ``floats.is_isometry_numeric``, which pulls the coordinate metric back
 through a finite-difference Jacobian of the float maps there.
 
-The Heisenberg group acts isometrically by
+The Heisenberg group acts isometrically, as the metric is bi-invariant,
+by right translation (v', z') . p = p (0, v', z')^{-1}, which expands to
 
-    (v', z') . (t, v, z) = (t, v - R(t) v', z - z' - v^T J R(t) v' / 2),
+    (v', z') . (t, v, z) = (t, v - R(t) v', z - z' - v^T J R(t) v' / 2).
 
-which is exactly right translation by (0, v', z')^{-1}; it descends to
-the nilmanifold quotients Lam\\N, which the ``verify`` isometries suite
-checks exactly on the full-twist lattices.  On a solvmanifold quotient
-of G, the only isotropy isometries that preserve lattice cosets are the
-inner chi_h with h in the normalizer of the lattice.
+``heis_action`` is the product, exact where the group law is, and
+``floats.heis_action_f`` the formula at any angle; the ``verify``
+isometries suite checks them against each other, and the descent of the
+action to the nilmanifold quotients Lam\\N on the full-twist lattices.
+On a solvmanifold quotient of G, the only isotropy isometries that
+preserve lattice cosets are the inner chi_h with h in the normalizer of
+the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupElement, LatticeSpec, cross, g_mul, normalizer_contains, rotate
+from .groups import GroupElement, LatticeSpec, cross, g_inv, g_mul, normalizer_contains, rotate
 from .metric import FRAME, FRAME_GRAM, TangentVector, bracket, frame_inner
-from .scalar import Scalar, in_quarter_lattice
+from .scalar import ZERO, Scalar, in_quarter_lattice
 
 Matrix4 = tuple[tuple[Scalar, ...], ...]
 
@@ -149,7 +152,8 @@ def ambrose_hicks_check(A: Matrix4) -> bool:
 # ---------------------------------------------------------------------------
 
 def inner_aut(g: GroupElement, x: GroupElement) -> GroupElement:
-    """chi_g(x) = g x g^{-1}, via the expanded conjugation formula."""
+    """chi_g(x) = g x g^{-1}, via the expanded conjugation formula, which is exact
+    wherever R(g.t) x.v and R(x.t) g.v are, unlike g_inv(g) in the product."""
     r0v = rotate(g.t, x.x, x.y)
     rv0 = rotate(x.t, g.x, g.y)
     v = (g.x + r0v[0] - rv0[0], g.y + r0v[1] - rv0[1])
@@ -176,15 +180,14 @@ def inner_trivial_on_g(g: GroupElement) -> bool:
 # ---------------------------------------------------------------------------
 
 def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
-    """Exact f1, f2 or f3; f2 and f3 need a quarter-turn t."""
+    """Exact f1, f2 or f3 = f1 o f2; f2 and f3 need a quarter-turn t."""
     if which == "f1":
         return GroupElement(-p.t, -p.x, p.y, -p.z)
     if which == "f2":
         w = rotate(-p.t, p.x, p.y)
         return GroupElement(-p.t, w[0], w[1], -p.z)
     if which == "f3":
-        w = rotate(p.t, -p.x, p.y)
-        return GroupElement(p.t, w[0], w[1], p.z)
+        return discrete_isometry("f1", discrete_isometry("f2", p))
     raise ValueError(f"unknown discrete isometry {which!r}")
 
 
@@ -193,15 +196,9 @@ def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 def heis_action(h: tuple[tuple[Scalar, Scalar], Scalar], p: GroupElement) -> GroupElement:
-    """(v', z') . (t, v, z) = (t, v - R(t)v', z - z' - v^T J R(t) v' / 2)."""
+    """(v', z') . p = p (0, v', z')^{-1}; needs a quarter-turn t unless v' = 0."""
     vp, zp = h
-    w = rotate(p.t, *vp)
-    return GroupElement(
-        p.t,
-        p.x - w[0],
-        p.y - w[1],
-        p.z - zp - cross(p.v, w) / 2,
-    )
+    return g_mul(p, g_inv(GroupElement(ZERO, *vp, zp)))
 
 
 # ---------------------------------------------------------------------------

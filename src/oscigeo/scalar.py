@@ -281,14 +281,12 @@ def _float_by_enclosure(n: Poly, d: Poly) -> float:
 # ---------------------------------------------------------------------------
 
 def _int_coeffs(value) -> tuple[Poly, int]:
-    """Integer coefficients and a positive common denominator of an input polynomial."""
-    if isinstance(value, (int, Fraction)):
+    """Integer coefficients and a common denominator > 0 of a polynomial of rational Scalar(v)s."""
+    if not isinstance(value, (tuple, list)):
         value = (value,)
-    elif not isinstance(value, (tuple, list)):
-        raise TypeError(f"cannot build polynomial from {value!r}")
-    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in value]
-    den = math.lcm(*(v.denominator for v in fracs))
-    return _strip([v.numerator * (den // v.denominator) for v in fracs]), den
+    ratios = [_coerce(v).as_integer_ratio() for v in value]
+    den = math.lcm(*(d for _, d in ratios))
+    return _strip([n * (den // d) for n, d in ratios]), den
 
 
 _alloc = object.__new__  # one global lookup on the per-operation allocations
@@ -354,7 +352,8 @@ class Scalar:
     Scalar(x) takes any ScalarLike: a Scalar comes back unchanged, and an
     int, a Fraction or a text in the syntax of parse_scalar becomes its
     canonical Scalar.  Scalar(p, q) builds p(pi)/q(pi) from coefficient
-    sequences in ascending degree, or from an int or Fraction for either.
+    sequences in ascending degree, or from one coefficient for either;
+    each coefficient v is read as Scalar(v) and must be rational.
     """
 
     __slots__ = ("_n", "_d")
@@ -389,12 +388,6 @@ class Scalar:
         """Monic denominator coefficients, as Fractions."""
         lead = self._d[-1]
         return tuple(Fraction(v, lead) for v in self._d)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def pi(cls) -> "Scalar":
-        return cls((0, 1))
 
     # -- predicates --------------------------------------------------------
 
@@ -603,7 +596,7 @@ ZERO = _new((), (1,))
 # the Scalars of -256..256, shared: a Scalar is never mutated
 _SMALL_INTS = tuple(_new((v,), (1,)) if v else ZERO for v in range(-256, 257))
 ONE = _SMALL_INTS[257]
-PI = Scalar.pi()
+PI = Scalar((0, 1))
 PI_HALF = PI / 2
 
 

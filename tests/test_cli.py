@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oscigeo
+from oscigeo import cli, verify
 from oscigeo.cli import _build_parser, main, parse_vector
 from oscigeo.floats import (
     _RK4_BLOCK,
@@ -381,6 +382,17 @@ def test_one_parser_per_process_answers_like_a_fresh_one(monkeypatch, capsys):
     assert outcomes[False][3][1] != outcomes[False][4][1]  # help follows COLUMNS
 
 
+@pytest.mark.parametrize("base, message", [
+    ("1; 2, 3; 4", "group element must look like '(t; x, y; z)', got '1; 2, 3; 4'"),
+    ("(1; 2, 3)", "group element needs two ';' separators, got '(1; 2, 3)'"),
+    ("(1; 2; 3)", "group element needs 'x, y' in the middle, got '(1; 2; 3)'"),
+])
+def test_malformed_base_is_a_usage_error_naming_the_form(capsys, base, message):
+    assert main(["trace", "--vector", "1,0,0,0", "--s-end", "0.1", "--base", base]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
 def test_trace_unwritable_output(capsys):
     code = main(["trace", "--vector", "1,0,0,0", "--s-end", "1", "--step", "0.5",
                  "--output", "/nonexistent-dir/x.csv"])
@@ -397,13 +409,30 @@ def test_verify_single_suite(capsys):
 
 def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
     # run in process at seed 0; a check added or lost moves a count
-    results = run_suites(["groups", "normalizer", "metric", "quotients"], seed=0)
+    results = run_suites(["scalar", "groups", "normalizer", "metric", "curvature", "isometries", "quotients"], seed=0)
     assert [(r.name, r.checks, r.failures) for r in results] == [
+        ("scalar", 1119, []),
         ("groups", 720, []),
         ("normalizer", 1500, []),
         ("metric", 321, []),
+        ("curvature", 480, []),
+        ("isometries", 319, []),
         ("quotients", 2760, []),
     ]
+
+
+def test_verify_text_lists_a_failing_suites_first_ten_failures(monkeypatch, capsys):
+    def failing(rng):
+        res = verify.SuiteResult("curvature")
+        for i in range(12):
+            res.check(i % 2 == 0, f"check {i} fails")
+        return res
+
+    monkeypatch.setitem(verify.SUITES, "curvature", failing)
+    assert main(["verify", "--suite", "curvature", "--suite", "scalar"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["curvature  FAIL  (12 checks)", "    check 1 fails", "    check 3 fails", "    check 5 fails"]
+    assert lines[6:] == ["    check 11 fails", "scalar     PASS  (1119 checks)"]
 
 
 def test_verify_unknown_suite(capsys):
@@ -438,6 +467,24 @@ def test_env_seed_override(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: OSCIGEO_SEED must be an integer, got 'nine'\n"
 
 
+def test_only_the_documented_refusals_are_usage_errors(monkeypatch, capsys):
+    # a KeyError is a bug in a command, not a refusal of the input: it propagates
+    def broken(args):
+        raise KeyError("a0")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    with pytest.raises(KeyError):
+        main(["classify", "--lattice", "k=1,twist=full", "--vector", "1,0,0,0"])
+    monkeypatch.undo()
+    for argv, message in (
+        (["classify", "--lattice", "k=1,twist=oops", "--vector", "1,0,0,0"], "unknown twist 'oops'"),
+        (["classify", "--lattice", "k=1,twist=full", "--vector", "1/0,0,0,0"], "division by zero"),
+        (["verify", "--suite", "nonsense"], "unknown suite 'nonsense'"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err, argv
+
+
 def test_module_entrypoint_runs():
     proc = run_cli(["classify", "--lattice", "k=1,twist=half", "--vector", "0,0,0,1"])
     assert proc.returncode == 0
@@ -470,7 +517,7 @@ def test_division_by_zero_in_vector_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
-def test_values_with_coefficients_beyond_floats_print():
+def test_values_with_coefficients_beyond_floats_print(tmp_path, capsys):
     big = 10**400
     # a0 = big/(big + pi) is about 1 though each coefficient overflows a float
     proc = run_cli(["trace", "--vector", f"{big}/({big}+pi),0,0,0", "--s-end", "1", "--step", "0.5"])
@@ -481,10 +528,17 @@ def test_values_with_coefficients_beyond_floats_print():
     proc = run_cli(["classify", "--lattice", "k=1,twist=full", "--vector", vector])
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     assert proc.stdout == f"spacelike, periodic, T = {2 * big}*pi (float inf), m = {big}\n"
-    # a direction or base point beyond the float range cannot be traced
-    for extra in (["--vector", f"{big}*pi,0,0,0"], ["--vector", "1,0,0,0", "--base", f"(0; -{big}, 0; 0)"]):
-        proc = run_cli(["trace", *extra, "--s-end", "1", "--step", "0.5"])
-        assert proc.returncode == 2 and proc.stderr.startswith("error:") and not proc.stdout, extra
+    # a direction or base point beyond the float range cannot be traced, and no file is made
+    out = tmp_path / "refused.csv"
+    for extra in (
+        ["--vector", f"{big},0,0,0"],
+        ["--vector", f"{big}*pi,0,0,0"],
+        ["--vector", "1,0,0,0", "--base", f"(0; -{big}, 0; 0)"],
+    ):
+        assert main(["trace", *extra, "--s-end", "1", "--step", "0.5", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the direction and the base point must lie within the float range\n"
+        assert not captured.out and not out.exists(), extra
 
 
 def test_parser_limit_is_usage_error(capsys):

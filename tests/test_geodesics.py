@@ -23,7 +23,7 @@ from oscigeo.groups import (
     rotate,
 )
 from oscigeo.metric import TangentVector
-from oscigeo.geodesics import GeodesicCurve, exp_map, exp_scaled, geodesic_eval
+from oscigeo.geodesics import exp_map, exp_scaled
 from oscigeo import floats
 from oscigeo.floats import (
     MAX_SAMPLES,
@@ -42,7 +42,6 @@ from oscigeo.floats import (
     g_mul_f,
     heis_action_f,
     initial_state,
-    integrate_geodesic,
     metric_matrix_f,
     path_to_csv,
     path_to_json,
@@ -54,6 +53,11 @@ from oscigeo.floats import (
 )
 
 
+def _rk4_rows(h, X, s_end, step):
+    """The rows (s, t, x, y, z) of an RK4 trace, in one array."""
+    return np.concatenate(list(trace_chunks(h, X, s_end, step, rk4=True)))
+
+
 def rk4_endpoint(X, s_end=1.0, step=1e-4, base=IDENTITY):
     state = initial_state(base, X)
     return rk4_states(state, int(round(s_end / step)), step)[:4]
@@ -62,9 +66,7 @@ def rk4_endpoint(X, s_end=1.0, step=1e-4, base=IDENTITY):
 def test_time_axis_direction():
     X = TangentVector.of(1, 0, 0, 0)
     assert exp_map(X) == GroupElement.of(1, (0, 0), 0)
-    assert geodesic_eval(GeodesicCurve(IDENTITY, X), Fraction(5, 2)) == GroupElement.of(
-        Fraction(5, 2), (0, 0), 0
-    )
+    assert exp_scaled(X, Scalar(Fraction(5, 2))) == GroupElement.of(Fraction(5, 2), (0, 0), 0)
     assert np.max(np.abs(rk4_endpoint(X) - np.array([1, 0, 0, 0]))) < 1e-12
 
 
@@ -77,7 +79,7 @@ def test_full_turn_example_against_rk4():
 
 def test_line_branch():
     X = TangentVector.of(0, 1, 0, 1)
-    assert geodesic_eval(GeodesicCurve(IDENTITY, X), 2) == GroupElement.of(0, (2, 0), 2)
+    assert exp_scaled(X, Scalar(2)) == GroupElement.of(0, (2, 0), 2)
     assert exp_map(TangentVector.of(0, Fraction(1, 3), -2, PI)) == GroupElement.of(
         0, (Fraction(1, 3), -2), PI
     )
@@ -96,9 +98,9 @@ def test_quarter_turn_exact_evaluation():
 def test_exact_mode_requires_quarter_product():
     X = TangentVector.of(1, 1, 0, 0)
     with pytest.raises(ExactRotationUnavailable):
-        geodesic_eval(GeodesicCurve(IDENTITY, X), 1)
+        exp_scaled(X, ONE)
     # the same direction at a quarter-compatible parameter evaluates exactly
-    assert geodesic_eval(GeodesicCurve(IDENTITY, X), PI_HALF).t == PI_HALF
+    assert exp_scaled(X, PI_HALF).t == PI_HALF
 
 
 def _rand_qpi(rng):
@@ -108,7 +110,7 @@ def _rand_qpi(rng):
     return Scalar(num, den) if any(den) else Scalar(num)
 
 
-def test_exp_scaled_matches_exp_map_and_geodesic_eval():
+def test_exp_scaled_matches_exp_map():
     rng = random.Random(17)
     rotating = lines = flat = 0
     for i in range(300):
@@ -119,7 +121,6 @@ def test_exp_scaled_matches_exp_map_and_geodesic_eval():
         elif branch == 2:
             a1 = a2 = Scalar(0)
         X = TangentVector(a0, a1, a2, a3)
-        curve = GeodesicCurve(IDENTITY, X)
         if a0.is_zero() or (a1.is_zero() and a2.is_zero()):
             # no rotation enters: every s evaluates exactly
             params = (_rand_qpi(rng), Scalar(rng.randint(-3, 3)))
@@ -131,13 +132,12 @@ def test_exp_scaled_matches_exp_map_and_geodesic_eval():
             rotating += 1
         for s in params:
             got = exp_scaled(X, s)
-            assert got == exp_map(X.scale(s)) == geodesic_eval(curve, s), (X, s)
+            assert got == exp_map(X.scale(s)), (X, s)
         if not (a1.is_zero() and a2.is_zero()) and not a0.is_zero():
             off = PI_HALF * Fraction(1, 3) / a0
             for evaluate in (
                 lambda: exp_scaled(X, off),
                 lambda: exp_map(X.scale(off)),
-                lambda: geodesic_eval(curve, off),
             ):
                 with pytest.raises(ExactRotationUnavailable):
                     evaluate()
@@ -216,9 +216,9 @@ def test_exp_of_a_scaled_vector_shares_the_constants(a0, a1, a2, a3, f, j, s_fir
 def test_left_translation_of_curve():
     h = GroupElement.of(PI_HALF, (1, 2), Fraction(3, 2))
     X = TangentVector.of(2, 0, 0, 1)
-    c = GeodesicCurve(h, X)
-    s = PI  # a0*s = 2*pi
-    assert geodesic_eval(c, s) == g_mul(h, exp_map(X.scale(s)))
+    s = PI  # a0*s = 2*pi: exp(sX) = (2 pi, 0, 0, pi)
+    expected = GroupElement.of(5 * PI_HALF, (1, 2), Fraction(3, 2) + PI)
+    assert g_mul(h, exp_scaled(X, s)) == g_mul(h, exp_map(X.scale(s))) == expected
 
 
 def test_exp_one_parameter_law_float():
@@ -300,16 +300,16 @@ def test_step_count_limit():
     # checked without allocating: a request at the limit is accepted, one past it refused
     assert _step_count(MAX_SAMPLES * 1e-3, 1e-3) == MAX_SAMPLES
     X = TangentVector.of(1, 0, 0, 0)
-    for run in (trace_chunks, integrate_geodesic):
+    for rk4 in (False, True):
         with pytest.raises(InvalidStep, match="MAX_SAMPLES"):
-            run(IDENTITY, X, (MAX_SAMPLES + 1) * 1e-3, 1e-3)
+            trace_chunks(IDENTITY, X, (MAX_SAMPLES + 1) * 1e-3, 1e-3, rk4=rk4)
 
 
 def test_integrator_rejects_bad_step():
     with pytest.raises(InvalidStep):
-        integrate_geodesic(IDENTITY, TangentVector.of(1, 0, 0, 0), 1.0, 0.0)
+        trace_chunks(IDENTITY, TangentVector.of(1, 0, 0, 0), 1.0, 0.0, rk4=True)
     with pytest.raises(InvalidStep):
-        integrate_geodesic(IDENTITY, TangentVector.of(1, 0, 0, 0), 1.0, -1e-3)
+        trace_chunks(IDENTITY, TangentVector.of(1, 0, 0, 0), 1.0, -1e-3, rk4=True)
 
 
 def test_integrator_reversal():
@@ -369,7 +369,7 @@ def test_rk4_blocks_chain():
 def test_integrate_geodesic_rows_are_the_stream_rows():
     base, a = np.array([0.3, -1.0, 0.5, 2.0]), np.array([1.3, 0.7, -0.2, 0.4])
     for n in (0, 1, _RK4_BLOCK, 2 * _RK4_BLOCK + 1):
-        rows = integrate_geodesic(base, a, n * 1e-3, 1e-3)
+        rows = _rk4_rows(base, a, n * 1e-3, 1e-3)
         assert _same_bits(rows[:, 0], np.arange(n + 1) * 1e-3)
         assert _same_bits(rows[:, 1:], _stream_rows(initial_state(base, a), n, 1e-3)[:, :4])
 
@@ -494,7 +494,7 @@ def test_integrate_geodesic_matches_the_path_kernel_it_replaced_bitwise():
     rng = np.random.default_rng(11)
     for base, a in ((rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)), (np.zeros(4), [0.0, 1.5, -0.5, 0.25])):
         for n in (0, 1, _RK4_BLOCK, 2 * _RK4_BLOCK + 1):
-            rows = integrate_geodesic(base, a, n * 1e-3, 1e-3)
+            rows = _rk4_rows(base, a, n * 1e-3, 1e-3)
             assert _same_bits(rows[:, 1:], _rk4_path_reference(initial_state(base, a), n, 1e-3)[:, :4])
 
 
@@ -562,7 +562,7 @@ def test_closed_form_left_invariance_float_vs_exact():
     h = GroupElement.of(PI_HALF, (Fraction(1, 3), 2), Fraction(-5, 4))
     X = TangentVector.of(2, 1, Fraction(1, 2), Fraction(-3, 4))
     for s in (PI_HALF, PI, 3 * PI_HALF):
-        exact = geodesic_eval(GeodesicCurve(h, X), s).to_float()
+        exact = g_mul(h, exp_scaled(X, s)).to_float()
         approx = g_mul_f(h.to_float(), closed_form_batch(X.to_float(), float(s)))
         assert np.max(np.abs(exact - approx)) < 1e-12
 
@@ -602,7 +602,7 @@ def test_trace_chunks_refuse_before_the_first_chunk(monkeypatch):
 
 
 def test_integrate_geodesic_sampling_shape():
-    path = integrate_geodesic(IDENTITY, TangentVector.of(1, 1, 0, 0), 1.0, 0.01)[::10]
+    path = _rk4_rows(IDENTITY, TangentVector.of(1, 1, 0, 0), 1.0, 0.01)[::10]
     assert path.shape[1] == 5
     assert path[0, 0] == 0.0 and abs(path[-1, 0] - 1.0) < 1e-12
     assert abs(path[-1, 1] - 1.0) < 1e-9  # t(s) = s

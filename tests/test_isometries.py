@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo import isometries, verify
+from oscigeo import floats, isometries, verify
 from oscigeo.scalar import PI, PI_HALF, Scalar
 from oscigeo.groups import (
     ExactRotationUnavailable,
@@ -161,15 +161,18 @@ def test_discrete_isometry_formulas():
 
 
 def test_f3_equals_f1_after_f2():
+    # f3 is f1 o f2; written out, it is (t, R(t) S v, z)
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = rng.uniform(-4, 4, 4)
-        assert np.max(np.abs(f3_f(p) - f1_f(f2_f(p)))) < 1e-12
+        t, x, y, z = p
+        c, s = np.cos(t), np.sin(t)
+        assert np.max(np.abs(f3_f(p) - [t, -c * x - s * y, -s * x + c * y, z])) < 1e-12
     # and exactly at quarter angles
     r = random.Random(3)
     for _ in range(20):
         q = rand_quarter(r)
-        assert discrete_isometry("f3", q) == discrete_isometry("f1", discrete_isometry("f2", q))
+        assert discrete_isometry("f3", q) == GroupElement(q.t, *rotate(q.t, -q.x, q.y), q.z)
 
 
 def test_discrete_isometries_are_involutions_fixing_identity():
@@ -261,8 +264,18 @@ def test_heis_action_examples():
     assert heis_action(((S0, S0), S0), p) == p
     vp = (Scalar(Fraction(2, 3)), S1)
     zp = Scalar(Fraction(1, 5))
-    # the action is right translation by the inverse of (0, v', z')
-    assert heis_action((vp, zp), p) == g_mul(p, g_inv(GroupElement.of(0, vp, zp)))
+    # right translation by the inverse of (0, v', z') is the paper's expanded formula
+    assert heis_action((vp, zp), p) == _heis_mutant()((vp, zp), p)
+    rng = random.Random(4)
+    for _ in range(50):
+        q = rand_quarter(rng)
+        h = (Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9))), S1), Scalar(rng.randint(-3, 3))
+        assert heis_action(h, q) == _heis_mutant()(h, q)
+    # it is exact where the group law is: a quarter-turn t, or v' = 0 at any t
+    off = GroupElement.of(1, (2, 3), 4)
+    assert heis_action(((S0, S0), zp), off) == GroupElement.of(1, (2, 3), 4 - zp)
+    with pytest.raises(ExactRotationUnavailable):
+        heis_action((vp, zp), off)
 
 
 def test_heis_action_axiom_float():
@@ -294,7 +307,8 @@ def test_heis_action_descends_to_nilmanifold():
 
 
 def _heis_mutant(cross_sign=1, turn=1, z_shift=1):
-    """heis_action with its cross/2 term times cross_sign, R(t) as R(turn t) and z' times z_shift."""
+    """The paper's (v', z') . (t, v, z) = (t, v - R(t)v', z - z' - v^T J R(t) v' / 2), exact, with
+    its cross/2 term times cross_sign, R(t) as R(turn t) and z' times z_shift."""
     def action(h, p):
         vp, zp = h
         w = rotate(turn * p.t, *vp)
@@ -302,7 +316,19 @@ def _heis_mutant(cross_sign=1, turn=1, z_shift=1):
     return action
 
 
-_FORMULA = "right translation"
+def _heis_mutant_f(cross_sign=1, turn=1, z_shift=1):
+    """The same formula and mutations on floats, with heis_action_f's signature."""
+    def action(vp, zp, p):
+        vp, p = np.asarray(vp, dtype=float), np.asarray(p, dtype=float)
+        c, s = np.cos(turn * p[..., 0]), np.sin(turn * p[..., 0])
+        wx, wy = c * vp[..., 0] - s * vp[..., 1], s * vp[..., 0] + c * vp[..., 1]
+        cross_f = p[..., 1] * wy - p[..., 2] * wx
+        columns = p[..., 0], p[..., 1] - wx, p[..., 2] - wy, p[..., 3] - z_shift * zp - cross_sign * cross_f / 2
+        return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return action
+
+
+_FORMULA = "matches floats.heis_action_f"
 
 
 @pytest.mark.parametrize("mutant, failing", [
@@ -321,6 +347,22 @@ def test_isometries_suite_catches_a_broken_heis_action(monkeypatch, mutant, fail
         # each named check fails, and no other
         hit = {name for name in failing for message in failures if name in message}
         assert hit == failing and all(any(name in m for name in failing) for m in failures), (seed, failures)
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda vp, zp, p: np.asarray(p, dtype=float),
+    _heis_mutant_f(cross_sign=-1),
+    _heis_mutant_f(cross_sign=0),
+    _heis_mutant_f(turn=-1),
+    _heis_mutant_f(z_shift=0),
+], ids=["identity", "flipped-cross-sign", "no-cross-term", "rotated-back", "no-z-shift"])
+def test_isometries_suite_catches_a_broken_heis_action_f(monkeypatch, mutant):
+    monkeypatch.setattr(floats, "heis_action_f", _heis_mutant_f())
+    assert verify.suite_isometries(random.Random(0)).passed
+    monkeypatch.setattr(floats, "heis_action_f", mutant)
+    for seed in (0, 1):
+        failures = verify.suite_isometries(random.Random(seed)).failures
+        assert any(_FORMULA in message for message in failures), (seed, failures)
 
 
 def test_fiber_preserving():

@@ -18,7 +18,7 @@ from oscigeo.groups import (
 )
 from oscigeo.metric import CausalType, TangentVector
 from oscigeo.geodesics import exp_map, exp_scaled
-from oscigeo.floats import InvalidStep, project_geodesic
+from oscigeo.floats import InvalidStep, trace_chunks
 from oscigeo.cli import parse_vector
 from oscigeo import geodesics, groups, quotients, scalar
 from oscigeo.quotients import (
@@ -680,16 +680,16 @@ def test_base_point_independent_closedness():
 
 
 def test_project_geodesic_wraps_and_returns():
-    samples = project_geodesic(L10, IDENTITY, TangentVector.of(1, 0, 0, 0), 13.0, 0.01)
+    samples = np.concatenate(list(trace_chunks(IDENTITY, TangentVector.of(1, 0, 0, 0), 13.0, 0.01, lattice=L10)))
     assert samples[:, 1].max() < float(2 * PI)
     assert samples[0, 0] == 0.0
 
     X = TangentVector.of(2, 1, 1, Fraction(-1, 2))
     T = float(classify_geodesic(L10, X)[1].minimal_T)
-    samples = project_geodesic(L10, IDENTITY, X, T, T / 64)
+    samples = np.concatenate(list(trace_chunks(IDENTITY, X, T, T / 64, lattice=L10)))
     assert np.max(np.abs(samples[0, 1:] - samples[-1, 1:])) < 1e-9
     with pytest.raises(InvalidStep):
-        project_geodesic(L10, IDENTITY, X, 1.0, 0.0)
+        trace_chunks(IDENTITY, X, 1.0, 0.0, lattice=L10)
 
 
 def test_verdict_json():

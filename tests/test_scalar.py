@@ -76,9 +76,18 @@ def test_one_constructor_takes_every_scalar_like():
 
     assert Scalar(True) == 1 and Scalar(False) == 0 and Scalar(Half(1, 2)) == Fraction(1, 2)
     assert Scalar((1, 2), (3,)) == (1 + 2 * PI) / 3 and Scalar(1, Fraction(1, 3)) == 3
-    for value in (1.5, None, 1j):
-        with pytest.raises(TypeError):
-            Scalar(value)
+    # a coefficient is read by the same rule, and must be rational
+    assert Scalar(("1/2", Scalar(3), True), (Half(1, 2),)) == 1 + 6 * PI + 2 * PI * PI
+    assert Scalar("1/2", 3) == Scalar((Fraction(1, 2),), (3,)) == Fraction(1, 6)
+    for num, den in (((PI,), 1), (("pi", 1), 1), (1, PI)):
+        with pytest.raises(NotRational):
+            Scalar(num, den)
+    for value in (1.5, 0.1, None, 1j):
+        builds = (lambda: Scalar(value), lambda: Scalar((value,)), lambda: Scalar((1,), (2, value)),
+                  lambda: Scalar(value, 2))
+        for build in builds:
+            with pytest.raises(TypeError):
+                build()
 
 
 def test_gcd_reduction_before_deciding():

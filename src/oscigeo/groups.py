@@ -26,12 +26,15 @@ where it is, in the same coset.
 
 Quotient conventions: all quotient-level operations on G use right
 cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
+
+A LatticeSpec is immutable: ``z_step`` is computed on its first read
+and kept in the spec.
 """
 
 from __future__ import annotations
 
 import enum
-import re
+import functools
 from dataclasses import dataclass
 
 from .scalar import (
@@ -166,12 +169,9 @@ class Twist(enum.Enum):
     QUARTER = "quarter"
 
 
+_TWIST_NAMES = {twist.value: twist for twist in Twist}
 _TWIST_QUARTERS = {Twist.FULL: 4, Twist.HALF: 2, Twist.QUARTER: 1}
 _TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS.items()}
-
-
-# matches a lattice's k value: the ASCII digits 0-9 only, as in every numeral
-_K_VALUE = re.compile(f"[0-9]{{1,{MAX_DIGITS}}}").fullmatch
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,9 @@ class LatticeSpec:
     def t_step_quarters(self) -> int:
         return _TWIST_QUARTERS[self.twist]
 
-    @property
+    @functools.cached_property
     def z_step(self) -> Scalar:
+        """1/2k, computed on the first read and kept in the spec's dict."""
         return ONE / (2 * self.k)
 
     def generators(self) -> list[GroupElement]:
@@ -214,16 +215,16 @@ class LatticeSpec:
             key = key.strip().lower()
             value = value.strip().lower()
             if key == "k" and k is None:
-                if not _K_VALUE(value):
+                # the ASCII digits 0-9 only, as in every numeral
+                if not (value.isascii() and value.isdigit() and len(value) <= MAX_DIGITS):
                     raise ValueError(
                         f"lattice field 'k' must be 1 to MAX_DIGITS = {MAX_DIGITS} digits 0-9, got {value!r}"
                     )
                 k = int(value)
             elif key == "twist" and twist is None:
-                try:
-                    twist = Twist(value)
-                except ValueError:
-                    raise ValueError(f"unknown twist {value!r}") from None
+                twist = _TWIST_NAMES.get(value)
+                if twist is None:
+                    raise ValueError(f"unknown twist {value!r}")
             elif key in ("k", "twist"):
                 raise ValueError(f"lattice field {key!r} is given twice in {text!r}")
             else:

@@ -69,7 +69,7 @@ class TangentVector:
         return (self.a0, self.a1, self.a2, self.a3)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.components)
+        return self.a0.is_zero() and self.a1.is_zero() and self.a2.is_zero() and self.a3.is_zero()
 
     @_cached
     def slopes(self) -> tuple[Scalar, Scalar]:

@@ -152,10 +152,13 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     best: int | None = None
     for r in range(1, cycle + 1):
         # a0 T = sign(a0) t_step m turns by the same j quarter turns for every m = r (mod cycle)
-        sin, turn = QUARTER_TURNS[sign * quarters * r % 4]
-        rx, ry = turn(q, -p)
-        if not ((rx - q).is_integer() and (ry + p).is_integer()):
-            continue
+        j = sign * quarters * r % 4
+        sin, turn = QUARTER_TURNS[j]
+        # u = 0 at a whole turn (j = 0), which needs no test
+        if j:
+            rx, ry = turn(q, -p)
+            if not ((rx - q).is_integer() and (ry + p).is_integer()):
+                continue
         # B = (p^2 + q^2) k sin = bn/bd; an integral u at an odd quarter turn puts
         # p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
         bn, bd = 0, 1

@@ -29,6 +29,10 @@ coefficients cannot vanish at a transcendental point, so the refinement
 always terminates; this is what turns comparisons, floors and lattice
 membership into exact decisions.  One iterator runs the refinement, and
 sign, floor and the float fallback each stop it on their own test.
+A sign needs no enclosure when the coefficients of p share one sign and
+those of q share one: since pi > 0, each polynomial then has the sign
+of its coefficients at pi.  Rationals, and the c/pi of a closed
+direction's squared norm, are decided so.
 
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
@@ -38,8 +42,12 @@ beyond these limits raise a ValueError that names the limit.  A plain
 rational, an optionally negative integer or fraction such as "-3/4", is
 read by one regex match whose digit counts carry MAX_DIGITS, and
 becomes its canonical pair with one integer gcd.  Every other text goes
-through the tokenizer (one regex over the text) and the recursive
-descent, which therefore give every error message.  Numerals are ASCII
+through the tokenizer, one regex over the text into a plain list of
+tokens ending in None, and a descent that reads that list by index;
+these two give every error message.  The descent has two functions: one
+reads a sum of products, the other a factor, that is its unary signs,
+its atom and an optional power.  Only a parenthesis recurses, so the
+recursion is as deep as the parentheses nest.  Numerals are ASCII
 digits on both paths.
 """
 
@@ -351,16 +359,23 @@ class Scalar:
 
     Scalar(x) takes any ScalarLike: a Scalar comes back unchanged, and an
     int, a Fraction or a text in the syntax of parse_scalar becomes its
-    canonical Scalar.  Scalar(p, q) builds p(pi)/q(pi) from coefficient
-    sequences in ascending degree, or from one coefficient for either;
-    each coefficient v is read as Scalar(v) and must be rational.
+    canonical Scalar.  Scalar(p, q) is Scalar(p) / Scalar(q) when
+    neither is a tuple or a list.  When either is, it builds p(pi)/q(pi)
+    from coefficient sequences in ascending degree, a single coefficient
+    standing for a sequence of one; each coefficient v is read as
+    Scalar(v) and must be rational.
     """
 
     __slots__ = ("_n", "_d")
 
     def __new__(cls, num=0, den=1):
-        if type(den) is int and den == 1 and not isinstance(num, (tuple, list)):
-            return _coerce(num)
+        if not isinstance(num, (tuple, list)) and not isinstance(den, (tuple, list)):
+            if type(den) is int and den == 1:
+                return _coerce(num)
+            d = _coerce(den)
+            if not d._n:
+                raise DivisionByZero("scalar denominator is zero")
+            return _coerce(num) / d
         n, n_den = _int_coeffs(num)
         d, d_den = _int_coeffs(den)
         if not d:
@@ -480,8 +495,13 @@ class Scalar:
         n, d = self._n, self._d
         if not n:
             return 0
-        if len(n) == 1 and len(d) == 1:
-            return 1 if n[0] > 0 else -1
+        # pi > 0, so a polynomial whose coefficients share a sign has that sign at pi;
+        # d leads positive, so it is positive when no coefficient is negative
+        if min(d) >= 0:
+            if min(n) >= 0:
+                return 1
+            if max(n) <= 0:
+                return -1
         for (nl, nh), (dl, dh), _ in _enclosures(n, d):
             if (nl > 0 or nh < 0) and (dl > 0 or dh < 0):
                 return 1 if (nl > 0) == (dl > 0) else -1
@@ -671,36 +691,21 @@ _TOKEN = re.compile(r"[0-9]+|pi|\*\*|[-+*/^()]|\S")
 _SYMBOLS = frozenset(("pi", "+", "-", "*", "/", "^", "(", ")"))
 
 
-class _Tokens(list):
-    """The tokens of a scalar text, last first, above the sentinel None: tk[-1] is the next one."""
-
-    __slots__ = ("text", "depth")
-
-    def __init__(self, text: str):
-        tokens: list[str | None] = _TOKEN.findall(text)
-        for i, tok in enumerate(tokens):
-            if tok in _SYMBOLS:
-                continue
-            if tok == "**":
-                tokens[i] = "^"
-            elif "0" <= tok[0] <= "9":
-                if len(tok) > MAX_DIGITS:
-                    raise ValueError(
-                        f"numeral of {len(tok)} digits is above the limit MAX_DIGITS = {MAX_DIGITS}"
-                    )
-            else:
-                raise ValueError(f"unexpected character {tok!r} in scalar text {text!r}")
-        tokens.append(None)
-        tokens.reverse()
-        super().__init__(tokens)
-        self.text = text
-        self.depth = 0
-
-    def next(self) -> str:
-        tok = self.pop()
-        if tok is None:
-            raise ValueError(f"unexpected end of scalar text {self.text!r}")
-        return tok
+def _tokens(text: str) -> list[str | None]:
+    """The tokens of a scalar text, "**" read as "^", followed by the sentinel None."""
+    tokens: list[str | None] = _TOKEN.findall(text)
+    for i, tok in enumerate(tokens):
+        if tok in _SYMBOLS:
+            continue
+        if tok == "**":
+            tokens[i] = "^"
+        elif "0" <= tok[0] <= "9":
+            if len(tok) > MAX_DIGITS:
+                raise ValueError(f"numeral of {len(tok)} digits is above the limit MAX_DIGITS = {MAX_DIGITS}")
+        else:
+            raise ValueError(f"unexpected character {tok!r} in scalar text {text!r}")
+    tokens.append(None)
+    return tokens
 
 
 def _degree(value: Scalar) -> int:
@@ -758,66 +763,74 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _parse_text(text: str) -> Scalar:
-    tk = _Tokens(text)
-    value = _parse_sum(tk)
-    if tk[-1] is not None:
-        raise ValueError(f"trailing token {tk[-1]!r} in scalar text {text!r}")
+    tokens = _tokens(text)
+    value, i = _parse_sum(tokens, 0, 0, text)
+    if tokens[i] is not None:
+        raise ValueError(f"trailing token {tokens[i]!r} in scalar text {text!r}")
     return value
 
 
-def _parse_sum(tk: _Tokens) -> Scalar:
-    value = _parse_term(tk)
-    while tk[-1] in ("+", "-"):
-        op = tk.pop()
-        rhs = _parse_term(tk)
-        value = _bounded(value + rhs if op == "+" else value - rhs)
-    return value
+def _parse_sum(tokens: list[str | None], i: int, depth: int, text: str) -> tuple[Scalar, int]:
+    """The sum of products of factors from tokens[i], inside depth parentheses; the value and the next index.
+
+    Each operation is applied as soon as its right operand is read, left to
+    right, with products before sums.
+    """
+    sum_op = None
+    while True:
+        value, i = _parse_factor(tokens, i, depth, text)
+        op = tokens[i]
+        while op == "*" or op == "/":
+            rhs, i = _parse_factor(tokens, i + 1, depth, text)
+            value = _bounded(value * rhs if op == "*" else value / rhs)
+            op = tokens[i]
+        if sum_op is not None:
+            value = _bounded(total + value if sum_op == "+" else total - value)
+        if op != "+" and op != "-":
+            return value, i
+        total, sum_op = value, op
+        i += 1
 
 
-def _parse_term(tk: _Tokens) -> Scalar:
-    value = _parse_factor(tk)
-    while tk[-1] in ("*", "/"):
-        op = tk.pop()
-        rhs = _parse_factor(tk)
-        value = _bounded(value * rhs if op == "*" else value / rhs)
-    return value
-
-
-def _signs(tk: _Tokens) -> bool:
-    """Consume a run of unary signs; True iff it negates."""
+def _parse_factor(tokens: list[str | None], i: int, depth: int, text: str) -> tuple[Scalar, int]:
+    """Unary signs, an atom and an optional power "^ signs numeral"; only parentheses recurse."""
     negate = False
-    while tk[-1] in ("+", "-"):
-        negate ^= tk.pop() == "-"
-    return negate
-
-
-def _parse_factor(tk: _Tokens) -> Scalar:
-    negate = _signs(tk)
-    value = _parse_atom(tk)
-    if tk[-1] == "^":
-        tk.pop()
-        exp_negate = _signs(tk)
-        tok = tk.next()
+    tok = tokens[i]
+    while tok == "+" or tok == "-":
+        negate ^= tok == "-"
+        i += 1
+        tok = tokens[i]
+    if tok is None:
+        raise ValueError(f"unexpected end of scalar text {text!r}")
+    i += 1
+    if tok == "pi":
+        value = PI
+    elif tok == "(":
+        if depth == MAX_NESTING:
+            raise ValueError(f"parentheses nested deeper than the limit MAX_NESTING = {MAX_NESTING}")
+        value, i = _parse_sum(tokens, i, depth + 1, text)
+        tok = tokens[i]
+        if tok is None:
+            raise ValueError(f"unexpected end of scalar text {text!r}")
+        if tok != ")":
+            raise ValueError(f"unbalanced parentheses in scalar text {text!r}")
+        i += 1
+    elif tok.isdigit():
+        value = _coerce(int(tok))
+    else:
+        raise ValueError(f"unexpected token {tok!r} in scalar text {text!r}")
+    if tokens[i] == "^":
+        i += 1
+        exp_negate = False
+        tok = tokens[i]
+        while tok == "+" or tok == "-":
+            exp_negate ^= tok == "-"
+            i += 1
+            tok = tokens[i]
+        if tok is None:
+            raise ValueError(f"unexpected end of scalar text {text!r}")
         if not tok.isdigit():
             raise ValueError(f"exponent must be an integer, got {tok!r}")
-        exponent = -int(tok) if exp_negate else int(tok)
-        value = _bounded_power(value, exponent)
-    return -value if negate else value
-
-
-def _parse_atom(tk: _Tokens) -> Scalar:
-    tok = tk.next()
-    if tok == "(":
-        tk.depth += 1
-        if tk.depth > MAX_NESTING:
-            raise ValueError(f"parentheses nested deeper than the limit MAX_NESTING = {MAX_NESTING}")
-        value = _parse_sum(tk)
-        if tk.next() != ")":
-            raise ValueError(f"unbalanced parentheses in scalar text {tk.text!r}")
-        tk.depth -= 1
-        return value
-    if tok == "pi":
-        return PI
-    if tok.isdigit():
-        return _coerce(int(tok))
-    raise ValueError(f"unexpected token {tok!r} in scalar text {tk.text!r}")
+        i += 1
+        value = _bounded_power(value, -int(tok) if exp_negate else int(tok))
+    return (-value if negate else value), i

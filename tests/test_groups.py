@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo.scalar import PI, PI_HALF, Scalar, quarter_turns
+from oscigeo.scalar import MAX_DIGITS, PI, PI_HALF, Scalar, quarter_turns
 from oscigeo.groups import (
     ExactRotationUnavailable,
     GroupElement,
@@ -179,9 +179,18 @@ def test_lattice_spec_validation_and_parse():
     spec = LatticeSpec.parse("k=2,twist=quarter")
     assert spec == L2Q
     assert spec.t_step == PI_HALF and spec.z_step == Fraction(1, 4)
+    # z_step is computed on the first read and kept
+    assert spec.z_step is spec.z_step
     assert str(spec) == "k=2,twist=quarter"
-    with pytest.raises(ValueError, match="twist"):
-        LatticeSpec.parse("k=1,twist=sideways")
+    for name, twist in (("full", Twist.FULL), ("HALF", Twist.HALF), (" Quarter ", Twist.QUARTER)):
+        assert LatticeSpec.parse(f"k=3, twist={name}") == LatticeSpec(3, twist)
+    for name in ("sideways", "", "Twist.FULL", "1"):
+        with pytest.raises(ValueError, match=f"^unknown twist '{name.lower()}'$"):
+            LatticeSpec.parse(f"k=1,twist={name}")
+    # k takes up to MAX_DIGITS ASCII digits; one more is refused
+    assert LatticeSpec.parse(f"k={'9' * MAX_DIGITS},twist=full").k == 10**MAX_DIGITS - 1
+    with pytest.raises(ValueError, match="lattice field 'k' must be 1 to MAX_DIGITS"):
+        LatticeSpec.parse(f"k={'9' * (MAX_DIGITS + 1)},twist=full")
     with pytest.raises(ValueError, match="unknown lattice field 'q'"):
         LatticeSpec.parse("k=1,twist=full,q=2")
     with pytest.raises(ValueError, match=r"lattice spec needs k=<int>,twist=<full\|half\|quarter>, got 'k=1'"):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -706,3 +707,33 @@ def test_verdict_json():
     _, open_verdict = classify_geodesic(L10, TangentVector.of(1, 0, 0, 1))
     open_payload = verdict_to_json(CausalType.SPACELIKE, open_verdict)
     assert open_payload["minimal_T"] is None and open_payload["witness_m"] is None
+
+
+def test_value_classes_stay_frozen_dataclasses():
+    X = TangentVector.of(1, 2, 3, 4)
+    X.slopes  # a cached constant in the dict is not a field
+    values = (
+        (GroupElement.of(PI, (1, 2), Fraction(1, 3)), "z", Scalar(5)),
+        (X, "a3", Scalar(7)),
+        (LatticeSpec(2, Twist.QUARTER), "k", 3),
+        (PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=PI, witness_m=2), "witness_m", 3),
+    )
+    for value, name, new in values:
+        cls = type(value)
+        fields = [f.name for f in dataclasses.fields(cls)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, new)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+        twin = cls(**{f: getattr(value, f) for f in fields})
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+        assert repr(twin) == repr(value) == f"{cls.__name__}({shown})"
+        changed = dataclasses.replace(value, **{name: new})
+        assert getattr(changed, name) == new and changed != value
+        assert all(getattr(changed, f) == getattr(value, f) for f in fields if f != name)
+    assert PeriodicityVerdict(VerdictKind.NON_CLOSED) == PeriodicityVerdict(VerdictKind.NON_CLOSED, None, None)
+    assert repr(LatticeSpec(2, Twist.QUARTER)) == "LatticeSpec(k=2, twist=<Twist.QUARTER: 'quarter'>)"
+    for build in (lambda: LatticeSpec(0, Twist.FULL), lambda: dataclasses.replace(LatticeSpec(1, Twist.HALF), k=-1)):
+        with pytest.raises(ValueError, match="lattice parameter k must be >= 1"):
+            build()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -47,7 +48,7 @@ def test_arith_examples():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         Scalar(1) / Scalar(0)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match="scalar denominator is zero"):
         Scalar(1, 0)
 
 
@@ -79,9 +80,14 @@ def test_one_constructor_takes_every_scalar_like():
     # a coefficient is read by the same rule, and must be rational
     assert Scalar(("1/2", Scalar(3), True), (Half(1, 2),)) == 1 + 6 * PI + 2 * PI * PI
     assert Scalar("1/2", 3) == Scalar((Fraction(1, 2),), (3,)) == Fraction(1, 6)
-    for num, den in (((PI,), 1), (("pi", 1), 1), (1, PI)):
+    for num, den in (((PI,), 1), (("pi", 1), 1), ((1,), PI), (PI, (2,))):
         with pytest.raises(NotRational):
             Scalar(num, den)
+    # with no sequence argument, Scalar(p, q) is Scalar(p) / Scalar(q), whatever the type of q
+    for num, den in ((PI, 1), (PI, 2), (PI, Fraction(1)), (1, PI), ("pi", "2*pi"), (Half(1, 2), True)):
+        assert Scalar(num, den) == Scalar(num) / Scalar(den)
+    with pytest.raises(DivisionByZero, match="scalar denominator is zero"):
+        Scalar(PI, "pi - pi")
     for value in (1.5, 0.1, None, 1j):
         builds = (lambda: Scalar(value), lambda: Scalar((value,)), lambda: Scalar((1,), (2, value)),
                   lambda: Scalar(value, 2))
@@ -473,3 +479,70 @@ def test_parser_digits_are_ascii():
     assert parse_scalar("-0") == parse_scalar("0/5") == Scalar(0)
     with pytest.raises(DivisionByZero, match="scalar division by zero"):
         parse_scalar("3/0")
+
+
+# ---------------------------------------------------------------------------
+# the parser's outcomes, pinned on a seeded corpus
+# ---------------------------------------------------------------------------
+
+_SOUP = (
+    "pi", "0", "1", "2", "3", "7", "12", "00", "+", "-", "*", "/", "^", "**", "^-", "(", ")", " ",
+    "\t", "x", ".", "1.5", "\u0663", "pi^64", "pi^65", "2^-1", "//", "()", "e",
+)
+
+
+def _expression(rng, depth):
+    """A text of the scalar grammar, or close to it: high powers only on atoms, so it parses fast."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return rng.choice(("pi", "pi", str(rng.randint(0, 12)), str(rng.randint(0, 10**6)), "0"))
+    if pick < 0.42:
+        return rng.choice(("-", "+", "--", "-+", "- ")) + _expression(rng, depth - 1)
+    if pick < 0.52:
+        return "(" + _expression(rng, depth - 1) + ")"
+    if pick < 0.64:
+        base = rng.choice(("pi", str(rng.randint(0, 12)), "(" + _expression(rng, 1) + ")"))
+        top = 65 if base[0] != "(" else 3
+        return base + rng.choice(("^", "**", "^-", "^+", " ^ ", "^--")) + str(rng.randint(0, top))
+    op = rng.choice((" + ", "-", "*", "/", " - ", "+", " * ", "/ "))
+    return _expression(rng, depth - 1) + op + _expression(rng, depth - 1)
+
+
+def _parser_corpus():
+    """20 000 seeded texts for the parser, valid and invalid, with each limit hit from both sides."""
+    rng = random.Random("parser corpus")
+    texts = []
+    while len(texts) < 20_000:
+        pick = rng.random()
+        if pick < 0.3:
+            text = "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 10)))
+        elif pick < 0.85:
+            text = _expression(rng, rng.randint(1, 4))
+            if rng.random() < 0.3:  # one character dropped, doubled or swapped for an operator
+                at = rng.randrange(len(text))
+                text = text[:at] + rng.choice(("", text[at] * 2, "*", ")", "(", "^", "**")) + text[at + 1 :]
+        elif pick < 0.9:
+            depth = MAX_NESTING + rng.randint(-2, 2)
+            closing = depth - rng.randint(0, 1)
+            text = "(" * depth + _expression(rng, 1) + ")" * closing
+        elif pick < 0.95:
+            numeral = str(rng.randint(1, 9)) * (MAX_DIGITS + rng.randint(-1, 1))
+            text = rng.choice(("{}", "-{}", "1/{}", "{}*pi", "pi - {}", "({})^2", "{}^1")).format(numeral)
+        else:
+            text = rng.choice(("pi", "2", "(pi+1)", "(1-pi)", "(pi^2+1)", "9")) + rng.choice(("^", "**")) + str(
+                rng.choice((-66, -65, -64, -1, 0, 1, 32, 33, 63, 64, 65, 66))
+            )
+        texts.append(text)
+    return texts
+
+
+# sha256 of the outcomes of parse_scalar on _parser_corpus(): a rewrite of the
+# tokenizer, the descent or a limit that changes any value or message changes it
+_PINNED_PARSER_OUTCOMES = "180ebf0d5a1e5611c21d42e2dedeb4dcff8268a768e5a44c4617d30b760a80bb"
+
+
+def test_parser_outcomes_match_the_pinned_corpus():
+    digest = hashlib.sha256()
+    for text in _parser_corpus():
+        digest.update(repr(_outcome(parse_scalar, text)).encode() + b"\n")
+    assert digest.hexdigest() == _PINNED_PARSER_OUTCOMES

@@ -142,6 +142,56 @@ def test_sign_matches_mpmath_tiny_margins():
                     assert s.sign() == _mp_sign(mpmath.mp, s), (k, s)
 
 
+def _spy_on_enclosures(monkeypatch):
+    """A list that records each call of scalar._enclosures, the one pi-refinement loop."""
+    calls = []
+    real = scalar._enclosures
+
+    def spy(n, d):
+        calls.append((n, d))
+        return real(n, d)
+
+    monkeypatch.setattr(scalar, "_enclosures", spy)
+    return calls
+
+
+def _one_sign(coeffs):
+    """True iff the nonzero entries of coeffs all have one sign."""
+    return all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+
+
+def test_uniform_sign_values_match_mpmath_without_enclosures(monkeypatch):
+    # pi > 0, so numerator and denominator coefficients of one sign each decide the sign
+    mpmath = pytest.importorskip("mpmath")
+    calls = _spy_on_enclosures(monkeypatch)
+    rng = random.Random(15)
+    uniform = 0
+    with mpmath.workdps(100):
+        for _ in range(200):
+            sign_n, sign_d = rng.choice((1, -1)), rng.choice((1, -1))
+            num = [sign_n * rng.randint(0, 9) for _ in range(rng.randint(0, 64))] + [sign_n * rng.randint(1, 9)]
+            den = [sign_d * rng.randint(0, 9) for _ in range(rng.randint(0, 64))] + [sign_d * rng.randint(1, 9)]
+            s = Scalar(tuple(num), tuple(den))
+            before = len(calls)
+            assert s.sign() == _mp_sign(mpmath.mp, s), s
+            # a common factor can leave mixed signs in the canonical pair; only those refine
+            if _one_sign(s.num) and _one_sign(s.den):
+                uniform += 1
+                assert len(calls) == before, s
+    assert uniform >= 190
+
+
+def test_mixed_sign_near_cancellations_still_refine(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    calls = _spy_on_enclosures(monkeypatch)
+    with mpmath.workdps(100):
+        for c in (Fraction(314159, 10**5), Fraction(314160, 10**5), Fraction(355, 113)):
+            for s in (PI - c, c - PI, 1 / (PI - c), (PI - c) / (PI**64 + 1), (PI * PI + 1) / (c - PI)):
+                before = len(calls)
+                assert s.sign() == _mp_sign(mpmath.mp, s), s
+                assert len(calls) == before + 1, s
+
+
 def _rand_int_poly(rng, degree):
     """An integer polynomial of the given degree with a nonzero constant term: no factor pi."""
     coeffs = [rng.choice((1, -1)) * rng.randint(1, 9)]

@@ -1,0 +1,136 @@
+"""Compare the CPU time per request of two checkouts on one perfbench workload.
+
+Wall-clock runs of perfbench on a shared host spread by about a tenth
+between runs of the same code, which hides a change of a few percent.
+This script times the same in-process request loop in both checkouts
+with ``time.thread_time``, which counts only the CPU time of the timing
+thread, and keeps the minimum over many loops, so that time spent by
+other processes on the host drops out.
+
+Each measurement runs in a child process that imports ``oscigeo`` from
+the checkout's ``src/`` and the workloads from the ``perfbench/`` next
+to this script, so both sides run the same requests.  The children of
+the two checkouts alternate, and the order flips every pair.  A child
+builds ``--rounds`` rounds of the workload for ``--seed``, runs and
+checks each request once, then times ``--loops`` passes over all of
+them: per pass the CPU time divided by the number of requests, and per
+request its own CPU time.  The script prints, per side, the minimum
+over all passes of all its children and the ratio of the two; and per
+request tag, the median over the tag's requests of each request's least
+time in one child, the least such median over the side's children.
+
+Usage, from any directory:
+
+    python tools/cpu_ab.py BASE HEAD [--workload classify-mix] [--seed 0]
+                           [--rounds 10] [--loops 25] [--pairs 8]
+
+It changes nothing in either checkout or in perfbench, and it is not
+part of the test suite.  The exit code is 1 when a request fails its
+check on either side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+from time import thread_time
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int) -> dict:
+    """Run in the child process: the timings of one checkout as a JSON-ready dict."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
+    sys.path[:0] = [str(checkout / "src"), str(PERFBENCH)]
+    import workloads as wl
+
+    with tempfile.TemporaryDirectory(prefix="cpu-ab-") as scratch:
+        workload = wl.make_workloads(Path(scratch))[workload_name]
+        requests = [
+            req for index in range(rounds) for req in workload.make_round(wl.round_rng(workload.name, seed, index))
+        ]
+        failures = []
+        for req in requests:
+            error = workload.check(req, workload.run(req))
+            if error is not None:
+                failures.append(f"{req.tag}: {error}")
+        per_pass = []
+        per_request = [float("inf")] * len(requests)
+        run = workload.run
+        for _ in range(loops):
+            start = thread_time()
+            for i, req in enumerate(requests):
+                t0 = thread_time()
+                run(req)
+                dt = thread_time() - t0
+                if dt < per_request[i]:
+                    per_request[i] = dt
+            per_pass.append((thread_time() - start) / len(requests))
+    by_tag = defaultdict(list)
+    for req, dt in zip(requests, per_request):
+        by_tag[req.tag].append(dt)
+    return {
+        "min_us": min(per_pass) * 1e6,
+        "tags_us": {tag: statistics.median(v) * 1e6 for tag, v in sorted(by_tag.items())},
+        "failures": failures,
+    }
+
+
+def measure(checkout: Path, args) -> dict:
+    argv = [
+        sys.executable, __file__, "--child", str(checkout), "--workload", args.workload,
+        "--seed", str(args.seed), "--rounds", str(args.rounds), "--loops", str(args.loops),
+    ]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?", type=Path, help="the checkout to compare against")
+    parser.add_argument("head", nargs="?", type=Path, help="the checkout under test")
+    parser.add_argument("--workload", default="classify-mix")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--loops", type=int, default=25)
+    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--child", type=Path, default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.child is not None:
+        print(json.dumps(child(args.child.resolve(), args.workload, args.seed, args.rounds, args.loops)))
+        return 0
+    if args.base is None or args.head is None:
+        parser.error("give the two checkouts BASE and HEAD")
+    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    results = {"base": [], "head": []}
+    for pair in range(args.pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for side in order:
+            results[side].append(measure(sides[side], args))
+        print(f"pair {pair + 1}: " + ", ".join(f"{s} {results[s][-1]['min_us']:.2f} us" for s in order))
+
+    best = {side: min(r["min_us"] for r in runs) for side, runs in results.items()}
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, {args.loops} loops x {args.pairs} pairs")
+    print(f"CPU time per request, minimum: base {best['base']:.2f} us, head {best['head']:.2f} us, "
+          f"head/base {best['head'] / best['base']:.3f}")
+    tags = sorted(results["base"][0]["tags_us"])
+    for tag in tags:
+        base, head = (min(r["tags_us"][tag] for r in results[side]) for side in ("base", "head"))
+        print(f"  {tag:>12}: base {base:8.2f} us, head {head:8.2f} us, head/base {head / base:.3f}")
+    failed = False
+    for side, runs in results.items():
+        for failure in {f for r in runs for f in r["failures"]}:
+            print(f"{side} failed: {failure}")
+            failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

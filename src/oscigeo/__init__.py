@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "metric": (
         "CausalType", "TangentVector", "bracket", "causal_type", "curvature_op",
-        "killing_form", "metric_at", "ricci",
+        "killing_form", "ricci",
     ),
     "geodesics": ("exp_map", "exp_scaled", "exp_turns"),
     "isometries": (

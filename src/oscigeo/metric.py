@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .groups import GroupElement
 from .scalar import PI_HALF, Scalar, ScalarLike
 
 
@@ -163,26 +162,11 @@ def causal_type(X: TangentVector) -> CausalType:
 
 
 # ---------------------------------------------------------------------------
-# coordinate metric
-# ---------------------------------------------------------------------------
-
-def metric_at(p: GroupElement) -> tuple[tuple[Scalar, ...], ...]:
-    """Coordinate matrix of dt(dz + y/2 dx - x/2 dy) + dx^2 + dy^2, order (dt, dx, dy, dz)."""
-    zero = Scalar(0)
-    one = Scalar(1)
-    gy = p.y / 2
-    gx = -(p.x / 2)
-    return (
-        (zero, gy, gx, one),
-        (gy, one, zero, zero),
-        (gx, zero, one, zero),
-        (one, zero, zero, zero),
-    )
-
-
-# ---------------------------------------------------------------------------
 # brackets, curvature, Ricci
 # ---------------------------------------------------------------------------
+
+_MINUS_QUARTER = Scalar(-1) / 4  # the factor of the curvature operator and of Ricci
+
 
 def bracket(X: TangentVector, Y: TangentVector) -> TangentVector:
     """Lie bracket by bilinear extension of the structure relations."""
@@ -194,7 +178,7 @@ def bracket(X: TangentVector, Y: TangentVector) -> TangentVector:
 
 def curvature_op(X: TangentVector, Y: TangentVector, Z: TangentVector) -> TangentVector:
     """R(X, Y)Z = -1/4 [[X, Y], Z]."""
-    return bracket(bracket(X, Y), Z).scale(Scalar(-1, 4))
+    return bracket(bracket(X, Y), Z).scale(_MINUS_QUARTER)
 
 
 def ad_matrix(X: TangentVector) -> tuple[tuple[Scalar, ...], ...]:
@@ -216,7 +200,7 @@ def killing_form(X: TangentVector, Y: TangentVector) -> Scalar:
 
 def ricci(X: TangentVector, Y: TangentVector) -> Scalar:
     """Ricci tensor via the Killing form: Ric = -1/4 B."""
-    return killing_form(X, Y) * Scalar(-1, 4)
+    return killing_form(X, Y) * _MINUS_QUARTER
 
 
 def ricci_from_curvature_trace(X: TangentVector, Y: TangentVector) -> Scalar:

@@ -18,8 +18,7 @@ mutated).  With one rational operand u/v and the other n/d, the results
 (v n + u d)/(v d), (u n)/(v d) and (v n)/(u d) stay coprime as
 polynomials, since a common factor would divide both n and d, and they
 share no power of pi; so they skip the polynomial gcd and cost one
-content gcd.  The read-only views ``num`` and ``den`` give the same
-value as Fraction tuples with a monic denominator.
+content gcd.
 
 Sign queries evaluate the polynomials on shrinking rational enclosures
 A/10^d of pi, in integers: with p+ and p- the parts of p with positive
@@ -288,15 +287,6 @@ def _float_by_enclosure(n: Poly, d: Poly) -> float:
 # the field element
 # ---------------------------------------------------------------------------
 
-def _int_coeffs(value) -> tuple[Poly, int]:
-    """Integer coefficients and a common denominator > 0 of a polynomial of rational Scalar(v)s."""
-    if not isinstance(value, (tuple, list)):
-        value = (value,)
-    ratios = [_coerce(v).as_integer_ratio() for v in value]
-    den = math.lcm(*(d for _, d in ratios))
-    return _strip([n * (den // d) for n, d in ratios]), den
-
-
 _alloc = object.__new__  # one global lookup on the per-operation allocations
 
 
@@ -357,52 +347,20 @@ def _coerce(value) -> "Scalar":
 class Scalar:
     """An exact element of Q(pi), a reduced fraction of polynomials in pi.
 
-    Scalar(x) takes any ScalarLike: a Scalar comes back unchanged, and an
+    Scalar(x) takes one ScalarLike: a Scalar comes back unchanged, and an
     int, a Fraction or a text in the syntax of parse_scalar becomes its
-    canonical Scalar.  Scalar(p, q) is Scalar(p) / Scalar(q) when
-    neither is a tuple or a list.  When either is, it builds p(pi)/q(pi)
-    from coefficient sequences in ascending degree, a single coefficient
-    standing for a sequence of one; each coefficient v is read as
-    Scalar(v) and must be rational.
+    canonical Scalar.  Anything else, a coefficient sequence included,
+    raises TypeError; p(pi)/q(pi) is built with arithmetic, as in
+    (1 + 2 * PI) / 3.
     """
 
     __slots__ = ("_n", "_d")
 
-    def __new__(cls, num=0, den=1):
-        if not isinstance(num, (tuple, list)) and not isinstance(den, (tuple, list)):
-            if type(den) is int and den == 1:
-                return _coerce(num)
-            d = _coerce(den)
-            if not d._n:
-                raise DivisionByZero("scalar denominator is zero")
-            return _coerce(num) / d
-        n, n_den = _int_coeffs(num)
-        d, d_den = _int_coeffs(den)
-        if not d:
-            raise DivisionByZero("scalar denominator is zero")
-        # (n / n_den) / (d / d_den)
-        if d_den != 1:
-            n = _pscale(n, d_den)
-        if n_den != 1:
-            d = _pscale(d, n_den)
-        return _canonical(n, d)
+    def __new__(cls, value):
+        return _coerce(value)
 
     def __reduce__(self):  # copies rebuild the pair, as the constructor may return a shared Scalar
         return _new, (self._n, self._d)
-
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def num(self) -> tuple[Fraction, ...]:
-        """Numerator coefficients over the monic denominator, as Fractions."""
-        lead = self._d[-1]
-        return tuple(Fraction(v, lead) for v in self._n)
-
-    @property
-    def den(self) -> tuple[Fraction, ...]:
-        """Monic denominator coefficients, as Fractions."""
-        lead = self._d[-1]
-        return tuple(Fraction(v, lead) for v in self._d)
 
     # -- predicates --------------------------------------------------------
 
@@ -616,7 +574,7 @@ ZERO = _new((), (1,))
 # the Scalars of -256..256, shared: a Scalar is never mutated
 _SMALL_INTS = tuple(_new((v,), (1,)) if v else ZERO for v in range(-256, 257))
 ONE = _SMALL_INTS[257]
-PI = Scalar((0, 1))
+PI = _new((0, 1), (1,))
 PI_HALF = PI / 2
 
 

@@ -52,6 +52,8 @@ from oscigeo.floats import (
     x_frame_f,
 )
 
+from .builders import from_coeffs, q_pi_values
+
 
 def _rk4_rows(h, X, s_end, step):
     """The rows (s, t, x, y, z) of an RK4 trace, in one array."""
@@ -107,7 +109,7 @@ def _rand_qpi(rng):
     """A Q(pi) value of degree <= 2 in numerator and denominator."""
     num = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
     den = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
-    return Scalar(num, den) if any(den) else Scalar(num)
+    return from_coeffs(num, den) if any(den) else from_coeffs(num)
 
 
 def test_exp_scaled_matches_exp_map():
@@ -188,8 +190,7 @@ def test_exp_scaled_matches_the_componentwise_oracle():
     assert rotating >= 240
 
 
-_COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
-Q_PI = st.tuples(_COEFFS, _COEFFS.filter(any)).map(lambda nd: Scalar(tuple(nd[0]), tuple(nd[1])))
+Q_PI = q_pi_values()
 NONZERO_Q_PI = Q_PI.filter(lambda v: not v.is_zero())
 FACTORS = st.one_of(st.sampled_from([Scalar(-3), 2 * PI, -PI / 3, 1 + PI]), NONZERO_Q_PI)
 

@@ -1,6 +1,7 @@
 """Module boundaries of the oscigeo package, read from its source with ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import oscigeo
@@ -130,8 +131,8 @@ def _fractions_imports(path: Path) -> list[str]:
 
 def test_only_scalar_and_verify_import_fractions():
     # Scalar is the engine's one number: scalar.py reads Fractions at the input
-    # boundary (coercion, the num/den views, __hash__) and verify.py draws its
-    # seeded random inputs as Fractions; no other module needs the type
+    # boundary (coercion and __hash__), and verify.py draws its seeded random
+    # inputs as Fractions; no other module needs the type
     paths = sorted(PACKAGE.glob("*.py"))
     found = [hit for path in paths if path.name not in ("scalar.py", "verify.py") for hit in _fractions_imports(path)]
     assert not found, found
@@ -333,6 +334,61 @@ def test_unreached_top_level_name_detector(tmp_path):
         "probe.py:4 defines orphan",
         "probe.py:10 defines Exported.method",
     ]
+
+
+def _unread_exports(package: Path, outside: list[Path], readme: str) -> list[str]:
+    """Each name of the package's ``_EXPORTS`` that no module of the package
+    reads outside the one that defines it, no file of ``outside`` reads, and
+    no backtick span of the README names.
+
+    ``__init__.py``, which lists every export, does not count as a reader.
+    """
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)
+    )
+    # a span opens and closes with the same run of backticks, so a fenced block is one span
+    spans = re.findall(r"(`+)(.+?)\1", readme, re.S)
+    documented = {name for _, span in spans for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)}
+    readers = [(path.stem, path) for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    readers += [(None, path) for path in outside]
+    reads = [(owner, _references(ast.parse(path.read_text(), filename=str(path)))) for owner, path in readers]
+    found = []
+    for module, names in exports.items():
+        read = documented.union(*(seen for owner, seen in reads if owner != module))
+        found += [f"{module}.{name}" for name in names if name not in read]
+    return found
+
+
+def test_every_export_is_read_elsewhere_or_documented():
+    # an export that only its own module and the tests read is no API: it
+    # must serve another module or perfbench, or be named in the README
+    outside = sorted((TESTS.parent / "perfbench").glob("*.py"))
+    assert len(outside) >= 5
+    found = _unread_exports(PACKAGE, outside, (TESTS.parent / "README.md").read_text())
+    assert not found, found
+
+
+def test_unread_export_detector(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "_EXPORTS = {'a': ('read', 'self_read', 'documented', 'orphan'), 'b': ('benched',)}\n"
+    )
+    (package / "a.py").write_text(
+        "def read(): pass\n"
+        "def self_read(): return read()\n"
+        "def documented(): pass\n"
+        "def orphan(): return self_read()\n"
+    )
+    (package / "b.py").write_text("from .a import read\ndef benched(): return read()\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("from pkg import b\nb.benched()\n")
+    readme = "```sh\npkg run\n```\n| `pkg.a` | `documented(x)`, and orphan without backticks |\n"
+    assert _unread_exports(package, [bench], readme) == ["a.self_read", "a.orphan"]
+    assert _unread_exports(package, [], readme) == ["a.self_read", "a.orphan", "b.benched"]
 
 
 def _defaulted_parameters(tree: ast.Module) -> list[tuple[int, str, str, int | None]]:

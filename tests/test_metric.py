@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 import numpy as np
 
 from oscigeo.scalar import PI, Scalar
-from oscigeo.groups import GroupElement, IDENTITY
 from oscigeo.metric import (
     CausalType,
     TangentVector,
@@ -15,11 +14,12 @@ from oscigeo.metric import (
     curvature_op,
     frame_inner,
     killing_form,
-    metric_at,
     ricci,
     ricci_from_curvature_trace,
 )
 from oscigeo.floats import e_frame_f, metric_matrix_f, x_frame_f
+
+from .builders import from_coeffs, q_pi_values
 
 X0 = TangentVector.of(1, 0, 0, 0)
 X1 = TangentVector.of(0, 1, 0, 0)
@@ -31,7 +31,7 @@ FRAME_GRAM_F = np.array([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
 
 def rand_vector(rng, max_deg=1):
     def s():
-        return Scalar(
+        return from_coeffs(
             tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, max_deg + 1)))
         )
 
@@ -39,31 +39,28 @@ def rand_vector(rng, max_deg=1):
 
 
 def test_metric_at_origin():
-    m = metric_at(IDENTITY)
+    # the coordinate metric's entries at these points are exact in float
+    m = metric_matrix_f([0, 0, 0, 0])
     expected = [
         [0, 0, 0, 1],
         [0, 1, 0, 0],
         [0, 0, 1, 0],
         [1, 0, 0, 0],
     ]
-    for i in range(4):
-        for j in range(4):
-            assert m[i][j] == Scalar(expected[i][j])
+    assert m.tolist() == expected
 
 
 def test_metric_at_offset_point():
-    m = metric_at(GroupElement.of(0, (1, 0), 0))
-    assert m[0][2] == Scalar(Fraction(-1, 2))
-    assert m[2][0] == Scalar(Fraction(-1, 2))
-    m2 = metric_at(GroupElement.of(0, (0, 3), 0))
-    assert m2[0][1] == Scalar(Fraction(3, 2))
+    m = metric_matrix_f([0, 1, 0, 0])
+    assert m[0][2] == -0.5
+    assert m[2][0] == -0.5
+    m2 = metric_matrix_f([0, 0, 3, 0])
+    assert m2[0][1] == 1.5
 
 
 def test_metric_is_symmetric():
-    m = metric_at(GroupElement.of(PI, (Fraction(2, 3), -1), 5))
-    for i in range(4):
-        for j in range(4):
-            assert m[i][j] == m[j][i]
+    m = metric_matrix_f([np.pi, 2 / 3, -1, 5])
+    assert (m == m.T).all()
 
 
 def test_frame_gram_consistency_float():
@@ -204,9 +201,7 @@ def test_trace_route_catches_curvature_sign_flip():
     assert ricci(X0, X0) == Scalar(Fraction(1, 2))
 
 
-# Q(pi) values with numerator and denominator of degree <= 2
-_COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
-Q_PI = st.tuples(_COEFFS, _COEFFS.filter(any)).map(lambda nd: Scalar(tuple(nd[0]), tuple(nd[1])))
+Q_PI = q_pi_values()
 NONZERO_Q_PI = Q_PI.filter(lambda v: not v.is_zero())
 # scale factors: negative, multiples of pi, irrational, zero, or any of the above
 FACTORS = st.one_of(

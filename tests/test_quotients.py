@@ -30,6 +30,8 @@ from oscigeo.quotients import (
     verdict_to_json,
 )
 
+from .builders import from_coeffs
+
 L10 = LatticeSpec(1, Twist.FULL)
 L1H = LatticeSpec(1, Twist.HALF)
 L1Q = LatticeSpec(1, Twist.QUARTER)
@@ -462,7 +464,7 @@ def _random_q_pi(rng, nonzero=False):
     while True:
         num, den = (tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))) for _ in range(2))
         if any(den) and (any(num) or not nonzero):
-            return Scalar(num, den)
+            return from_coeffs(num, den)
 
 
 def _pinned_corpus():
@@ -537,7 +539,7 @@ def test_residue_solver_verdicts_hold_exactly(monkeypatch):
     @st.composite
     def q_pi(draw, nonzero=False):
         num = tuple(draw(nonzero_poly if nonzero else poly))
-        return Scalar(num, tuple(draw(nonzero_poly)))
+        return from_coeffs(num, tuple(draw(nonzero_poly)))
 
     @st.composite
     def directions(draw):

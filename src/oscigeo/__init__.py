@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them
 _EXPORTS = {
     "scalar": (
-        "DivisionByZero", "NotRational", "PI", "PI_HALF", "Scalar", "in_lattice_1d",
-        "parse_scalar", "quarter_turns",
+        "DivisionByZero", "NotRational", "PI", "PI_HALF", "Scalar", "parse_scalar",
+        "quarter_turns",
     ),
     "groups": (
         "ExactRotationUnavailable", "GroupElement", "IDENTITY", "LatticeSpec", "Twist",

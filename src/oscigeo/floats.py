@@ -105,9 +105,9 @@ def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
     d = t mod pi/2, read off in the chart w = R(-d) v, then z into
     [0, 1/2k).  R(t)Z^2 = R(d)Z^2, so the v-shift is a lattice element at
     every angle.  A coordinate beyond MAX_REDUCED_STEPS lattice steps
-    raises InvalidStep.  At quarter turns the box is [0, 1)^2 and the result
-    agrees with the exact ``groups.coset_normal_form``; at any other
-    reduced t the two give different representatives of the same coset.
+    raises InvalidStep.  This is the domain of the exact
+    ``groups.coset_normal_form``, which answers at quarter turns, where the
+    box is [0, 1)^2.
     """
     p = np.asarray(p, dtype=float)
     steps = np.array([float(L.t_step), 1.0, 1.0, float(L.z_step)])
@@ -121,7 +121,7 @@ def coset_normal_form_f(L: LatticeSpec, p) -> np.ndarray:
     d = _snap_frac(t1, math.pi / 2)
     wx, wy = _rotate(-d, x, y)
     sx, sy = _rotate(d, -np.floor(wx + _BOX_SNAP), -np.floor(wy + _BOX_SNAP))
-    z = _snap_frac(p[..., 3] + 0.5 * (x * sy - y * sx), float(L.z_step))
+    z = _snap_frac(p[..., 3] + 0.5 * (x * sy - y * sx), steps[3])
     return np.stack([t1, x + sx, y + sy, z], axis=-1)
 
 

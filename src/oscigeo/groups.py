@@ -16,25 +16,18 @@ read the table directly, and every other exact rotation goes through
 ``oscigeo.floats`` covers arbitrary angles for tracing and numeric
 verification.
 
-The float coset normal form reduces into the fundamental domain t in
-[0, t_step), v in R(t mod pi/2)[0, 1)^2 and z in [0, 1/2k); the box for
-v is a fundamental domain of the lattice's v-shifts R(t)Z^2 = R(t mod
-pi/2)Z^2 at every angle.  The exact form reduces t and z the same way,
-but it can move v only at quarter turns, where the box is [0, 1)^2 and
-the two forms agree.  At any other reduced t the exact form leaves v
-where it is, in the same coset.
+The coset normal form has one fundamental domain, shared with the float
+form in ``oscigeo.floats``: t in [0, t_step), v in R(t mod pi/2)[0, 1)^2
+and z in [0, 1/2k).  The exact form answers at quarter-turn t, where the
+box for v is [0, 1)^2, and raises ExactRotationUnavailable at any other t.
 
 Quotient conventions: all quotient-level operations on G use right
 cosets g Lam in G/Lam; the nilmanifold side uses left cosets Lam n.
-
-A LatticeSpec is immutable: ``z_step`` is computed on its first read
-and kept in the spec.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 from .scalar import (
@@ -171,7 +164,6 @@ class Twist(enum.Enum):
 
 _TWIST_NAMES = {twist.value: twist for twist in Twist}
 _TWIST_QUARTERS = {Twist.FULL: 4, Twist.HALF: 2, Twist.QUARTER: 1}
-_TWIST_STEPS = {twist: PI_HALF * quarters for twist, quarters in _TWIST_QUARTERS.items()}
 
 
 @dataclass(frozen=True)
@@ -187,15 +179,14 @@ class LatticeSpec:
 
     @property
     def t_step(self) -> Scalar:
-        return _TWIST_STEPS[self.twist]
+        return PI_HALF * self.t_step_quarters
 
     @property
     def t_step_quarters(self) -> int:
         return _TWIST_QUARTERS[self.twist]
 
-    @functools.cached_property
+    @property
     def z_step(self) -> Scalar:
-        """1/2k, computed on the first read and kept in the spec's dict."""
         return ONE / (2 * self.k)
 
     def generators(self) -> list[GroupElement]:
@@ -257,31 +248,24 @@ def _reduce(s: Scalar, step: Scalar) -> Scalar:
 
 
 def coset_normal_form(L: LatticeSpec, g: GroupElement) -> GroupElement:
-    """Representative of the right coset g*Lam in G/Lam.
+    """Representative of the right coset g*Lam in G/Lam, equal to ``floats.coset_normal_form_f``.
 
     t is reduced into [0, t_step), v into [0, 1)^2 and z into [0, 1/2k),
-    each by a right multiplication with a lattice element; the
-    t-reduction never touches v or z.  The v-shift is R(t') of an integer
-    vector at the reduced t', exact only at quarter turns t' in (pi/2)Z.
-    So at quarter turns the result is canonical and equals
-    ``floats.coset_normal_form_f``; at any other t' a v already in
-    [0, 1)^2 stays unmoved, which lies in the same coset as the float
-    form's R(t' mod pi/2)[0, 1)^2 representative but differs from it, and
-    a v that has to move raises ExactRotationUnavailable (the shift would
-    leave Q(pi)).
+    each by a right multiplication with a lattice element.  A t outside
+    (pi/2)Z raises ExactRotationUnavailable.
     """
+    j = quarter_turns(g.t)
+    if j is None:
+        raise ExactRotationUnavailable(f"angle {g.t} is not an integer multiple of pi/2")
     # t-reduction by (-m*t_step, 0, 0): only t changes
-    t1 = _reduce(g.t, L.t_step)
+    t1 = PI_HALF * (j % L.t_step_quarters)
     x, y, z = g.x, g.y, g.z
 
-    # v-reduction by (0, v_lam, 0) with R(t1) v_lam = -floor(v); the
-    # correcting vector is R(-t1) of an integer shift, so t1 must be a
-    # quarter angle for it to stay in the lattice
+    # v-reduction by (0, v_lam, 0) with R(t1) v_lam = -floor(v), an
+    # integer vector since t1 is a quarter turn
     fx = x.floor()
     fy = y.floor()
     if fx or fy:
-        if quarter_turns(t1) is None:
-            raise ExactRotationUnavailable(f"angle {-t1} is not an integer multiple of pi/2")
         shift = (Scalar(-fx), Scalar(-fy))
         z = z + cross((x, y), shift) / 2
         x = x - fx

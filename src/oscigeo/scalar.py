@@ -582,15 +582,6 @@ PI_HALF = PI / 2
 # lattice membership helpers
 # ---------------------------------------------------------------------------
 
-def in_lattice_1d(s: ScalarLike, step: ScalarLike) -> bool:
-    """True iff s is an integer multiple of step, which must be a positive rational."""
-    step = _coerce(step)
-    # read from the canonical pair, with no sign refinement
-    if len(step._n) != 1 or len(step._d) != 1 or step._n[0] < 0:
-        raise ValueError(f"lattice step must be a positive rational, got {step}")
-    return (_coerce(s) / step).is_integer()
-
-
 def quarter_turns(s: ScalarLike) -> int | None:
     """The integer j with s = j*pi/2, or None if s is not such a multiple."""
     s = _coerce(s)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats, geodesics, isometries
-from .floats import e_frame_f, g_mul_f, metric_matrix_f, x_frame_f
+from .floats import coset_normal_form_f, e_frame_f, g_mul_f, metric_matrix_f, x_frame_f
 from .groups import (
     GroupElement,
     IDENTITY,
@@ -46,7 +46,7 @@ from .metric import (
     ricci_from_curvature_trace,
 )
 from .quotients import VerdictKind, classify_geodesic, minimal_period
-from .scalar import PI, PI_HALF, ZERO, Scalar, in_lattice_1d, parse_scalar
+from .scalar import PI, PI_HALF, ZERO, Scalar, parse_scalar
 
 
 @dataclass
@@ -124,8 +124,8 @@ def suite_scalar(rng: random.Random) -> SuiteResult:
         step = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         s = Scalar(step * rng.randint(-8, 8))
         m = rng.randint(-5, 5)
-        res.check(in_lattice_1d(s, step), "multiples belong to their lattice")
-        res.check(in_lattice_1d(s * m, step), "integer multiples stay in lattice")
+        res.check((s / step).is_integer(), "multiples belong to their lattice")
+        res.check((s * m / step).is_integer(), "integer multiples stay in lattice")
     return res
 
 
@@ -157,6 +157,8 @@ def suite_groups(rng: random.Random) -> SuiteResult:
                 and Scalar(0) <= nf.z < L.z_step
             )
             res.check(box_ok, "normal form lies in the fundamental box")
+            nf_f = coset_normal_form_f(L, g.to_float())
+            res.check(float(np.max(np.abs(nf_f - nf.to_float()))) < 1e-9, "exact vs float normal form")
             g2 = _rand_quarter_element(rng)
             same = coset_equal(L, g, g2)
             res.check(

@@ -412,7 +412,7 @@ def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
     results = run_suites(["scalar", "groups", "normalizer", "metric", "curvature", "isometries", "quotients"], seed=0)
     assert [(r.name, r.checks, r.failures) for r in results] == [
         ("scalar", 1119, []),
-        ("groups", 720, []),
+        ("groups", 800, []),
         ("normalizer", 1500, []),
         ("metric", 321, []),
         ("curvature", 480, []),

@@ -229,3 +229,8 @@ def test_scale_keeps_the_constants_a_fresh_vector_computes(a0, a1, a2, a3, f, kn
         assert value == getattr(fresh, name), (name, X, f)
     # what was not carried is computed for Y itself, to the same values as for X
     assert (Y.slopes, Y.z_constants) == (X.slopes, X.z_constants)
+
+
+def test_a_cached_constant_read_on_the_class_is_its_descriptor():
+    descriptor = vars(TangentVector)["slopes"]
+    assert TangentVector.slopes is descriptor and descriptor.name == "slopes"

@@ -342,6 +342,18 @@ def test_minimal_period_rejects_a_doubled_verdict(monkeypatch):
             minimal_period(L, X)
 
 
+def test_minimal_period_rejects_a_negative_line_period(monkeypatch):
+    # exp(-T X) is in the lattice as well, so only the sign of T / unit refuses it
+    X = TangentVector.of(0, Fraction(1, 2), 0, Fraction(1, 3))
+    classify_line = quotients._classify_line
+    monkeypatch.setattr(
+        quotients, "_classify_line",
+        lambda L, X: PeriodicityVerdict(VerdictKind.PERIODIC, -classify_line(L, X).minimal_T),
+    )
+    with pytest.raises(AssertionError, match="is not a positive multiple of the unit"):
+        minimal_period(L10, X)
+
+
 def test_minimal_period_on_tampered_evaluations(monkeypatch):
     # the proof rests on c being central and, for an irrational z_c, on a rational
     # intercept z_r - (r/cycle) z_c; an evaluator that breaks either is refused

@@ -18,7 +18,6 @@ from oscigeo.scalar import (
     PI,
     PI_HALF,
     Scalar,
-    in_lattice_1d,
     _pi_scaled,
     parse_scalar,
     quarter_turns,
@@ -98,29 +97,6 @@ def test_gcd_reduction_before_deciding():
     s = (PI ** 2 + PI) / (PI + 1)
     assert s == PI
     assert not s.is_rational()
-
-
-def test_in_lattice_1d():
-    assert in_lattice_1d(Scalar(Fraction(1, 2)), Fraction(1, 2))
-    assert not in_lattice_1d(PI, Fraction(1, 2))
-    assert in_lattice_1d(Scalar(Fraction(3, 4)), Fraction(1, 4))
-    # a step may be any positive rational ScalarLike
-    for step in (3, Fraction(3), Scalar(3), "3"):
-        assert in_lattice_1d(-6, step) and in_lattice_1d(0, step)
-        assert not in_lattice_1d(2, step) and not in_lattice_1d(3 * PI, step)
-    assert in_lattice_1d(Fraction(5, 6), Scalar(1) / 6) and not in_lattice_1d(Fraction(5, 6), Scalar(1) / 4)
-    for step in (0, -1, Fraction(-1, 2), PI, 1 / PI):
-        with pytest.raises(ValueError, match="positive rational"):
-            in_lattice_1d(1, step)
-
-
-def test_in_lattice_closed_under_integer_multiples():
-    rng = random.Random(0)
-    for _ in range(100):
-        step = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        s = Scalar(step * rng.randint(-10, 10))
-        assert in_lattice_1d(s, step)
-        assert in_lattice_1d(s * rng.randint(-7, 7), step)
 
 
 def test_field_axioms_random():

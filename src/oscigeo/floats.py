@@ -87,6 +87,13 @@ def g_mul_f(p, q) -> np.ndarray:
     ], axis=-1)
 
 
+def g_inv_f(p) -> np.ndarray:
+    """Float inverse in G, (-t, -R(-t) v, -z), of (..., 4) arrays."""
+    p = np.asarray(p, dtype=float)
+    wx, wy = _rotate(-p[..., 0], p[..., 1], p[..., 2])
+    return np.stack([-p[..., 0], -wx, -wy, -p[..., 3]], axis=-1)
+
+
 # a float within this fraction of a step below a box's upper boundary
 # snaps to the lower one, so that lattice-exact inputs reduce stably
 _BOX_SNAP = 1e-9
@@ -174,19 +181,9 @@ def e_frame_f(p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def chi_f(g, x) -> np.ndarray:
-    """Float conjugation chi_g(x) = g x g^-1 at any angles; g and x broadcast."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    gx, gy = g[..., 1], g[..., 2]
-    r0x, r0y = _rotate(g[..., 0], x[..., 1], x[..., 2])
-    rvx, rvy = _rotate(x[..., 0], gx, gy)
-    z = (
-        x[..., 3]
-        + 0.5 * (gx * r0y - gy * r0x)
-        - 0.5 * (gx * rvy - gy * rvx)
-        - 0.5 * (r0x * rvy - r0y * rvx)
-    )
-    return _stack(x[..., 0], gx + r0x - rvx, gy + r0y - rvy, z)
+    """Float conjugation chi_g(x) = g x g^-1 at any angles, as two products;
+    g and x broadcast."""
+    return g_mul_f(g_mul_f(g, x), g_inv_f(g))
 
 
 def f1_f(p) -> np.ndarray:

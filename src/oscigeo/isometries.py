@@ -6,8 +6,12 @@ the identity component consists of the inner automorphisms chi_g, and
 representatives of the other three are the involutions
 
     f1(t, v, z) = (-t, S v, -z)          with S(x, y) = (-x, y),
-    f2(t, v, z) = (-t, R(-t) v, -z),
+    f2(t, v, z) = (-t, R(-t) v, -z)      = inv o chi_(pi; 0, 0; 0),
     f3 = f1 o f2:  (t, R(t) S v, z).
+
+``discrete_isometry`` builds f2 as that composition and ``floats.f2_f``
+keeps the formula; ``inner_aut`` keeps the expanded conjugation formula
+and ``floats.chi_f`` is the product g x g^-1.
 
 Differentials at the identity of isotropy isometries form a block
 family: a00 = a33 = eps in {1, -1}, an orthogonal 2x2 block A~ acting on
@@ -31,18 +35,18 @@ by right translation (v', z') . p = p (0, v', z')^{-1}, which expands to
 ``floats.heis_action_f`` the formula at any angle; the ``verify``
 isometries suite checks them against each other, and the descent of the
 action to the nilmanifold quotients Lam\\N on the full-twist lattices.
-On a solvmanifold quotient of G, the only isotropy isometries that
-preserve lattice cosets are the inner chi_h with h in the normalizer of
-the lattice.
+An isometry L_g o chi_h o f of G descends to the solvmanifold quotient
+G/Lam iff f is the identity or f1 and h lies in the normalizer of the
+lattice (``fiber_preserving``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupElement, LatticeSpec, cross, g_inv, g_mul, normalizer_contains, rotate
+from .groups import IDENTITY, GroupElement, LatticeSpec, cross, g_inv, g_mul, normalizer_contains, rotate
 from .metric import FRAME, FRAME_GRAM, TangentVector, bracket, frame_inner
-from .scalar import ZERO, Scalar, in_quarter_lattice
+from .scalar import PI, ZERO, Scalar, in_quarter_lattice
 
 Matrix4 = tuple[tuple[Scalar, ...], ...]
 
@@ -88,20 +92,6 @@ def isotropy_matrix(el: IsotropyElement) -> Matrix4:
         (w2, c, d, zero),
         (-eps * norm_sq / 2, -eps * wa1, -eps * wa2, eps),
     )
-
-
-def extract_isotropy(A: Matrix4) -> IsotropyElement:
-    """Read (eps, A~, w) back off a matrix in the isotropy block family."""
-    eps_s = A[0][0]
-    if eps_s == Scalar(1):
-        eps = 1
-    elif eps_s == Scalar(-1):
-        eps = -1
-    else:
-        raise NotOrthogonal(f"corner entry {eps_s} is not +-1")
-    a_tilde = ((A[1][1], A[1][2]), (A[2][1], A[2][2]))
-    w = (A[1][0], A[2][0])
-    return IsotropyElement(eps, a_tilde, w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +169,17 @@ def inner_trivial_on_g(g: GroupElement) -> bool:
 # the discrete components
 # ---------------------------------------------------------------------------
 
+# chi of the half turn is (t, v, z) -> (t, -v, z)
+_HALF_TURN = GroupElement.of(PI, (0, 0), 0)
+
+
 def discrete_isometry(which: str, p: GroupElement) -> GroupElement:
-    """Exact f1, f2 or f3 = f1 o f2; f2 and f3 need a quarter-turn t."""
+    """Exact f1, f2 = inv o chi_(pi; 0, 0; 0) or f3 = f1 o f2; f2 and f3
+    need a quarter-turn t unless v = 0."""
     if which == "f1":
         return GroupElement(-p.t, -p.x, p.y, -p.z)
     if which == "f2":
-        w = rotate(-p.t, p.x, p.y)
-        return GroupElement(-p.t, w[0], w[1], -p.z)
+        return g_inv(inner_aut(_HALF_TURN, p))
     if which == "f3":
         return discrete_isometry("f1", discrete_isometry("f2", p))
     raise ValueError(f"unknown discrete isometry {which!r}")
@@ -207,10 +201,11 @@ def heis_action(h: tuple[tuple[Scalar, Scalar], Scalar], p: GroupElement) -> Gro
 
 @dataclass(frozen=True)
 class IsometryOfG:
-    """L_g o chi_h o f_tag with tag in {id, f1, f2, f3}; factors optional."""
+    """L_g o chi_h o f_tag with tag in {id, f1, f2, f3}; g and h default to
+    the identity."""
 
-    translation: GroupElement | None = None
-    inner: GroupElement | None = None
+    translation: GroupElement = IDENTITY
+    inner: GroupElement = IDENTITY
     tag: str = "id"
 
     def __post_init__(self):
@@ -218,24 +213,20 @@ class IsometryOfG:
             raise ValueError(f"unknown component tag {self.tag!r}")
 
     def apply(self, p: GroupElement) -> GroupElement:
-        out = p
-        if self.tag != "id":
-            out = discrete_isometry(self.tag, out)
-        if self.inner is not None:
-            out = inner_aut(self.inner, out)
-        if self.translation is not None:
-            out = g_mul(self.translation, out)
-        return out
+        f = p if self.tag == "id" else discrete_isometry(self.tag, p)
+        return g_mul(self.translation, inner_aut(self.inner, f))
 
 
 def fiber_preserving(L: LatticeSpec, iso: IsometryOfG) -> bool:
-    """Whether iso maps lattice cosets to lattice cosets.
+    """Whether iso maps every lattice coset g Lam onto a lattice coset.
 
-    Left translations always do; an inner factor chi_h does iff h lies in
-    the normalizer of the lattice; the discrete components never do.
+    L_g always does, so iso descends iff chi_h o f does.  An automorphism
+    phi maps g Lam onto phi(g) phi(Lam), so it descends iff phi(Lam) = Lam.
+    f1 maps each lattice onto itself, so chi_h o f1 descends, as chi_h
+    does, iff h lies in the normalizer.  f2 and f3 are inv o phi with phi
+    an automorphism, and inv o phi maps g Lam onto phi(Lam) phi(g)^-1: a
+    coset only if phi(Lam) = Lam (take g = e) and then y Lam y^-1 = Lam
+    for every y, a normal lattice.  No lattice here is normal, as
+    chi_(pi/3; 0, 0; 0) takes (0; 1, 0; 0) out of it.
     """
-    if iso.tag != "id":
-        return False
-    if iso.inner is not None:
-        return normalizer_contains(L, iso.inner)
-    return True
+    return iso.tag in ("id", "f1") and normalizer_contains(L, iso.inner)

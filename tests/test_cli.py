@@ -416,7 +416,7 @@ def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
         ("normalizer", 1500, []),
         ("metric", 321, []),
         ("curvature", 480, []),
-        ("isometries", 319, []),
+        ("isometries", 421, []),
         ("quotients", 2760, []),
     ]
 

@@ -16,6 +16,7 @@ from oscigeo.groups import (
     cross,
     g_inv,
     g_mul,
+    lattice_contains,
     n_coset_equal,
     n_coset_normal_form,
     n_mul,
@@ -27,7 +28,6 @@ from oscigeo.isometries import (
     NotOrthogonal,
     ambrose_hicks_check,
     discrete_isometry,
-    extract_isotropy,
     fiber_preserving,
     heis_action,
     inner_aut,
@@ -84,19 +84,11 @@ def test_not_orthogonal_rejected():
         IsotropyElement(2, ID2, (S0, S0))
 
 
-def test_ambrose_hicks_grid_and_extraction():
+def test_ambrose_hicks_accepts_the_isotropy_grid():
     for eps in (1, -1):
         for a_tilde in (ID2, ROT90, FLIP):
             for w in W_GRID:
-                el = IsotropyElement(eps, a_tilde, w)
-                A = isotropy_matrix(el)
-                assert ambrose_hicks_check(A)
-                assert extract_isotropy(A) == el
-                assert isotropy_matrix(extract_isotropy(A)) == A
-    corner = [list(row) for row in isotropy_matrix(IsotropyElement(1, ID2, (S0, S0)))]
-    corner[0][0] = Scalar(2)
-    with pytest.raises(NotOrthogonal, match=r"corner entry 2 is not \+-1"):
-        extract_isotropy(tuple(tuple(row) for row in corner))
+                assert ambrose_hicks_check(isotropy_matrix(IsotropyElement(eps, a_tilde, w)))
 
 
 def _diag(*entries):
@@ -158,6 +150,12 @@ def test_discrete_isometry_formulas():
         discrete_isometry("f2", p)
     with pytest.raises(ValueError):
         discrete_isometry("f9", p)
+    # f2 is inv o chi_(pi; 0, 0; 0); written out, (-t, R(-t) v, -z), also at any t when v = 0
+    rng = random.Random(12)
+    for _ in range(50):
+        q = rand_quarter(rng)
+        assert discrete_isometry("f2", q) == GroupElement(-q.t, *rotate(-q.t, q.x, q.y), -q.z)
+    assert discrete_isometry("f2", GroupElement.of(1, (0, 0), 4)) == GroupElement.of(-1, (0, 0), -4)
 
 
 def test_f3_equals_f1_after_f2():
@@ -365,15 +363,63 @@ def test_isometries_suite_catches_a_broken_heis_action_f(monkeypatch, mutant):
         assert any(_FORMULA in message for message in failures), (seed, failures)
 
 
+def _f2_as_inverse(which, p, _discrete=discrete_isometry):
+    return g_inv(p) if which == "f2" else _discrete(which, p)
+
+
+@pytest.mark.parametrize("module, name, mutant, failing", [
+    (isometries, "discrete_isometry", _f2_as_inverse, {"exact f2 ", "exact f3 "}),
+    (floats, "chi_f", lambda g, x: g_mul_f(floats.g_inv_f(g), g_mul_f(x, g)), {"exact chi "}),
+], ids=["f2-as-inverse", "chi-of-the-inverse"])
+def test_isometries_suite_catches_a_broken_isotropy_map(monkeypatch, module, name, mutant, failing):
+    # each mutant is still an isometry, so only the exact-vs-float checks can see it
+    monkeypatch.setattr(module, name, mutant)
+    for seed in (0, 1):
+        failures = verify.suite_isometries(random.Random(seed)).failures
+        hit = {tag for tag in failing for message in failures if tag in message}
+        assert hit == failing and all(any(tag in m for tag in failing) for m in failures), (seed, failures)
+
+
 def test_fiber_preserving():
     L10 = LatticeSpec(1, Twist.FULL)
     L1H = LatticeSpec(1, Twist.HALF)
     assert fiber_preserving(L10, IsometryOfG(translation=GroupElement.of(PI / 3, (1, 2), 3)))
     assert fiber_preserving(L1H, IsometryOfG(inner=GroupElement.of(PI_HALF, (Fraction(1, 2), 0), 0)))
     assert not fiber_preserving(L1H, IsometryOfG(inner=GroupElement.of(PI / 3, (0, 0), 0)))
-    assert not fiber_preserving(L10, IsometryOfG(tag="f1"))
+    assert fiber_preserving(L10, IsometryOfG(tag="f1"))
+    assert not fiber_preserving(L10, IsometryOfG(tag="f2"))
     assert not fiber_preserving(L10, IsometryOfG(inner=IDENTITY, tag="f3"))
     assert fiber_preserving(L10, IsometryOfG())
+
+
+def _rand_lattice_element(rng, L):
+    gamma = GroupElement.of(
+        L.t_step * rng.randint(-4, 4), (rng.randint(-3, 3), rng.randint(-3, 3)), Fraction(rng.randint(-6, 6), 2 * L.k)
+    )
+    assert lattice_contains(L, gamma)
+    return gamma
+
+
+def test_fiber_preserving_matches_coset_equality():
+    # the rule against its definition: iso descends iff iso(g lam) and iso(g)
+    # share a coset for every sampled (g, lam), so each False has a failing pair
+    rng = random.Random(10)
+    inners = [
+        IDENTITY,
+        GroupElement.of(PI, (0, 0), 0),
+        GroupElement.of(PI_HALF, (Fraction(1, 2), Fraction(1, 2)), 0),
+        GroupElement.of(0, (Fraction(1, 3), 0), 0),
+    ]
+    answers = set()
+    for L in (LatticeSpec(k, twist) for k in (1, 2, 3) for twist in Twist):
+        for tag in ("id", "f1", "f2", "f3"):
+            for h in inners:
+                iso = IsometryOfG(translation=rand_quarter(rng), inner=h, tag=tag)
+                pairs = [(rand_quarter(rng), _rand_lattice_element(rng, L)) for _ in range(40)]
+                descends = all(coset_equal(L, iso.apply(g_mul(g, lam)), iso.apply(g)) for g, lam in pairs)
+                assert fiber_preserving(L, iso) == descends, (L, tag, h)
+                answers.add((tag, descends))
+    assert answers == {(tag, True) for tag in ("id", "f1")} | {(tag, False) for tag in ("id", "f1", "f2", "f3")}
 
 
 def test_induced_kernels():

@@ -10,6 +10,7 @@ from --seed, defaulting to the OSCIGEO_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -118,19 +119,36 @@ def _default_seed(explicit: int | None) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _ints_print_in_full():
+    """Lift Python's cap on int-to-text digits (3.10.7 on) for the block, then restore it.
+
+    str(int) and json's int.__repr__ refuse more than sys.get_int_max_str_digits()
+    digits, and a witness m can be longer."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def cmd_classify(args) -> int:
     lattice = LatticeSpec.parse(args.lattice)
     vector = parse_vector(args.vector)
     causal, verdict = classify_geodesic(lattice, vector)
-    if args.format == "json":
-        print(json.dumps(verdict_to_json(causal, verdict)))
-        return EXIT_OK
-    parts = [causal.value, verdict.kind.value]
-    if verdict.minimal_T is not None:
-        parts.append(f"T = {verdict.minimal_T} (float {float(verdict.minimal_T):.15g})")
-    if verdict.witness_m is not None:
-        parts.append(f"m = {verdict.witness_m}")
-    print(", ".join(parts))
+    with _ints_print_in_full():
+        if args.format == "json":
+            print(json.dumps(verdict_to_json(causal, verdict)))
+            return EXIT_OK
+        parts = [causal.value, verdict.kind.value]
+        if verdict.minimal_T is not None:
+            parts.append(f"T = {verdict.minimal_T} (float {float(verdict.minimal_T):.15g})")
+        if verdict.witness_m is not None:
+            parts.append(f"m = {verdict.witness_m}")
+        print(", ".join(parts))
     return EXIT_OK
 
 
@@ -141,14 +159,16 @@ def cmd_trace(args) -> int:
 
     vector = parse_vector(args.vector)
     base = IDENTITY if args.base is None else parse_group_element(args.base)
-    if not np.isfinite(vector.to_float() + base.to_float()).all():
+    # converted once: the finiteness check and the float layer read the same arrays
+    a, h = np.array(vector.to_float()), np.array(base.to_float())
+    if not (np.isfinite(a).all() and np.isfinite(h).all()):
         raise ValueError("the direction and the base point must lie within the float range")
     if args.quotient != (args.lattice is not None):
         raise ValueError("--quotient and --lattice must be given together")
     lattice = LatticeSpec.parse(args.lattice) if args.quotient else None
     # the first chunk is computed here, so a request refused within it writes nothing
     chunks = floats.trace_chunks(
-        base, vector, args.s_end, args.step, lattice, rk4=args.rk4, diff=args.rk4_check)
+        h, a, args.s_end, args.step, lattice, rk4=args.rk4, diff=args.rk4_check)
 
     def write(stream) -> None:
         if args.format == "json":

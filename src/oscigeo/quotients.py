@@ -13,15 +13,12 @@ rational, and the minimal period is the generator of the intersection.
 For a0 != 0 the t-coordinate forces T = t_step m / |a0| with m a
 positive integer and t_step = quarters pi/2.  The rotation R(a0 T) and
 sin(a0 T) then depend only on m modulo the residue cycle 4/quarters (1,
-2 or 4 residues for the full, half and quarter families).  The residues
-are walked in integer quarter turns: residue r turns by sign(a0)
-quarters r quarter turns, and ``groups.QUARTER_TURNS`` at that count mod
-4 gives sin and the rotation exactly, with no angle built in Q(pi).
-With p = a1/a0 and q = a2/a0 (TangentVector.slopes, which the
-evaluators read too), per residue the middle-coordinate
-condition is the integrality of the constant u = R(a0 T)(q, -p) -
-(q, -p), and the z-condition has the form A m - B in Z with
-B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
+2 or 4 residues for the full, half and quarter families): residue r
+turns by sign(a0) quarters r quarter turns.  With p = a1/a0 and
+q = a2/a0 (TangentVector.slopes, which the evaluators read too), per
+residue the middle-coordinate condition is the integrality of the
+constant u = R(a0 T)(q, -p) - (q, -p), and the z-condition has the form
+A m - B in Z with B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
 
   A = |X|^2 t_step / (2 a0 |a0| h) = |X|^2 pi k quarters sign(a0) / (2 a0^2).
 
@@ -33,10 +30,15 @@ So an irrational A makes A m - B irrational for every m, while a
 rational A closes in the residue m = 0 (mod cycle), where u = 0 and
 B = 0.  With A and B rational, m = r + cycle j turns the z-condition
 into one linear congruence in j >= 0, solved with a modular inverse,
-and the minimal period is the minimum over residues.  B is read as a
-rational only where sin != 0; where sin = 0 it is 0 even when p^2 + q^2
-is irrational.  Scanning T values can never prove non-closedness; this
-rationality test can.
+and the minimal period is the minimum over residues.  Scanning T values
+can never prove non-closedness; this rationality test can.
+
+No verdict or witness depends on sign(a0), so the classifier reads |a0|
+alone: it takes sin and R from ``groups.QUARTER_TURNS`` at quarters r
+mod 4 and drops the signs from A and B.  In a residue with an integral
+u, 2B is an integer, so A m - B, -A m - B and A m + B are integers
+together; flipping sign(a0) maps the turn count j to -j and R to R^-1,
+and R^-1 w - w is integral iff R w - w is.  The proof keeps the sign.
 
 ``minimal_period`` proves a verdict from exact group elements, not from
 A and B.  With u = t_step/|a0|, c = exp(cycle u X) is a full turn
@@ -139,37 +141,33 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     A = norm_sq * PI / (a0 * a0)
     if not A.is_rational():
         return PeriodicityVerdict(VerdictKind.NON_CLOSED)
-    sign, unit = X.quarter_turn
     quarters = L.t_step_quarters
-    # A = |X|^2 pi k quarters sign(a0) / (2 a0^2) = an/ad
+    # A = |X|^2 pi k quarters / (2 a0^2) = an/ad, read with |a0| as the module docstring sets out
     an, ad = A.as_integer_ratio()
-    an, ad = an * L.k * quarters * sign, 2 * ad
+    an, ad = an * L.k * quarters, 2 * ad
     cycle = 4 // quarters
     p, q = X.slopes
-    # Flipping the sign of the turn or of sin changes no verdict or witness:
-    # 2B is an integer in every residue with an integral u, and the residues
-    # r and cycle - r have the same u condition, so no test can see such a flip.
     best: int | None = None
     for r in range(1, cycle + 1):
-        # a0 T = sign(a0) t_step m turns by the same j quarter turns for every m = r (mod cycle)
-        j = sign * quarters * r % 4
+        # |a0| T = t_step m turns by the same j quarter turns for every m = r (mod cycle)
+        j = quarters * r % 4
         sin, turn = QUARTER_TURNS[j]
         # u = 0 at a whole turn (j = 0), which needs no test
         if j:
             rx, ry = turn(q, -p)
             if not ((rx - q).is_integer() and (ry + p).is_integer()):
                 continue
-        # B = (p^2 + q^2) k sin = bn/bd; an integral u at an odd quarter turn puts
-        # p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
+        # B = (p^2 + q^2) k = bn/bd where sin != 0; an integral u at an odd quarter turn
+        # puts p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
         bn, bd = 0, 1
         if sin:
             bn, bd = (p * p + q * q).as_integer_ratio()
-            bn *= L.k * sin
+            bn *= L.k
         m = _solve_rational(an, ad, bn, bd, r, cycle)
         if m is not None and (best is None or m < best):
             best = m
     # the residue r = cycle always admits a solution; T = u m with u = quarters unit
-    return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=unit * (quarters * best), witness_m=best)
+    return PeriodicityVerdict(VerdictKind.PERIODIC, X.quarter_turn[1] * (quarters * best), best)
 
 
 def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, PeriodicityVerdict]:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -605,12 +606,20 @@ def in_quarter_lattice(s: ScalarLike, quarters: int) -> bool:
 # textual form: "p(pi)/q(pi)" with integer-fraction coefficients
 # ---------------------------------------------------------------------------
 
+def _numeral(n: int) -> str:
+    """Decimal text of the integer n; above sys.get_int_max_str_digits() digits, through Decimal."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _format_coeff(c: int, lead: int) -> str:
     """Text of the nonnegative rational c/lead, lead > 0."""
     g = _gcd(c, lead)
     if g == lead:
-        return str(c // g)
-    return f"{c // g}/{lead // g}"
+        return _numeral(c // g)
+    return f"{_numeral(c // g)}/{_numeral(lead // g)}"
 
 
 def _format_poly(coeffs: Poly, lead: int) -> str:

@@ -45,8 +45,8 @@ from .metric import (
     ricci,
     ricci_from_curvature_trace,
 )
-from .quotients import VerdictKind, classify_geodesic, minimal_period
-from .scalar import PI, PI_HALF, ZERO, Scalar, parse_scalar
+from .quotients import PeriodicityVerdict, VerdictKind, classify_geodesic, minimal_period
+from .scalar import ONE, PI, PI_HALF, ZERO, Scalar, parse_scalar
 
 
 @dataclass
@@ -454,6 +454,9 @@ def _random_null_direction(rng: random.Random, allow_line: bool = True) -> Tange
 
 # random null directions classified on each of the nine families
 _NULL_PER_FAMILY = 60
+# directions per family for the f1 and scaling relations, and the scale factors
+_RELATED_PER_FAMILY = 10
+_SCALINGS = (Scalar(2), Scalar(Fraction(-3, 2)), PI, -1 / PI, PI * PI / 3)
 
 
 def suite_quotients(rng: random.Random) -> SuiteResult:
@@ -528,6 +531,29 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                     ratio = gap / verdict.minimal_T
                     res.check(ratio.is_integer(), "minimal period divides every return gap")
         res.check(bool(hits), "periodic geodesics revisit cosets at step times")
+
+    # f1 maps X to (-a0, -a1, a2, -a3) and descends, so the image gets the verdict of X;
+    # c X gets it with T/|c|.  The classifier reads no sign of a0, and these relations
+    # see that from outside; the negative c flip sign(a0) a second way.
+    for L in _families():
+        for _ in range(_RELATED_PER_FAMILY):
+            a0 = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])
+            if rng.random() < 0.5:  # slopes p, q in (1/2)Z: the odd quarter turns have an integral u
+                a1, a2 = (a0 * Fraction(rng.randint(-4, 4), 2) for _ in range(2))
+            else:
+                a1, a2 = _rand_fraction(rng), _rand_fraction(rng)
+            # a3 off the null value by r/pi keeps A rational and X closed; by a rational r != 0, never
+            offset = rng.choice((ZERO, 1 / PI, ONE)) * _rand_fraction(rng)
+            X = TangentVector.of(a0, a1, a2, offset - (a1 * a1 + a2 * a2) / (2 * a0))
+            causal, verdict = classify_geodesic(L, X)
+            image = TangentVector(-X.a0, -X.a1, X.a2, -X.a3)
+            res.check(classify_geodesic(L, image) == (causal, verdict), f"f1 moves the verdict of {X} on {L}")
+            T = verdict.minimal_T
+            for c in _SCALINGS:
+                scaled = TangentVector(*(c * a for a in X.components))
+                T_c = None if T is None else T / abs(c)
+                expected = PeriodicityVerdict(verdict.kind, T_c, verdict.witness_m)
+                res.check(classify_geodesic(L, scaled) == (causal, expected), f"({c}) {X} on {L}: not T/|c|")
     return res
 
 

@@ -17,7 +17,7 @@ from oscigeo.floats import (
     initial_state,
     rk4_blocks,
 )
-from oscigeo.groups import LatticeSpec, parse_group_element
+from oscigeo.groups import GroupElement, LatticeSpec, parse_group_element
 from oscigeo.scalar import MAX_DIGITS, MAX_NESTING, PI, Scalar
 from oscigeo.metric import TangentVector
 from oscigeo.verify import run_suites
@@ -417,7 +417,7 @@ def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
         ("metric", 321, []),
         ("curvature", 480, []),
         ("isometries", 421, []),
-        ("quotients", 2760, []),
+        ("quotients", 3300, []),
     ]
 
 
@@ -539,6 +539,43 @@ def test_values_with_coefficients_beyond_floats_print(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: the direction and the base point must lie within the float range\n"
         assert not captured.out and not out.exists(), extra
+
+
+def test_trace_converts_the_direction_and_the_base_point_once(monkeypatch, capsys):
+    converted = []
+    for cls in (TangentVector, GroupElement):
+        exact = cls.to_float
+        monkeypatch.setattr(cls, "to_float", lambda self, exact=exact: converted.append(type(self)) or exact(self))
+    argv = ["trace", "--vector", "1,1,0,0", "--base", "(0; 1, 0; 0)", "--s-end", "1", "--step", "0.5"]
+    assert main(argv) == 0 and capsys.readouterr().out.count("\n") == 4
+    assert sorted(cls.__name__ for cls in converted) == ["GroupElement", "TangentVector"]
+
+
+def test_answers_beyond_the_int_text_cap_print_every_digit(capsys):
+    # Python caps int-to-text at sys.get_int_max_str_digits() = 4300 digits by default; an
+    # answer of about 5000 digits prints in full, in both formats, and the cap stays as it was
+    from decimal import Decimal
+
+    nines, ten = "9" * 999, "1" + "0" * 999
+    big = (10**999 - 1) ** 5
+    twice, m = str(Decimal(2 * big)), str(Decimal(big))
+    cases = (
+        (f"a0=0,a1=1/({ten}*{ten}*{ten}*{ten}*{ten}),a2=0,a3=0", "1" + "0" * 4995, None),
+        (f"a0=1,a1=0,a2=0,a3=1/(4*{nines}*{nines}*{nines}*{nines}*{nines}*pi)", f"{twice}*pi", m),
+    )
+    cap = sys.get_int_max_str_digits()
+    for vector, T, witness in cases:
+        for fmt in ("text", "json"):
+            code = main(["classify", "--lattice", "k=1,twist=full", "--vector", vector, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.err, sys.get_int_max_str_digits()) == (0, "", cap)
+            if fmt == "text":
+                expected = f"spacelike, periodic, T = {T} (float inf)" + ("" if witness is None else f", m = {witness}")
+            else:
+                shown = "null" if witness is None else witness
+                expected = f'{{"causal": "spacelike", "kind": "periodic", "minimal_T": "{T}", "witness_m": {shown}}}'
+            assert captured.out == expected + "\n"
+    assert (len(m), len(twice)) == (4995, 4996)
 
 
 def test_parser_limit_is_usage_error(capsys):

@@ -526,6 +526,32 @@ def test_answers_match_the_pinned_corpus():
     assert digest.hexdigest() == _PINNED_ANSWERS
 
 
+def test_f1_image_gets_the_same_verdict():
+    # f1 maps the direction (a0, a1, a2, a3) to (-a0, -a1, a2, -a3) and descends to every
+    # quotient, so the image closes with X, with the same period and witness: the classifier
+    # reads no sign of a0, which this relation checks from outside
+    for L, X in _pinned_corpus():
+        image = TangentVector(-X.a0, -X.a1, X.a2, -X.a3)
+        assert classify_geodesic(L, image) == classify_geodesic(L, X), (L, X)
+
+
+# the negative factors flip the sign of a0, so they check the sign-free classifier a second way
+_SCALINGS = (Scalar(2), Scalar(Fraction(-3, 2)), PI, -1 / PI, PI * PI / 3)
+
+
+def test_scaled_directions_close_with_the_period_divided():
+    # exp(T c X) = exp((c T) X): c X gets the verdict of X with T/|c|; the vector is built
+    # fresh, since X.scale(c) hands on the slopes X has cached
+    corpus = [(L, X, classify_geodesic(L, X)) for L, X in _pinned_corpus()]
+    for c in _SCALINGS:
+        size = abs(c)
+        for L, X, (causal, verdict) in corpus:
+            scaled = TangentVector(*(c * a for a in X.components))
+            T = verdict.minimal_T
+            expected = dataclasses.replace(verdict, minimal_T=None if T is None else T / size)
+            assert classify_geodesic(L, scaled) == (causal, expected), (L, X, c)
+
+
 def test_decisions_build_no_fraction(monkeypatch):
     # Fraction belongs to the input boundary: classifying and proving run on Scalars and ints
     corpus = _pinned_corpus()

@@ -252,6 +252,13 @@ def test_print_parse_roundtrip_random():
         assert parse_scalar(str(s)) == s
 
 
+def test_printing_is_total_beyond_the_int_text_cap():
+    # str(int) refuses numbers above sys.get_int_max_str_digits() digits, 4300 by default
+    big, digits = 10**4995, "1" + "0" * 4995
+    assert str(Scalar(big)) == digits
+    assert str(-Scalar(big) * PI / 3 + Scalar(Fraction(1, big))) == f"-{digits}/3*pi + 1/{digits}"
+
+
 def test_pow():
     assert PI ** 0 == Scalar(1)
     assert PI ** 3 == PI * PI * PI

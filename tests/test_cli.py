@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oscigeo
-from oscigeo import cli, verify
+from oscigeo import cli, scalar, verify
 from oscigeo.cli import _build_parser, main, parse_vector
 from oscigeo.floats import (
     _RK4_BLOCK,
@@ -50,6 +51,20 @@ def test_parse_vector_forms():
         parse_vector("b0=1,a1=0,a2=0,a3=0")
     # named and positional chunks mix; a positional chunk i sets a_i
     assert parse_vector(" A3 = 4, 2 ,a0=1,a2=3") == parse_vector("1,2,3,4") == parse_vector("a0=1,2,a2=3,4")
+
+
+def test_rational_and_pi_laurent_vectors_need_no_descent(monkeypatch):
+    # the shapes of closed directions, c + r/(d*pi) in a3, and of a period such as 4/3*pi
+    # are read by the fast paths of parse_scalar alone
+    def refuse(text):
+        raise AssertionError(f"{text!r} reached the descent")
+
+    monkeypatch.setattr(scalar, "_parse_text", refuse)
+    expected = TangentVector.of(Fraction(-5, 4), 3, Fraction(-1, 2), Fraction(17, 4) + 1 / (3 * PI))
+    assert parse_vector("a0=-5/4,a1=3,a2=-1/2,a3=17/4 + 1/(3*pi)") == expected
+    assert parse_vector("a0=2/3,a1=0,a2=7,a3=0 - 9/(2*pi)") == TangentVector.of(Fraction(2, 3), 0, 7, -9 / (2 * PI))
+    assert parse_vector("a0=1,a1=-1/6,a2=1/2,a3=-5/54 - 1/(4*pi)").a3 == Fraction(-5, 54) - 1 / (4 * PI)
+    assert Scalar("4/3*pi") == 4 * PI / 3 and Scalar("2*pi") == 2 * PI
 
 
 @pytest.mark.parametrize("vector, name", [
@@ -575,6 +590,14 @@ def test_answers_beyond_the_int_text_cap_print_every_digit(capsys):
                 shown = "null" if witness is None else witness
                 expected = f'{{"causal": "spacelike", "kind": "periodic", "minimal_T": "{T}", "witness_m": {shown}}}'
             assert captured.out == expected + "\n"
+            if fmt == "json" and witness is not None:
+                # the two ways the README gives a Python reader to load the witness
+                assert json.loads(captured.out, parse_int=Decimal)["witness_m"] == Decimal(big)
+                try:
+                    sys.set_int_max_str_digits(0)
+                    assert json.loads(captured.out)["witness_m"] == big
+                finally:
+                    sys.set_int_max_str_digits(cap)
     assert (len(m), len(twice)) == (4995, 4996)
 
 

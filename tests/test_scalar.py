@@ -444,6 +444,62 @@ def test_rational_fast_path_agrees_on_edge_literals():
         assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text), text
 
 
+# the pi-Laurent fast path: at most two terms N/M * pi^e, and texts just outside that grammar
+_LAURENT_NUMERAL = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "1", "007", "00", "9" * MAX_DIGITS, "1" + "0" * (MAX_DIGITS - 1), "9" * (MAX_DIGITS + 1)]),
+)
+_LAURENT_POWER = st.one_of(
+    st.sampled_from(["pi", "pi^0", "pi^1", "pi^2", "pi^07", "pi^33", "pi^64", "pi^65", "pi^99", "pi^064"]),
+    st.integers(0, 70).map("pi^{}".format),
+    st.sampled_from(["pi**2", "p i", "pi ^ 2", "pi^-1", "pi^٣", "pi^", "pie"]),
+)
+_LAURENT_TERMS = (
+    "{N}", "{N}/{N}", "{N}/{N}*{P}", "{N}/{P}", "{N}/({N}*{P})", "{N}*{P}", "{P}", "{P}/{N}",
+    # near misses: juxtaposition, a third factor, a misplaced parenthesis, a blank inside
+    "{N}{P}", "{N}/{N}/{N}", "({N})", "{N}*{P}/{N}", "{N}/({P})", "{N} /{N}", "{N}/ ({N}*{P})", "٣",
+)
+
+
+@st.composite
+def _laurent_literals(draw):
+    def term():
+        form = draw(st.sampled_from(_LAURENT_TERMS))
+        return form.replace("{P}", draw(_LAURENT_POWER)).replace("{N}", "{}").format(
+            *(draw(_LAURENT_NUMERAL) for _ in range(form.count("{N}")))
+        )
+
+    sign = draw(st.sampled_from(["", "-", "- ", "-\t", "+", "--"]))
+    text = draw(_BLANK) + sign + term()
+    if draw(st.booleans()):
+        text += draw(st.sampled_from([" + ", " - ", "+", "-", "\t-\t", " - -", " ", "*", "  "])) + term()
+    return text + draw(_BLANK)
+
+
+_LAURENT_EDGES = [
+    "-17/54 - 1/(4*pi)", "4/3*pi", "2*pi", "1/(4*pi)", "pi/2", "-pi^2/3 + 1", "0 + 1/(2*pi)", "0 - 3/(8*pi)",
+    "1/0", "1/(0*pi)", "0/(0*pi)", "pi/0", "1/0*pi", "3 - 1/0", "0/0 + pi",
+    "pi^64", "pi^65", "pi^64 + 1/pi", "pi^32 - 1/pi^33", "pi^32 - 1/pi^32", "1/pi^64 + 1", "pi - 1/pi^64",
+    "pi^65 - pi^65", "0*pi^65", "1/pi^65", "pi - pi", "2/pi - 4/(2*pi)", "1/pi + 1/pi", "6/4 + 3/(6*pi^3)",
+    "--1", "1 - -2", "1 2", "p i", "pi**2", "٣", "- 0", "007/0014*pi^07 - 00/3", "\t5/(10*pi)\t+\t1/2\t",
+    "9" * MAX_DIGITS + "*pi - 1/(" + "9" * MAX_DIGITS + "*pi)", "9" * (MAX_DIGITS + 1) + "*pi",
+    "1/(" + "9" * (MAX_DIGITS + 1) + "*pi) + 1",
+]
+
+
+@hypothesis.settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@hypothesis.given(_laurent_literals())
+def test_laurent_fast_path_agrees_with_the_general_parser(text):
+    assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text)
+
+
+def test_laurent_fast_path_agrees_on_edge_literals():
+    for text in _LAURENT_EDGES:
+        assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text), text
+    assert parse_scalar("-17/54 - 1/(4*pi)") == Fraction(-17, 54) - 1 / (4 * PI)
+    assert parse_scalar(" pi^2/3 ") == PI**2 / 3 and parse_scalar("-2/pi^2 + 1/2*pi") == PI / 2 - 2 / PI**2
+
+
 def test_parser_digits_are_ascii():
     for text in ("\u0663/4", "3\u0663", "\xb2", "2^\xb2", "1/\u0664"):
         bad = next(c for c in text if c not in "0123456789/^")

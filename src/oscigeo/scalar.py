@@ -31,30 +31,32 @@ sign, floor and the float fallback each stop it on their own test.
 A sign needs no enclosure when the coefficients of p share one sign and
 those of q share one: since pi > 0, each polynomial then has the sign
 of its coefficients at pi.  Rationals, and the c/pi of a closed
-direction's squared norm, are decided so.
+direction's squared norm, are decided so.  The float view runs Horner
+on exactly those pairs, where no term can cancel another, and reads
+every other value from the enclosures.
 
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
 and the coefficients of a power within MAX_DIGITS digits, and
-parentheses nest at most MAX_NESTING deep.  Inputs
-beyond these limits raise a ValueError that names the limit.  Two
-literal shapes take one regex match each, whose digit counts carry
-MAX_DIGITS, and become their canonical pair directly in integers.  A
-plain rational, an optionally negative integer or fraction such as
-"-3/4", costs one integer gcd.  A pi-Laurent literal, at most two terms
-joined by + or -, each N, N/M, N/M*pi^e, N/pi^e, N/(M*pi^e), N*pi^e,
-pi^e or pi^e/M (pi for pi^1, blanks only around the terms), such as
-"-17/54 - 1/(4*pi)" or "4/3*pi", costs one content gcd and no
-polynomial gcd: with a lowest exponent e < 0 the numerator's constant
-term is nonzero, so the pair over M pi^-e is already coprime.  Every
-other text, and every text whose value would meet a limit or divide
-by zero, goes through the tokenizer, one regex over the text into a
-plain list of tokens ending in None, and a descent that reads that list
-by index; these two give every error message.  The descent has two
-functions: one reads a sum of products, the other a factor, that is its
-unary signs, its atom and an optional power.  Only a parenthesis
-recurses, so the recursion is as deep as the parentheses nest.
-Numerals are ASCII digits on every path.
+parentheses nest at most MAX_NESTING deep.  Inputs beyond these limits
+raise a ValueError that names the limit.  Two literal shapes take one
+regex match each, whose digit counts carry MAX_DIGITS, and become
+their canonical pair directly in integers.  A plain rational, an
+optionally negative integer or fraction such as "-3/4", costs one
+integer gcd.  A pi-Laurent literal, at most two terms joined by
++ or -, each N, N/M, N/M*pi, N/pi, N/(M*pi), N*pi, pi or pi/M (blanks
+only around the terms), such as "-17/54 - 1/(4*pi)" or "4/3*pi", has
+degree at most 2 and costs one content gcd: with a term in 1/pi the
+numerator's constant term is nonzero, so the pair over M pi is already
+coprime.  Every other text, a power of pi included, and every text
+that divides by zero, goes through the tokenizer, one regex over the
+text into a plain list of tokens ending in None, and a descent that
+reads that list by index; these two police every limit and give every
+error message.  The descent has two functions: one reads a sum of
+products, the other a factor, that is its unary signs, its atom and an
+optional power.  Only a parenthesis recurses, so the recursion is as
+deep as the parentheses nest.  Numerals are ASCII digits on every
+path.
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ def _from_coprime(n: Poly, d: Poly) -> "Scalar":
     Only the common content and the sign of the leading denominator
     coefficient remain to be normalized: no polynomial gcd.
     """
-    c = _gcd(*n, *d)
+    c = _gcd(*(n + d))  # one tuple to unpack costs less than two
     if d[-1] < 0:
         c = -c
     if c != 1:
@@ -506,15 +508,22 @@ class Scalar:
 
     def __float__(self) -> float:
         n, d = self._n, self._d
-        lead = d[-1]
-        try:
-            # Horner on the monic form, each coefficient rounded once
-            num, den = (_peval_float([v / lead for v in p], math.pi) for p in (n, d))
-            value = num / den
-        except (OverflowError, ZeroDivisionError):
-            value = math.nan
-        # n(pi) != 0, so a 0.0 or a non-finite value left the float range on the way
-        return value if math.isfinite(value) and (value or not n) else _float_by_enclosure(n, d)
+        if not n:
+            return 0.0
+        # as in sign: with the coefficients of n of one sign and those of d nonnegative,
+        # no term cancels another at pi > 0; every other pair goes to the enclosures
+        if min(d) >= 0 and (min(n) >= 0 or max(n) <= 0):
+            lead = d[-1]
+            try:
+                # Horner on the monic form, each coefficient rounded once
+                num, den = (_peval_float([v / lead for v in p], math.pi) for p in (n, d))
+                value = num / den
+                # n(pi) != 0, so a 0.0 or a non-finite value left the float range on the way
+                if value and math.isfinite(value):
+                    return value
+            except (OverflowError, ZeroDivisionError):
+                pass
+        return _float_by_enclosure(n, d)
 
     # -- printing ------------------------------------------------------------
 
@@ -673,12 +682,8 @@ def _tokens(text: str) -> list[str | None]:
     return tokens
 
 
-def _degree(value: Scalar) -> int:
-    return max(len(value._n), len(value._d)) - 1
-
-
 def _bounded(value: Scalar) -> Scalar:
-    deg = max(len(value._n), len(value._d)) - 1  # _degree, inlined on this per-operation path
+    deg = max(len(value._n), len(value._d)) - 1
     if deg > MAX_DEGREE:
         raise ValueError(f"parsed value of degree {deg} is above the limit MAX_DEGREE = {MAX_DEGREE}")
     return value
@@ -689,7 +694,7 @@ def _bounded_power(value: Scalar, exponent: int) -> Scalar:
     e = abs(exponent)
     if e > MAX_DEGREE:
         raise ValueError(f"exponent {exponent} is above the limit MAX_DEGREE = {MAX_DEGREE}")
-    deg = _degree(value) * e
+    deg = (max(len(value._n), len(value._d)) - 1) * e
     if deg > MAX_DEGREE:
         raise ValueError(f"power of degree {deg} is above the limit MAX_DEGREE = {MAX_DEGREE}")
     # coefficients of p^e are at most (len(p) * max|c|)^e
@@ -708,38 +713,33 @@ _RATIONAL = re.compile(
 )
 
 # a pi-Laurent literal: at most two terms, an optional minus on the first and + or -
-# between them, blanks only around the terms; a term is N, N/M, N/M*P, N/P, N/(M*P),
-# N*P, P or P/M with P a power of pi, in nine groups (N, M, P after N/M, P after N/,
-# M and P in N/(M*P), P after N*, the leading P and the M after it)
+# between them, blanks only around the terms; a term is N, N/M, N/M*pi, N/pi, N/(M*pi),
+# N*pi, pi or pi/M, in nine groups (N, M, pi after N/M, pi after N/, M and pi in
+# N/(M*pi), pi after N*, the leading pi and the M after it)
 _N = rf"([0-9]{{1,{MAX_DIGITS}}})"
-_P = r"(pi(?:\^[1-9]?[0-9])?)"
-_TERM = rf"(?:{_N}(?:/(?:{_N}(?:\*{_P})?|{_P}|\({_N}\*{_P}\))|\*{_P})?|{_P}(?:/{_N})?)"
+_TERM = rf"(?:{_N}(?:/(?:{_N}(?:\*(pi))?|(pi)|\({_N}\*(pi)\))|\*(pi))?|(pi)(?:/{_N})?)"
 _LAURENT = re.compile(rf"\s*(-\s*)?{_TERM}(?:\s*([-+])\s*{_TERM})?\s*", re.ASCII)
-# the exponent of each power of pi within MAX_DEGREE, and 0 for no power (None);
-# a higher power is a KeyError
-_EXPONENT = {None: 0, "pi": 1, **{f"pi^{e}": e for e in range(MAX_DEGREE + 1)}}
 
 
 def _laurent(g: tuple) -> Scalar | None:
-    """The canonical Scalar of a _LAURENT match's groups, or None for a text the descent must read.
+    """The canonical Scalar of a _LAURENT match's groups, or None for a zero M, which the descent words.
 
-    Each term is read as N/M * pi^e.  The descent refuses a zero M, an
-    exponent above MAX_DEGREE (a KeyError here) and a sum of degree
-    above MAX_DEGREE, and it alone words those errors.
+    Each term is read as N/M * pi^e with e in {-1, 0, 1}, so the value has
+    degree at most 2 and meets no other limit.
     """
     (minus, n, m, up, down, m_down, down_m, up_n, up_lead, m_lead,
      op, n2, m2, up2, down2, m_down2, down_m2, up_n2, up_lead2, m_lead2) = g
     a, b = int(n) if n else 1, int(m or m_down or m_lead or 1)
-    e = _EXPONENT[up or up_n or up_lead] - _EXPONENT[down or down_m]
     if not b:
         return None
+    e = 1 if up or up_n or up_lead else -1 if down or down_m else 0
     if minus:
         a = -a
     if op:
         a2, b2 = int(n2) if n2 else 1, int(m2 or m_down2 or m_lead2 or 1)
-        e2 = _EXPONENT[up2 or up_n2 or up_lead2] - _EXPONENT[down2 or down_m2]
         if not b2:
             return None
+        e2 = 1 if up2 or up_n2 or up_lead2 else -1 if down2 or down_m2 else 0
         if op == "-":
             a2 = -a2
         if e2 == e:
@@ -749,32 +749,23 @@ def _laurent(g: tuple) -> Scalar | None:
         elif a2:
             if e2 < e:
                 a, b, e, a2, b2, e2 = a2, b2, e2, a, b, e
-            if e2 - e > MAX_DEGREE:  # the sum's degree, when e < 0 <= e2
-                return None
-            # (lo + hi pi^(e2-e)) / (den pi^-e) for e < 0: lo is nonzero, so the
-            # pair is coprime as polynomials and only its content is left
+            # (lo + hi pi^(e2-e)) / (den pi^-e): lo is nonzero, so the pair is coprime
             lo, hi, den = a * b2, a2 * b, b * b2
-            c = _gcd(lo, hi, den)
-            if c != 1:
-                lo, hi, den = lo // c, hi // c, den // c
-            n = (lo,) + (0,) * (e2 - e - 1) + (hi,)
-            return _new((0,) * e + n, (den,)) if e >= 0 else _new(n, (0,) * -e + (den,))
+            return _from_coprime((lo, hi) if e2 - e == 1 else (lo, 0, hi), (den,) if e == 0 else (0, den))
     if not a:
         return ZERO
-    c = _gcd(a, b)
-    if c != 1:
-        a, b = a // c, b // c
-    return _new((0,) * e + (a,), (b,)) if e >= 0 else _new((a,), (0,) * -e + (b,))
+    return _from_coprime((0, a) if e > 0 else (a,), (0, b) if e < 0 else (b,))
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the textual form; the printer and parser round-trip exactly.
 
     A plain rational such as "-3/4" is read by one regex match and one
-    gcd, and a sum of at most two terms N/M * pi^e such as
-    "-17/54 - 1/(4*pi)" or "4/3*pi" by one more match and one content
-    gcd; every other text, and every text the parser refuses, goes
-    through the tokenizer and the recursive descent.
+    gcd, and a sum of at most two terms N/M * pi^e with e in {-1, 0, 1},
+    such as "-17/54 - 1/(4*pi)" or "4/3*pi", by one more match and one
+    content gcd; every other text, a power of pi such as "pi^2"
+    included, and every text the parser refuses, goes through the
+    tokenizer and the recursive descent.
     """
     match = _RATIONAL.fullmatch(text)
     if match:
@@ -787,10 +778,7 @@ def parse_scalar(text: str) -> Scalar:
             return _new((-n // g if minus else n // g,), (d // g,))
     match = _LAURENT.fullmatch(text)
     if match:
-        try:
-            value = _laurent(match.groups())
-        except KeyError:  # a power of pi above MAX_DEGREE
-            value = None
+        value = _laurent(match.groups())
         if value is not None:
             return value
     return _parse_text(text)

@@ -120,6 +120,17 @@ def suite_scalar(rng: random.Random) -> SuiteResult:
             continue
         bound = 1e-10 * max(1.0, abs(fa * fb))
         res.check(abs(fab - fa * fb) <= bound, "float view is multiplicative")
+    # the convergents p/q of pi, from x -> 1/(x - floor(x)), which keeps x of degree 1 in pi;
+    # p and q*pi share their leading digits, so a float view that cancels them loses p - q*pi
+    x, (p, q), (pp, qq) = PI, (1, 0), (0, 1)
+    for _ in range(40):
+        a = x.floor()
+        p, q, pp, qq = a * p + pp, a * q + qq, p, q
+        gap = p - q * PI
+        f = float(gap)
+        res.check((f > 0) - (f < 0) == gap.sign(), f"float view of {gap} has its sign")
+        res.check(abs(f) * q < 1, f"float view of {gap} is below 1/{q}")
+        x = 1 / (x - a)
     for _ in range(60):
         step = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         s = Scalar(step * rng.randint(-8, 8))

@@ -67,6 +67,16 @@ def test_rational_and_pi_laurent_vectors_need_no_descent(monkeypatch):
     assert Scalar("4/3*pi") == 4 * PI / 3 and Scalar("2*pi") == 2 * PI
 
 
+def test_a_cancelling_direction_traces_and_classifies_at_its_true_value(capsys):
+    # 2646693125139304345/842468587426513207 and 4272943/1360120 are close to pi, so
+    # a1 = p - q*pi keeps none of the digits that p and q*pi share
+    vector = "0,2646693125139304345-842468587426513207*pi,0,0"
+    assert main(["trace", "--vector", vector, "--s-end", "0.002", "--step", "0.001"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "0.001,0,-1.1884885795868426e-23,0,0"
+    assert main(["classify", "--lattice", "k=1,twist=full", "--vector", "0,4272943-1360120*pi,0,0"]) == 0
+    assert "(float 1819572.97167002)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("vector, name", [
     ("a1=5,2,3,4", "a1"),
     ("a0=1,a0=2,3,4", "a0"),
@@ -426,7 +436,7 @@ def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
     # run in process at seed 0; a check added or lost moves a count
     results = run_suites(["scalar", "groups", "normalizer", "metric", "curvature", "isometries", "quotients"], seed=0)
     assert [(r.name, r.checks, r.failures) for r in results] == [
-        ("scalar", 1119, []),
+        ("scalar", 1199, []),
         ("groups", 800, []),
         ("normalizer", 1500, []),
         ("metric", 321, []),
@@ -447,7 +457,7 @@ def test_verify_text_lists_a_failing_suites_first_ten_failures(monkeypatch, caps
     assert main(["verify", "--suite", "curvature", "--suite", "scalar"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == ["curvature  FAIL  (12 checks)", "    check 1 fails", "    check 3 fails", "    check 5 fails"]
-    assert lines[6:] == ["    check 11 fails", "scalar     PASS  (1119 checks)"]
+    assert lines[6:] == ["    check 11 fails", "scalar     PASS  (1199 checks)"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -346,17 +346,63 @@ def _monic_horner(s):
     return horner([float(Fraction(c, lead)) for c in s._n]) / horner([float(Fraction(c, lead)) for c in s._d])
 
 
-def test_float_view_keeps_the_monic_horner_bits():
+def _one_signed(s):
+    """True when the numerator's coefficients share a sign and the denominator's are nonnegative."""
+    return min(s._d) >= 0 and (min(s._n) >= 0 or max(s._n) <= 0)
+
+
+def _correctly_rounded(s):
+    """The float nearest to s, from an exact evaluation at 100 decimals of pi."""
+    def at_pi(coeffs):
+        return sum(c * PI_REFERENCE**i for i, c in enumerate(coeffs))
+
+    return float(Fraction(at_pi(s._n)) / at_pi(s._d))
+
+
+def _draws():
     rng = random.Random(21)
-    for _ in range(300):
-        s = rand_scalar(rng)
-        assert float(s) == _monic_horner(s) or s.is_zero(), s
+    return [s for s in (rand_scalar(rng) for _ in range(300)) if not s.is_zero()]
+
+
+def test_float_view_keeps_the_monic_horner_bits():
+    # where no coefficient can cancel another, the float view is Horner on the monic form
+    draws = [s for s in _draws() if _one_signed(s)]
+    assert len(draws) == 75
+    for s in draws:
+        assert float(s) == _monic_horner(s), s
     assert float(Scalar(0)) == 0.0 and float(Scalar(Fraction(-7, 3))) == -7 / 3
 
 
+def test_float_view_of_mixed_signs_is_correctly_rounded():
+    draws = [s for s in _draws() if not _one_signed(s)]
+    assert len(draws) == 218
+    for s in draws:
+        assert float(s) == _correctly_rounded(s), s
+
+
+def _pi_convergents(count):
+    """The first count convergents (p, q) of pi, from the continued fraction of PI_REFERENCE."""
+    x, (p, q), (pp, qq) = PI_REFERENCE, (1, 0), (0, 1)
+    out = []
+    for _ in range(count):
+        a = math.floor(x)
+        p, q, pp, qq = a * p + pp, a * q + qq, p, q
+        out.append((p, q))
+        x = 1 / (x - a)
+    return out
+
+
+def test_float_view_of_pi_convergent_gaps_does_not_cancel():
+    # p - q*pi keeps none of the digits that p and q*pi share
+    for p, q in _pi_convergents(49):
+        gap = p - q * PI
+        assert float(gap) == _correctly_rounded(gap), (p, q)
+        assert gap.sign() == (1 if float(gap) > 0 else -1) and abs(float(gap)) * q < 1
+
+
 def test_float_view_of_a_near_cancellation_refines_past_the_first_enclosure(monkeypatch):
-    # 39 digits of pi minus pi: the Horner view cancels to 0.0, and 40 digits
-    # of pi leave the enclosure wider than 2^-64 relative, so 80 are read
+    # 39 digits of pi minus pi: the mixed signs send it to the enclosures, and
+    # 40 digits of pi leave the enclosure wider than 2^-64 relative, so 80 are read
     digits = []
 
     def spy(n):
@@ -498,6 +544,22 @@ def test_laurent_fast_path_agrees_on_edge_literals():
         assert _outcome(parse_scalar, text) == _outcome(scalar._parse_text, text), text
     assert parse_scalar("-17/54 - 1/(4*pi)") == Fraction(-17, 54) - 1 / (4 * PI)
     assert parse_scalar(" pi^2/3 ") == PI**2 / 3 and parse_scalar("-2/pi^2 + 1/2*pi") == PI / 2 - 2 / PI**2
+
+
+def test_powers_of_pi_reach_the_descent(monkeypatch):
+    # the shortcut reads pi alone; the descent polices and words every power of pi
+    texts, parse = [], scalar._parse_text
+
+    def record(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(scalar, "_parse_text", record)
+    assert parse_scalar("pi^2") == PI**2 and parse_scalar("1/pi^2") == 1 / PI**2
+    assert parse_scalar("3/(4*pi^2)") == 3 / (4 * PI**2)
+    with pytest.raises(ValueError, match="parsed value of degree 65 is above the limit MAX_DEGREE = 64"):
+        parse_scalar("pi^64 + 1/pi")
+    assert texts == ["pi^2", "1/pi^2", "3/(4*pi^2)", "pi^64 + 1/pi"]
 
 
 def test_parser_digits_are_ascii():

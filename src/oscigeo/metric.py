@@ -13,10 +13,11 @@ coordinate metric and frames live in ``oscigeo.floats``.
 
 A TangentVector with a0 != 0 keeps the constants of its geodesic once
 they are first read: ``slopes`` (p, q) = (a1/a0, a2/a0), which the
-classifier and the evaluators share, ``z_constants`` (zq, rho), which only
-the evaluators read, and ``quarter_turn``, the sign of a0 and the
-parameter length (pi/2)/|a0| of one quarter turn.  The first two are
-ratios to a0, so ``scale(f)`` hands them on to f X for every f != 0.
+evaluators read and the classifier only on half and quarter twists,
+``z_constants`` (zq, rho), which only the evaluators read, and
+``quarter_turn``, the sign of a0 and the parameter length (pi/2)/|a0| of
+one quarter turn.  The first two are ratios to a0, so ``scale(f)`` hands
+them on to f X for every f != 0.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class TangentVector:
     def slopes(self) -> tuple[Scalar, Scalar]:
         """(p, q) = (a1/a0, a2/a0), the (x, y) part of exp(sX); needs a0 != 0.
 
-        Read by the classifier and by both evaluators, so one direction
-        divides by a0 twice in all.
+        Read by both evaluators, and by the classifier, as integer ratios,
+        only on half and quarter twists; one direction divides by a0 twice.
         """
         a0 = self.a0
         return self.a1 / a0, self.a2 / a0

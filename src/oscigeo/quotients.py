@@ -15,9 +15,9 @@ positive integer and t_step = quarters pi/2.  The rotation R(a0 T) and
 sin(a0 T) then depend only on m modulo the residue cycle 4/quarters (1,
 2 or 4 residues for the full, half and quarter families): residue r
 turns by sign(a0) quarters r quarter turns.  With p = a1/a0 and
-q = a2/a0 (TangentVector.slopes, which the evaluators read too), per
-residue the middle-coordinate condition is the integrality of the
-constant u = R(a0 T)(q, -p) - (q, -p), and the z-condition has the form
+q = a2/a0 (TangentVector.slopes), per residue the middle-coordinate
+condition is the integrality of the constant
+u = R(a0 T)(q, -p) - (q, -p), and the z-condition has the form
 A m - B in Z with B = (p^2 + q^2) k sin(a0 T) and, since h = 1/2k,
 
   A = |X|^2 t_step / (2 a0 |a0| h) = |X|^2 pi k quarters sign(a0) / (2 a0^2).
@@ -39,6 +39,16 @@ mod 4 and drops the signs from A and B.  In a residue with an integral
 u, 2B is an integer, so A m - B, -A m - B and A m + B are integers
 together; flipping sign(a0) maps the turn count j to -j and R to R^-1,
 and R^-1 w - w is integral iff R w - w is.  The proof keeps the sign.
+
+The residues are decided in integers.  The residue r = cycle is a whole
+turn, where u = 0 and B = 0, so it needs no slope, and a full twist,
+with that residue alone, never reads the slopes.  Off whole turns an
+integral u needs p and q in (1/2)Z, so irrational slopes skip those
+residues; rational ones are written pn/d and qn/d over one denominator
+d, the product of theirs.  Then u is integral iff d divides both
+components of turn(qn, -pn) - (qn, -pn), and B = (pn^2 + qn^2) k / d^2
+where sin != 0; ``_solve_rational`` needs no lowest terms, so nothing
+is reduced.
 
 ``minimal_period`` proves a verdict from exact group elements, not from
 A and B.  With u = t_step/|a0|, c = exp(cycle u X) is a full turn
@@ -146,27 +156,27 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
     an, ad = A.as_integer_ratio()
     an, ad = an * L.k * quarters, 2 * ad
     cycle = 4 // quarters
-    p, q = X.slopes
-    best: int | None = None
-    for r in range(1, cycle + 1):
-        # |a0| T = t_step m turns by the same j quarter turns for every m = r (mod cycle)
-        j = quarters * r % 4
-        sin, turn = QUARTER_TURNS[j]
-        # u = 0 at a whole turn (j = 0), which needs no test
-        if j:
-            rx, ry = turn(q, -p)
-            if not ((rx - q).is_integer() and (ry + p).is_integer()):
-                continue
-        # B = (p^2 + q^2) k = bn/bd where sin != 0; an integral u at an odd quarter turn
-        # puts p and q in (1/2)Z, and sin = 0 needs no p^2 + q^2, which may be irrational
-        bn, bd = 0, 1
-        if sin:
-            bn, bd = (p * p + q * q).as_integer_ratio()
-            bn *= L.k
-        m = _solve_rational(an, ad, bn, bd, r, cycle)
-        if m is not None and (best is None or m < best):
-            best = m
-    # the residue r = cycle always admits a solution; T = u m with u = quarters unit
+    # the residue r = cycle is a whole turn, u = 0 and B = 0, and always admits a solution
+    best = _solve_rational(an, ad, 0, 1, cycle, cycle)
+    if cycle > 1:
+        p, q = X.slopes
+        # off whole turns an integral u puts p and q in (1/2)Z: irrational slopes close no other residue
+        if p.is_rational() and q.is_rational():
+            # p = pn/d and q = qn/d over one denominator, so u and B are read in integers
+            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+            pn, qn, d = pn * qd, qn * pd, pd * qd
+            for r in range(1, cycle):
+                # |a0| T = t_step m turns by quarters r quarter turns for every m = r (mod cycle)
+                sin, turn = QUARTER_TURNS[quarters * r]
+                rx, ry = turn(qn, -pn)
+                if (rx - qn) % d or (ry + pn) % d:
+                    continue
+                # B = (p^2 + q^2) k where sin != 0; sin = 0 at a half turn gives B = 0
+                bn, bd = ((pn * pn + qn * qn) * L.k, d * d) if sin else (0, 1)
+                m = _solve_rational(an, ad, bn, bd, r, cycle)
+                if m is not None and m < best:
+                    best = m
+    # T = u m with u = quarters unit
     return PeriodicityVerdict(VerdictKind.PERIODIC, X.quarter_turn[1] * (quarters * best), best)
 
 

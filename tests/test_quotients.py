@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo.scalar import PI, PI_HALF, Scalar
+from oscigeo.scalar import ONE, PI, PI_HALF, ZERO, Scalar
 from oscigeo.groups import (
     GroupElement,
     IDENTITY,
@@ -21,7 +21,8 @@ from oscigeo.metric import CausalType, TangentVector
 from oscigeo.geodesics import exp_map, exp_scaled
 from oscigeo.floats import InvalidStep, trace_chunks
 from oscigeo.cli import parse_vector
-from oscigeo import geodesics, groups, quotients, scalar
+from oscigeo import geodesics, groups, isometries, quotients, scalar
+from oscigeo.isometries import IsotropyElement, isotropy_matrix
 from oscigeo.quotients import (
     PeriodicityVerdict,
     VerdictKind,
@@ -382,7 +383,8 @@ def test_minimal_period_on_tampered_evaluations(monkeypatch):
 def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch):
     # one evaluation of exp(m u X) per residue class, m = r for r = 1..cycle with
     # u = t_step/|a0|, whatever the witness; each constant of the direction is
-    # computed once, the slopes for the classifier and the evaluator together
+    # computed once, the slopes by the evaluator on a full twist and by the
+    # classifier, for the evaluator too, on a quarter twist
     calls = []
     computed = []
     evaluate = quotients.exp_turns
@@ -416,6 +418,40 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
     T = minimal_period(L1Q, X)
     assert T == 3 * PI_HALF and calls == [4, 1, 2, 3]
+
+
+# a null, a closing non-null, a closing one with an irrational slope and a non-closed direction
+_SLOPE_PROBES = (
+    "a0=2,a1=1,a2=1,a3=-1/2",
+    "a0=2,a1=1,a2=1,a3=-1/2 + 1/(3*pi)",
+    "a0=1,a1=pi,a2=0,a3=(1/pi - pi^2)/2",
+    "a0=2,a1=1,a2=1,a3=1",
+)
+
+
+def test_the_classifier_reads_the_slopes_off_whole_turns_only(monkeypatch):
+    # a full twist has the one residue of whole turns, where u = 0 and B = 0, so its
+    # verdict needs no slope; a half or quarter twist reads them once for all its
+    # residues, and a non-closed direction is decided before any residue
+    families = [(L, tuple(classify_geodesic(L, parse_vector(v)) for v in _SLOPE_PROBES)) for L in ALL_FAMILIES]
+    assert [verdict.kind for _, verdict in families[0][1]] == [VerdictKind.PERIODIC] * 3 + [VerdictKind.NON_CLOSED]
+    descriptor = TangentVector.__dict__["slopes"]
+    compute = descriptor.func
+    reads = []
+
+    def slopes(X):
+        if L.twist is Twist.FULL:
+            raise RuntimeError("the classifier read the slopes on a full twist")
+        reads.append(X)
+        return compute(X)
+
+    monkeypatch.setattr(descriptor, "func", slopes)
+    for L, expected in families:
+        for text, answer in zip(_SLOPE_PROBES, expected):
+            reads.clear()
+            assert classify_geodesic(L, parse_vector(text)) == answer, (L, text)
+            closes = answer[1].kind is VerdictKind.PERIODIC
+            assert len(reads) == (closes and L.twist is not Twist.FULL), (L, text)
 
 
 def test_minimal_period_reads_no_angle_on_rotating_directions(monkeypatch):
@@ -550,6 +586,58 @@ def test_scaled_directions_close_with_the_period_divided():
             T = verdict.minimal_T
             expected = dataclasses.replace(verdict, minimal_T=None if T is None else T / size)
             assert classify_geodesic(L, scaled) == (causal, expected), (L, X, c)
+
+
+def test_null_directions_close_within_one_full_turn():
+    # the abstract's first claim, sharpened: a null direction has A = 0, so the residue of
+    # whole turns closes with j = 0, and the residues r and cycle - r share their conditions;
+    # the witness m divides cycle, and the geodesic closes within one full turn of t
+    families = ALL_FAMILIES + [LatticeSpec(k, twist) for k in (4, 6) for twist in Twist]
+    nulls = [X for _, X in _pinned_corpus() if not X.a0.is_zero() and X.norm_sq().is_zero()]
+    witnesses = set()
+    for L in families:
+        cycle = 4 // L.t_step_quarters
+        for X in nulls:
+            _, verdict = classify_geodesic(L, X)
+            m = verdict.witness_m
+            assert verdict.kind is VerdictKind.PERIODIC and cycle % m == 0, (L, X, verdict)
+            witnesses.add((cycle, m))
+    assert len(nulls) * len(families) > 6000
+    # every divisor of every cycle is some direction's witness
+    assert witnesses == {(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)}
+
+
+def _adjoint(h: GroupElement):
+    """Ad_h, the differential of chi_h at the identity, for h at a quarter-turn t.
+
+    A~ = R(h.t) and w = J v = (h.y, -h.x).
+    """
+    (a, c), (b, d) = groups.rotate(h.t, ONE, ZERO), groups.rotate(h.t, ZERO, ONE)
+    return isotropy_matrix(IsotropyElement(1, ((a, b), (c, d)), (h.y, -h.x)))
+
+
+def test_normalizer_conjugation_keeps_the_verdict():
+    # chi_h(exp(sX)) = exp(s Ad_h X) fixes the identity, and for h in the normalizer it maps
+    # the lattice onto itself: Ad_h X closes with X, with the same causal type, period and
+    # witness.  Ad_h rotates the slopes by R(h.t) and shifts them by J v, a half-integer on
+    # the half and quarter twists.  Off the normalizer some verdicts move, so the relation bites
+    rng = random.Random(12)
+    moved = 0
+    for L, X in _pinned_corpus():
+        # v on the grid (1/4k)Z^2, which holds points inside and outside every normalizer
+        n = 4 * L.k
+        inside = outside = None
+        while inside is None or outside is None:
+            v = (Fraction(rng.randint(-n, n), n), Fraction(rng.randint(-n, n), n))
+            h = GroupElement.of(PI_HALF * rng.randrange(4), v, 0)
+            if groups.normalizer_contains(L, h):
+                inside = inside or h
+            else:
+                outside = outside or h
+        answer = classify_geodesic(L, X)
+        assert classify_geodesic(L, isometries._apply(_adjoint(inside), X)) == answer, (L, X, inside)
+        moved += classify_geodesic(L, isometries._apply(_adjoint(outside), X)) != answer
+    assert moved > 0
 
 
 def test_decisions_build_no_fraction(monkeypatch):

@@ -15,9 +15,13 @@ builds ``--rounds`` rounds of the workload for ``--seed``, runs and
 checks each request once, then times ``--loops`` passes over all of
 them: per pass the CPU time divided by the number of requests, and per
 request its own CPU time.  The script prints, per side, the minimum
-over all passes of all its children and the ratio of the two; and per
-request tag, the median over the tag's requests of each request's least
-time in one child, the least such median over the side's children.
+over all passes of all its children and the ratio of the two.  Per
+request tag and per request slot (``Request.slot``, the request's place
+in the round mix) it prints the median over the requests of each one's
+least time in one child, the least such median over the side's children.
+Last comes each side's slowest slot, the slot whose median perfbench
+reports as ``latency_tail_ms``; on classify-mix a tag merges the nine
+lattice families of a direction class, and only the slot tells them apart.
 
 Usage, from any directory:
 
@@ -72,12 +76,14 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
                 if dt < per_request[i]:
                     per_request[i] = dt
             per_pass.append((thread_time() - start) / len(requests))
-    by_tag = defaultdict(list)
+    by_tag, by_slot = defaultdict(list), defaultdict(list)
     for req, dt in zip(requests, per_request):
         by_tag[req.tag].append(dt)
+        by_slot[req.slot].append(dt)
     return {
         "min_us": min(per_pass) * 1e6,
         "tags_us": {tag: statistics.median(v) * 1e6 for tag, v in sorted(by_tag.items())},
+        "slots_us": {slot: statistics.median(v) * 1e6 for slot, v in sorted(by_slot.items())},
         "failures": failures,
     }
 
@@ -120,10 +126,19 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, {args.loops} loops x {args.pairs} pairs")
     print(f"CPU time per request, minimum: base {best['base']:.2f} us, head {best['head']:.2f} us, "
           f"head/base {best['head'] / best['base']:.3f}")
-    tags = sorted(results["base"][0]["tags_us"])
-    for tag in tags:
-        base, head = (min(r["tags_us"][tag] for r in results[side]) for side in ("base", "head"))
-        print(f"  {tag:>12}: base {base:8.2f} us, head {head:8.2f} us, head/base {head / base:.3f}")
+    def least(side: str, key: str) -> dict:
+        runs = results[side]
+        return {name: min(r[key][name] for r in runs) for name in runs[0][key]}
+
+    for key, width in (("tags_us", 12), ("slots_us", 24)):
+        heads = least("head", key)
+        for name, base in least("base", key).items():
+            head = heads[name]
+            print(f"  {name:>{width}}: base {base:8.2f} us, head {head:8.2f} us, head/base {head / base:.3f}")
+    for side in ("base", "head"):
+        slots = least(side, "slots_us")
+        slot = max(slots, key=slots.get)
+        print(f"slowest slot, {side}: {slot!r} {slots[slot]:.2f} us")
     failed = False
     for side, runs in results.items():
         for failure in {f for r in runs for f in r["failures"]}:

@@ -11,13 +11,13 @@ curvature operator is algebraic, R(X,Y)Z = -1/4 [[X,Y],Z], and the Ricci
 tensor is -1/4 of the Killing form.  Everything here is exact; the float
 coordinate metric and frames live in ``oscigeo.floats``.
 
-A TangentVector with a0 != 0 keeps the constants of its geodesic once
-they are first read: ``slopes`` (p, q) = (a1/a0, a2/a0), which the
-evaluators read and the classifier only on half and quarter twists,
-``z_constants`` (zq, rho), which only the evaluators read, and
-``quarter_turn``, the sign of a0 and the parameter length (pi/2)/|a0| of
-one quarter turn.  The first two are ratios to a0, so ``scale(f)`` hands
-them on to f X for every f != 0.
+A TangentVector keeps each constant of its geodesic once it is first
+read: ``norm_sq()``, |X|^2, which the causal type, the classifier's A
+and zq read; and, for a0 != 0, ``slopes`` (p, q) = (a1/a0, a2/a0),
+``zq`` = |X|^2 pi/(4 a0^2), ``rho`` = (p^2 + q^2)/2 and ``quarter_turn``,
+the sign of a0 and the parameter length (pi/2)/|a0| of one quarter turn.
+``scale(f)`` hands the slopes, zq and rho on to f X for every f != 0, as
+f cancels from them; |X|^2 scales by f^2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .scalar import PI_HALF, Scalar, ScalarLike
+from .scalar import PI, PI_HALF, Scalar, ScalarLike
 
 
 class _cached:
@@ -48,7 +48,8 @@ class _cached:
 
 
 # the constants f X shares with X for every f != 0
-_SCALE_FREE = ("slopes", "z_constants")
+_SCALE_FREE = ("slopes", "zq", "rho")
+_PI_QUARTER = PI / 4  # zq = |X|^2 pi/(4 a0^2)
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,20 @@ class TangentVector:
         return self.a0.is_zero() and self.a1.is_zero() and self.a2.is_zero() and self.a3.is_zero()
 
     @_cached
+    def _norm_sq(self) -> Scalar:
+        return self.a1 * self.a1 + self.a2 * self.a2 + 2 * self.a0 * self.a3
+
+    def norm_sq(self) -> Scalar:
+        """|X|^2 = a1^2 + a2^2 + 2 a0 a3, computed on the first call and kept on X."""
+        return self._norm_sq
+
+    @_cached
     def slopes(self) -> tuple[Scalar, Scalar]:
         """(p, q) = (a1/a0, a2/a0), the (x, y) part of exp(sX); needs a0 != 0.
 
-        Read by both evaluators, and by the classifier, as integer ratios,
-        only on half and quarter twists; one direction divides by a0 twice.
+        Read by both evaluators off whole turns, and by the classifier, as
+        integer ratios, only on half and quarter twists; one direction
+        divides by a0 twice.
         """
         a0 = self.a0
         return self.a1 / a0, self.a2 / a0
@@ -92,26 +102,26 @@ class TangentVector:
         return sign, (PI_HALF if sign > 0 else -PI_HALF) / self.a0
 
     @_cached
-    def z_constants(self) -> tuple[Scalar, Scalar]:
-        """(zq, rho) = ((w/a0) pi/2, (p^2 + q^2)/2) with w = |X|^2/(2 a0); needs a0 != 0.
+    def zq(self) -> Scalar:
+        """|X|^2 pi/(4 a0^2), from the kept |X|^2; needs a0 != 0.
 
-        At a0 s = j pi/2, z = w s - rho sin(a0 s) = j zq - rho sin(j pi/2), so
-        every evaluation of z is an integer multiple of zq and one sum; and
-        w/a0 = |X|^2/(2 a0^2) = rho + a3/a0 takes one more division by a0.
-        Only the evaluators read these, never the classifier.
+        At a0 s = j pi/2, z = j zq - rho sin(j pi/2): every evaluation reads
+        zq, and whole and half turns read nothing else for z.
         """
-        p, q = self.slopes
-        rho = (p * p + q * q) / 2
-        return (rho + self.a3 / self.a0) * PI_HALF, rho
+        a0 = self.a0
+        return self.norm_sq() * _PI_QUARTER / (a0 * a0)
 
-    def norm_sq(self) -> Scalar:
-        return self.a1 * self.a1 + self.a2 * self.a2 + 2 * self.a0 * self.a3
+    @_cached
+    def rho(self) -> Scalar:
+        """(p^2 + q^2)/2, the sine term of z, read only at odd quarter turns; needs a0 != 0."""
+        p, q = self.slopes
+        return (p * p + q * q) / 2
 
     def scale(self, factor: ScalarLike) -> "TangentVector":
-        """f X; for f != 0 it keeps the slopes and z_constants X has computed.
+        """f X; for f != 0 it keeps the slopes, zq and rho X has computed.
 
-        Both are ratios to a0, so f cancels from them: f X has the same
-        values, and a fresh computation gives the same canonical Scalars.
+        f cancels from them: f X has the same values, and a fresh
+        computation gives the same canonical Scalars.  |X|^2 scales by f^2.
         """
         f = Scalar(factor)
         out = TangentVector(self.a0 * f, self.a1 * f, self.a2 * f, self.a3 * f)

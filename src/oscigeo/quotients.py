@@ -59,9 +59,11 @@ integer, one linear congruence in j.  An irrational z_c leaves a rational
 intercept z_r - (r/cycle) z_c, and z is then irrational for every j.  A
 line's T is minimal iff its multiples of the _period_units have gcd 1.
 Every exp(m u X) is ``geodesics.exp_turns(L, X, m)``, keyed by the integer
-m: no angle a0 s is formed, and z is m times one constant w u of the
-direction, plus or minus rho.  The classifier's T = u m and the proof's
-read the same unit u/quarters = (pi/2)/|a0| (TangentVector.quarter_turn).
+m: no angle a0 s is formed, and z is j zq, plus or minus rho at odd
+quarter turns.  So c reads zq alone, from the |X|^2 the classifier kept
+on X, and no slope; the proof never reads the classifier's A.  The
+classifier's T = u m and the proof's read the same unit
+u/quarters = (pi/2)/|a0| (TangentVector.quarter_turn).
 """
 
 from __future__ import annotations

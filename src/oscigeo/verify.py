@@ -473,6 +473,7 @@ _SCALINGS = (Scalar(2), Scalar(Fraction(-3, 2)), PI, -1 / PI, PI * PI / 3)
 def suite_quotients(rng: random.Random) -> SuiteResult:
     res = SuiteResult("quotients")
     for L in _families():
+        cycle = 4 // L.t_step_quarters
         for _ in range(_NULL_PER_FAMILY):
             X = _random_null_direction(rng)
             causal, verdict = classify_geodesic(L, X)
@@ -484,6 +485,10 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                 except AssertionError as exc:
                     proved, detail = False, f": {exc}"
                 res.check(proved, f"periodic verdict proved minimal by exact membership{detail}")
+                # |X|^2 = 0 makes A = 0, so the whole turn m = cycle closes: the proved witness divides it
+                if not X.a0.is_zero():
+                    m = verdict.witness_m
+                    res.check(cycle % m == 0, f"null witness m = {m} does not divide the cycle {cycle} on {L}")
 
     for _ in range(40):
         a = [

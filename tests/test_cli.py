@@ -442,7 +442,7 @@ def test_verify_groups_normalizer_metric_quotients_pass_with_pinned_counts():
         ("metric", 321, []),
         ("curvature", 480, []),
         ("isometries", 421, []),
-        ("quotients", 3300, []),
+        ("quotients", 3788, []),
     ]
 
 

@@ -208,27 +208,33 @@ FACTORS = st.one_of(
     st.sampled_from([Scalar(-3), Scalar(Fraction(-1, 2)), 2 * PI, -PI / 3, 1 + PI, Scalar(0)]),
     Q_PI,
 )
-_SCALE_FREE = ("slopes", "z_constants")
+_SCALE_FREE = ("slopes", "zq", "rho")
+KNOWN = st.sampled_from([(), ("slopes",), ("zq",), ("rho",), ("zq", "rho"), _SCALE_FREE])
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@hypothesis.given(NONZERO_Q_PI, Q_PI, Q_PI, Q_PI, FACTORS, st.sampled_from([(), ("slopes",), _SCALE_FREE]))
+@hypothesis.given(NONZERO_Q_PI, Q_PI, Q_PI, Q_PI, FACTORS, KNOWN)
 def test_scale_keeps_the_constants_a_fresh_vector_computes(a0, a1, a2, a3, f, known):
     X = TangentVector(a0, a1, a2, a3)
     for name in known:
         getattr(X, name)
     X.quarter_turn  # depends on the sign of f, so never carried
+    norm_sq = X.norm_sq()  # scales by f^2, so never carried
+    assert "_norm_sq" in vars(X)
     Y = X.scale(f)
     carried = {name: value for name, value in vars(Y).items() if not name.startswith("a")}
+    assert "_norm_sq" not in carried
     if f.is_zero():
         assert carried == {}
         return
-    assert set(carried) == set(known)
+    # zq reads the norm and rho the slopes, and each is kept on X as read
+    assert set(carried) == set(known) | ({"slopes"} if "rho" in known else set())
     fresh = TangentVector(*Y.components)
     for name, value in carried.items():
         assert value == getattr(fresh, name), (name, X, f)
     # what was not carried is computed for Y itself, to the same values as for X
-    assert (Y.slopes, Y.z_constants) == (X.slopes, X.z_constants)
+    assert (Y.slopes, Y.zq, Y.rho) == (X.slopes, X.zq, X.rho)
+    assert Y.norm_sq() == norm_sq * f * f == fresh.norm_sq()
 
 
 def test_a_cached_constant_read_on_the_class_is_its_descriptor():

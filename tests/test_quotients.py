@@ -383,8 +383,10 @@ def test_minimal_period_on_tampered_evaluations(monkeypatch):
 def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch):
     # one evaluation of exp(m u X) per residue class, m = r for r = 1..cycle with
     # u = t_step/|a0|, whatever the witness; each constant of the direction is
-    # computed once, the slopes by the evaluator on a full twist and by the
-    # classifier, for the evaluator too, on a quarter twist
+    # computed at most once, and only where a turn count reads it: the whole turn
+    # reads zq, from the norm the classifier kept, and no slope; a half turn adds
+    # the slopes, which the classifier of a half or quarter twist computes for the
+    # evaluator too; only an odd quarter turn reads rho
     calls = []
     computed = []
     evaluate = quotients.exp_turns
@@ -402,8 +404,15 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     def refused(self, factor):
         raise RuntimeError("minimal_period scaled the direction")
 
+    def constants_of(X):
+        assert all(Y is X for _, Y in computed)
+        names = sorted(name for name, _ in computed)
+        computed.clear()
+        calls.clear()
+        return names
+
     monkeypatch.setattr(quotients, "exp_turns", counted)
-    names = ("slopes", "quarter_turn", "z_constants")
+    names = ("_norm_sq", "slopes", "quarter_turn", "zq", "rho")
     for name in names:
         descriptor = TangentVector.__dict__[name]
         monkeypatch.setattr(descriptor, "func", counted_constant(name, descriptor.func))
@@ -412,12 +421,17 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     T = minimal_period(L20, X)
     # a full twist has one class: u = 2 pi/2, and m = 300
     assert T == 300 * PI and calls == [1]
-    assert sorted(computed) == sorted((name, X) for name in names)
-    calls.clear()
+    assert constants_of(X) == ["_norm_sq", "quarter_turn", "zq"]
+    # a half twist has two: the full turn first, then the half turn r = 1; m = 3
+    X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
+    T = minimal_period(L1H, X)
+    assert T == 3 * PI and calls == [2, 1]
+    assert constants_of(X) == ["_norm_sq", "quarter_turn", "slopes", "zq"]
     # a quarter twist has four: the full turn first, then r = 1, 2, 3; m = 3
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
     T = minimal_period(L1Q, X)
     assert T == 3 * PI_HALF and calls == [4, 1, 2, 3]
+    assert constants_of(X) == sorted(names)
 
 
 # a null, a closing non-null, a closing one with an irrational slope and a non-closed direction

@@ -12,10 +12,14 @@ the checkout's ``src/`` and the workloads from the ``perfbench/`` next
 to this script, so both sides run the same requests.  The children of
 the two checkouts alternate, and the order flips every pair.  A child
 builds ``--rounds`` rounds of the workload for ``--seed``, runs and
-checks each request once, then times ``--loops`` passes over all of
-them: per pass the CPU time divided by the number of requests, and per
-request its own CPU time.  The script prints, per side, the minimum
-over all passes of all its children and the ratio of the two.  Per
+checks each request once, counts the ``Scalar``s one more untimed pass
+builds, then times ``--loops`` passes over all of them: per pass the
+CPU time divided by the number of requests, and per request its own CPU
+time.  The count wraps ``oscigeo.scalar._alloc``, through which every
+``Scalar`` is allocated, for that pass only, so the timed passes run
+the checkout's own code.  The script prints, per side, the ``Scalar``s
+built per request, the minimum CPU time over all passes of all its
+children and the ratio of the two.  Per
 request tag and per request slot (``Request.slot``, the request's place
 in the round mix) it prints the median over the requests of each one's
 least time in one child, the least such median over the side's children.
@@ -64,6 +68,7 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
             error = workload.check(req, workload.run(req))
             if error is not None:
                 failures.append(f"{req.tag}: {error}")
+        scalars = count_scalars(workload.run, requests)
         per_pass = []
         per_request = [float("inf")] * len(requests)
         run = workload.run
@@ -81,11 +86,35 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
         by_tag[req.tag].append(dt)
         by_slot[req.slot].append(dt)
     return {
+        "scalars_per_request": scalars,
         "min_us": min(per_pass) * 1e6,
         "tags_us": {tag: statistics.median(v) * 1e6 for tag, v in sorted(by_tag.items())},
         "slots_us": {slot: statistics.median(v) * 1e6 for slot, v in sorted(by_slot.items())},
         "failures": failures,
     }
+
+
+def count_scalars(run, requests) -> float | None:
+    """Scalars built per request over one pass, or None for a checkout without ``scalar._alloc``."""
+    from oscigeo import scalar
+
+    alloc = getattr(scalar, "_alloc", None)
+    if alloc is None:
+        return None
+    built = 0
+
+    def counted(cls):
+        nonlocal built
+        built += 1
+        return alloc(cls)
+
+    scalar._alloc = counted
+    try:
+        for req in requests:
+            run(req)
+    finally:
+        scalar._alloc = alloc
+    return built / len(requests)
 
 
 def measure(checkout: Path, args) -> dict:
@@ -124,6 +153,9 @@ def main(argv=None) -> int:
 
     best = {side: min(r["min_us"] for r in runs) for side, runs in results.items()}
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, {args.loops} loops x {args.pairs} pairs")
+    counts = {side: runs[0]["scalars_per_request"] for side, runs in results.items()}
+    print("Scalars built per request: " + ", ".join(
+        f"{side} {'n/a' if n is None else format(n, '.2f')}" for side, n in counts.items()))
     print(f"CPU time per request, minimum: base {best['base']:.2f} us, head {best['head']:.2f} us, "
           f"head/base {best['head'] / best['base']:.3f}")
     def least(side: str, key: str) -> dict:

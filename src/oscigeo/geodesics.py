@@ -19,7 +19,8 @@ is j zq - rho sin(j pi/2).  Each evaluation reads only what its j needs:
 a whole turn, j = 0 mod 4, is (t, 0, 0, j zq) and reads no slope, a half
 turn adds the slopes, and only an odd quarter turn reads rho.  These
 constants (TangentVector.slopes, zq and rho) are computed once per
-direction, zq from its kept |X|^2, and kept by its scaled copies.
+direction, zq from the unreduced numerator of |X|^2, and kept by its
+scaled copies.
 ``exp_turns(L, X, m)`` takes j from the m-th return of t to the lattice
 of L, with no Scalar parameter; ``exp_scaled(X, s)`` forms a0 s only to
 read j off it.

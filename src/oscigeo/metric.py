@@ -12,12 +12,15 @@ tensor is -1/4 of the Killing form.  Everything here is exact; the float
 coordinate metric and frames live in ``oscigeo.floats``.
 
 A TangentVector keeps each constant of its geodesic once it is first
-read: ``norm_sq()``, |X|^2, which the causal type, the classifier's A
-and zq read; and, for a0 != 0, ``slopes`` (p, q) = (a1/a0, a2/a0),
-``zq`` = |X|^2 pi/(4 a0^2), ``rho`` = (p^2 + q^2)/2 and ``quarter_turn``,
-the sign of a0 and the parameter length (pi/2)/|a0| of one quarter turn.
+read, for a0 != 0: ``slopes`` (p, q) = (a1/a0, a2/a0), ``zq`` =
+|X|^2 pi/(4 a0^2), ``rho`` = (p^2 + q^2)/2 and ``quarter_turn``, the
+sign of a0 and the parameter length (pi/2)/|a0| of one quarter turn.
 ``scale(f)`` hands the slopes, zq and rho on to f X for every f != 0, as
-f cancels from them; |X|^2 scales by f^2.
+f cancels from them.  ``norm_sq()``, the Scalar |X|^2, is computed on
+each call and kept nowhere.  The classifier and zq read |X|^2 as
+``norm_numerator()``: its numerator N over the components' canonical
+pairs a_i = n_i/d_i, unreduced and with no polynomial gcd.  The first
+call keeps N on the vector for zq.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .scalar import PI, PI_HALF, Scalar, ScalarLike
+from .scalar import PI_HALF, ZERO, Poly, Scalar, ScalarLike, from_pair, padd, pair, pmul
 
 
 class _cached:
@@ -49,7 +52,6 @@ class _cached:
 
 # the constants f X shares with X for every f != 0
 _SCALE_FREE = ("slopes", "zq", "rho")
-_PI_QUARTER = PI / 4  # zq = |X|^2 pi/(4 a0^2)
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,40 @@ class TangentVector:
     def is_zero(self) -> bool:
         return self.a0.is_zero() and self.a1.is_zero() and self.a2.is_zero() and self.a3.is_zero()
 
-    @_cached
-    def _norm_sq(self) -> Scalar:
+    def norm_sq(self) -> Scalar:
+        """|X|^2 = a1^2 + a2^2 + 2 a0 a3, in Scalar arithmetic."""
         return self.a1 * self.a1 + self.a2 * self.a2 + 2 * self.a0 * self.a3
 
-    def norm_sq(self) -> Scalar:
-        """|X|^2 = a1^2 + a2^2 + 2 a0 a3, computed on the first call and kept on X."""
-        return self._norm_sq
+    def norm_numerator(self) -> tuple[Poly, Poly, Poly]:
+        """(N, d0 d3, (d1 d2)^2) with |X|^2 = N / (d0 d3 (d1 d2)^2) at pi, from the pairs a_i = n_i/d_i.
+
+        N = d0 d3 ((n1 d2)^2 + (n2 d1)^2) + 2 n0 n3 (d1 d2)^2, unreduced: only
+        products and sums of the canonical pairs, no polynomial gcd.  For
+        a0 = 0 the term 2 a0 a3 vanishes, and so do d0 and d3: N = (n1 d2)^2
+        + (n2 d1)^2 over (d1 d2)^2.  The first call keeps the triple in the
+        vector's dict, a plain entry that no descriptor reads, for zq.
+        """
+        known = self.__dict__
+        if "_norm_numerator" in known:
+            return known["_norm_numerator"]
+        (n0, d0), (n1, d1), (n2, d2) = pair(self.a0), pair(self.a1), pair(self.a2)
+        e1, e2, f = pmul(n1, d2), pmul(n2, d1), pmul(d1, d2)
+        ff, sq = pmul(f, f), padd(pmul(e1, e1), pmul(e2, e2))
+        if n0:
+            n3, d3 = pair(self.a3)
+            dd = pmul(d0, d3)
+            out = padd(pmul(dd, sq), pmul(pmul((2,), pmul(n0, n3)), ff)), dd, ff
+        else:
+            out = sq, (1,), ff
+        known["_norm_numerator"] = out
+        return out
 
     @_cached
     def slopes(self) -> tuple[Scalar, Scalar]:
         """(p, q) = (a1/a0, a2/a0), the (x, y) part of exp(sX); needs a0 != 0.
 
-        Read by both evaluators off whole turns, and by the classifier, as
-        integer ratios, only on half and quarter twists; one direction
-        divides by a0 twice.
+        Read by both evaluators off whole turns; the classifier reads the
+        slopes as integer ratios instead, and never builds this pair.
         """
         a0 = self.a0
         return self.a1 / a0, self.a2 / a0
@@ -103,13 +124,17 @@ class TangentVector:
 
     @_cached
     def zq(self) -> Scalar:
-        """|X|^2 pi/(4 a0^2), from the kept |X|^2; needs a0 != 0.
+        """|X|^2 pi/(4 a0^2) = pi N d0 / (4 d3 (d1 d2)^2 n0^2), one canonical Scalar; needs a0 != 0.
 
-        At a0 s = j pi/2, z = j zq - rho sin(j pi/2): every evaluation reads
+        N is ``norm_numerator()``'s, so the one reduction is this one.  At
+        a0 s = j pi/2, z = j zq - rho sin(j pi/2): every evaluation reads
         zq, and whole and half turns read nothing else for z.
         """
-        a0 = self.a0
-        return self.norm_sq() * _PI_QUARTER / (a0 * a0)
+        N, _, ff = self.norm_numerator()
+        if not N:
+            return ZERO
+        n0, d0 = pair(self.a0)
+        return from_pair((0,) + pmul(N, d0), pmul((4,), pmul(pmul(pair(self.a3)[1], ff), pmul(n0, n0))))
 
     @_cached
     def rho(self) -> Scalar:

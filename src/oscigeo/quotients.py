@@ -40,12 +40,27 @@ u, 2B is an integer, so A m - B, -A m - B and A m + B are integers
 together; flipping sign(a0) maps the turn count j to -j and R to R^-1,
 and R^-1 w - w is integral iff R w - w is.  The proof keeps the sign.
 
+No step of the decision needs a reduced value, so the classifier takes
+no polynomial gcd.  pi is transcendental (F. Lindemann, "Ueber die Zahl
+pi", Math. Ann. 20, 1882), so for integer polynomials n and d != 0,
+n(pi) = 0 iff n = 0, and n(pi)/d(pi) is rational iff n = c d for a
+rational c, the ratio of the leading coefficients; one scan of the
+coefficients decides that (``scalar.proportion``).  With the canonical
+pairs a_i = n_i/d_i, |X|^2 = N / (d0 d3 (d1 d2)^2) with the unreduced
+numerator N of ``TangentVector.norm_numerator``.  The causal type is
+the sign of N/(d0 d3) at pi, the direction is null iff N = 0, A is
+rational iff pi N d0 is proportional to d3 (d1 d2)^2 n0^2, and the
+slopes are rational iff n1 d0 is proportional to d1 n0 and n2 d0 to
+d2 n0.  A line's ratios c_i/c_j are such tests too.  Only a periodic
+verdict builds a reduced value, its T, which is at most one gcd.
+
 The residues are decided in integers.  The residue r = cycle is a whole
 turn, where u = 0 and B = 0, so it needs no slope, and a full twist,
 with that residue alone, never reads the slopes.  Off whole turns an
 integral u needs p and q in (1/2)Z, so irrational slopes skip those
-residues; rational ones are written pn/d and qn/d over one denominator
-d, the product of theirs.  Then u is integral iff d divides both
+residues; rational ones, the multiples pn/pd and qn/qd that the
+proportionality tests return, are written pn/d and qn/d over one
+denominator d = pd qd.  Then u is integral iff d divides both
 components of turn(qn, -pn) - (qn, -pn), and B = (pn^2 + qn^2) k / d^2
 where sin != 0; ``_solve_rational`` needs no lowest terms, so nothing
 is reduced.
@@ -60,10 +75,10 @@ intercept z_r - (r/cycle) z_c, and z is then irrational for every j.  A
 line's T is minimal iff its multiples of the _period_units have gcd 1.
 Every exp(m u X) is ``geodesics.exp_turns(L, X, m)``, keyed by the integer
 m: no angle a0 s is formed, and z is j zq, plus or minus rho at odd
-quarter turns.  So c reads zq alone, from the |X|^2 the classifier kept
-on X, and no slope; the proof never reads the classifier's A.  The
-classifier's T = u m and the proof's read the same unit
-u/quarters = (pi/2)/|a0| (TangentVector.quarter_turn).
+quarter turns.  So c reads zq alone, one canonical Scalar from the N
+the classifier kept on X, and no slope; the proof never reads the
+classifier's A.  The classifier's T = u m and the proof's read the same
+unit u/quarters = (pi/2)/|a0| (TangentVector.quarter_turn).
 """
 
 from __future__ import annotations
@@ -75,7 +90,7 @@ from dataclasses import dataclass
 from .geodesics import exp_scaled, exp_turns
 from .groups import QUARTER_TURNS, LatticeSpec, lattice_contains
 from .metric import CAUSAL_BY_SIGN, CausalType, TangentVector
-from .scalar import ONE, PI, Scalar
+from .scalar import ONE, Poly, Scalar, pair, pair_sign, pmul, proportion
 
 
 class VerdictKind(enum.Enum):
@@ -133,39 +148,63 @@ def _period_units(L: LatticeSpec, X: TangentVector) -> list[Scalar]:
 
 
 def _classify_line(L: LatticeSpec, X: TangentVector) -> PeriodicityVerdict:
-    """a0 = 0: exp(TX) = (0, a1 T, a2 T, a3 T); intersect the step lattices."""
-    generator: Scalar | None = None
-    for c in _period_units(L, X):
-        if generator is None:
-            generator = c
+    """a0 = 0: exp(TX) = (0, a1 T, a2 T, a3 T); intersect the step lattices.
+
+    Each nonzero a_j confines T to u_j Z with u_j = 1/(h_j |a_j|), where
+    h_j = 1, 1, 2k is the inverse step.  Against the first unit u_i, the
+    ratio u_j/u_i = (h_i/h_j) |a_i/a_j| is rational iff n_i d_j is
+    proportional to d_i n_j; then T is u_i times the lcm of the ratios'
+    numerators in lowest terms.
+    """
+    n_lcm, base = 1, None
+    for a, h in zip((X.a1, X.a2, X.a3), (1, 1, 2 * L.k)):
+        n, d = pair(a)
+        if not n:
             continue
-        ratio = c / generator
-        if not ratio.is_rational():
+        if base is None:
+            base, base_h, base_n, base_d = a, h, n, d
+            continue
+        ratio = proportion(pmul(base_n, d), pmul(base_d, n))
+        if ratio is None:
             return PeriodicityVerdict(VerdictKind.NON_CLOSED)
-        generator = generator * ratio.as_integer_ratio()[0]
-    assert generator is not None  # a nonzero X has at least one constraint
-    return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=generator)
+        num, den = base_h * abs(ratio[0]), h * ratio[1]
+        num //= math.gcd(num, den)
+        n_lcm = n_lcm * num // math.gcd(n_lcm, num)
+    assert base is not None  # a nonzero X has at least one constraint
+    if base_h > 1:
+        base = base * base_h
+    # T = n_lcm u_i = n_lcm / (h_i |a_i|)
+    return PeriodicityVerdict(VerdictKind.PERIODIC, minimal_T=(n_lcm * base.sign()) / base)
 
 
-def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> PeriodicityVerdict:
-    """a0 != 0: closed iff A is rational; then the least m over the residues."""
-    a0 = X.a0
-    A = norm_sq * PI / (a0 * a0)
-    if not A.is_rational():
-        return PeriodicityVerdict(VerdictKind.NON_CLOSED)
+def _classify_rotating(L: LatticeSpec, X: TangentVector, N: Poly, ff: Poly) -> PeriodicityVerdict:
+    """a0 != 0: closed iff A is rational; then the least m over the residues.
+
+    N and ff = (d1 d2)^2 are those of ``X.norm_numerator()``.
+    """
+    n0, d0 = pair(X.a0)
+    if N:
+        # A = |X|^2 pi / a0^2 = pi N d0 / (d3 (d1 d2)^2 n0^2), rational iff the two are proportional
+        A = proportion((0,) + pmul(N, d0), pmul(pmul(pair(X.a3)[1], ff), pmul(n0, n0)))
+        if A is None:
+            return PeriodicityVerdict(VerdictKind.NON_CLOSED)
+        an, ad = A
+    else:
+        an, ad = 0, 1
     quarters = L.t_step_quarters
     # A = |X|^2 pi k quarters / (2 a0^2) = an/ad, read with |a0| as the module docstring sets out
-    an, ad = A.as_integer_ratio()
     an, ad = an * L.k * quarters, 2 * ad
     cycle = 4 // quarters
     # the residue r = cycle is a whole turn, u = 0 and B = 0, and always admits a solution
     best = _solve_rational(an, ad, 0, 1, cycle, cycle)
     if cycle > 1:
-        p, q = X.slopes
+        # p = a1/a0 = n1 d0 / (d1 n0) and q = a2/a0, rational iff proportional
+        (n1, d1), (n2, d2) = pair(X.a1), pair(X.a2)
+        p, q = proportion(pmul(n1, d0), pmul(d1, n0)), proportion(pmul(n2, d0), pmul(d2, n0))
         # off whole turns an integral u puts p and q in (1/2)Z: irrational slopes close no other residue
-        if p.is_rational() and q.is_rational():
+        if p and q:
             # p = pn/d and q = qn/d over one denominator, so u and B are read in integers
-            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+            (pn, pd), (qn, qd) = p, q
             pn, qn, d = pn * qd, qn * pd, pd * qd
             for r in range(1, cycle):
                 # |a0| T = t_step m turns by quarters r quarter turns for every m = r (mod cycle)
@@ -184,13 +223,13 @@ def _classify_rotating(L: LatticeSpec, X: TangentVector, norm_sq: Scalar) -> Per
 
 def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, PeriodicityVerdict]:
     """Causal type plus an exact periodicity verdict for the direction X."""
-    norm_sq = X.norm_sq()
-    causal = CAUSAL_BY_SIGN[norm_sq.sign()]
+    N, dd, ff = X.norm_numerator()
+    causal = CAUSAL_BY_SIGN[pair_sign(N, dd)]
     if X.is_zero():
         return causal, PeriodicityVerdict(VerdictKind.STATIONARY_POINT)
     if X.a0.is_zero():
         return causal, _classify_line(L, X)
-    return causal, _classify_rotating(L, X, norm_sq)
+    return causal, _classify_rotating(L, X, N, ff)
 
 
 def _prove_line(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -> None:

@@ -35,6 +35,14 @@ direction's squared norm, are decided so.  The float view runs Horner
 on exactly those pairs, where no term can cancel another, and reads
 every other value from the enclosures.
 
+Decisions need no canonical form.  ``pair`` gives a Scalar's pair as
+integer tuples, ``pmul`` and ``padd`` multiply and add such
+polynomials, ``pair_sign`` decides the sign of any pair n/d at pi,
+which Scalar.sign calls on its own pair, and ``proportion`` decides
+whether n(pi)/d(pi) is rational, by comparing coefficients: pi is
+transcendental.  ``from_pair`` makes a pair canonical, the one step
+that takes a polynomial gcd.
+
 The text parser bounds the work a short input can ask for: exponents
 and the degree of every parsed value stay within MAX_DEGREE, numerals
 and the coefficients of a power within MAX_DIGITS digits, and
@@ -66,6 +74,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 # parser limits: exponents and degrees, digits per numeral or power coefficient, and
@@ -100,7 +109,7 @@ def _strip(c: list[int]) -> Poly:
     return tuple(c)
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
+def padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     if len(a) <= 2 and b:  # the usual degree <= 1 sums, without a list
@@ -125,13 +134,13 @@ def _pscale(a: Poly, k: int) -> Poly:
     return tuple([k * v for v in a])
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
+def pmul(a: Poly, b: Poly) -> Poly:
     if len(a) == 1:
-        return _pscale(b, a[0])
+        return (a[0] * b[0],) if len(b) == 1 else _pscale(b, a[0])
     if len(b) == 1:
         return _pscale(a, b[0])
+    if not a or not b:
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
@@ -294,6 +303,53 @@ def _float_by_enclosure(n: Poly, d: Poly) -> float:
 
 
 # ---------------------------------------------------------------------------
+# decisions on integer polynomials: no canonical form, no polynomial gcd
+# ---------------------------------------------------------------------------
+
+# the canonical pair (n, d) of a Scalar, n(pi)/d(pi), as two integer tuples
+pair = attrgetter("_n", "_d")
+
+
+def pair_sign(n: Poly, d: Poly) -> int:
+    """Exact sign of n(pi)/d(pi) for integer polynomials n and d != 0: -1, 0 or +1.
+
+    The pair need not be reduced: a nonzero polynomial does not vanish at
+    the transcendental pi, so the enclosures decide every sign.
+    """
+    if not n:
+        return 0
+    # pi > 0, so a polynomial whose coefficients share a sign has that sign at pi
+    if min(d) >= 0:
+        if min(n) >= 0:
+            return 1
+        if max(n) <= 0:
+            return -1
+    for (nl, nh), (dl, dh), _ in _enclosures(n, d):
+        if (nl > 0 or nh < 0) and (dl > 0 or dh < 0):
+            return 1 if (nl > 0) == (dl > 0) else -1
+
+
+def proportion(a: Poly, b: Poly) -> tuple[int, int] | None:
+    """(c, e) with e > 0 and e a = c b, or None when a is no rational multiple of b != 0.
+
+    As pi is transcendental, a(pi)/b(pi) is rational iff a = (c/e) b as
+    polynomials.  c/e is the ratio of the leading coefficients, not
+    reduced, and one scan of the coefficients checks the rest.
+    """
+    if not a:
+        return 0, 1
+    if len(a) != len(b):
+        return None
+    c, e = a[-1], b[-1]
+    if e < 0:
+        c, e = -c, -e
+    for u, v in zip(a, b):
+        if u * e != v * c:
+            return None
+    return c, e
+
+
+# ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
 
@@ -323,7 +379,7 @@ def _from_coprime(n: Poly, d: Poly) -> "Scalar":
     return out
 
 
-def _canonical(n: Poly, d: Poly) -> "Scalar":
+def from_pair(n: Poly, d: Poly) -> "Scalar":
     """The canonical Scalar n / d for integer polynomials n and nonzero d."""
     if not n:
         return ZERO
@@ -440,10 +496,10 @@ class Scalar:
         pn, pd = (1,), (1,)
         while exponent:
             if exponent & 1:
-                pn, pd = _pmul(pn, n), _pmul(pd, d)
+                pn, pd = pmul(pn, n), pmul(pd, d)
             exponent >>= 1
             if exponent:
-                n, d = _pmul(n, n), _pmul(d, d)
+                n, d = pmul(n, n), pmul(d, d)
         return _new(pn, pd) if pn else ZERO
 
     # -- comparisons (exact) -------------------------------------------------
@@ -460,19 +516,7 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign of the value at pi: -1, 0 or +1."""
-        n, d = self._n, self._d
-        if not n:
-            return 0
-        # pi > 0, so a polynomial whose coefficients share a sign has that sign at pi;
-        # d leads positive, so it is positive when no coefficient is negative
-        if min(d) >= 0:
-            if min(n) >= 0:
-                return 1
-            if max(n) <= 0:
-                return -1
-        for (nl, nh), (dl, dh), _ in _enclosures(n, d):
-            if (nl > 0 or nh < 0) and (dl > 0 or dh < 0):
-                return 1 if (nl > 0) == (dl > 0) else -1
+        return pair_sign(self._n, self._d)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -558,10 +602,10 @@ def _add(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
             return out
         # n/d + u/v = (v n + u d) / (v d): a factor of d that divides the
         # numerator divides v n, hence n, so the pair stays coprime
-        return _from_coprime(_padd(_pscale(an, v), _pscale(ad, u)), _pscale(ad, v))
+        return _from_coprime(padd(_pscale(an, v), _pscale(ad, u)), _pscale(ad, v))
     if ad == bd:
-        return _canonical(_padd(an, bn), ad)
-    return _canonical(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+        return from_pair(padd(an, bn), ad)
+    return from_pair(padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd))
 
 
 def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
@@ -583,8 +627,8 @@ def _mul(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> Scalar:
         # (u n) / (v d): constant factors keep the pair coprime
         return _from_coprime(_pscale(an, bn[0]), _pscale(ad, bd[0]))
     if an is bn and ad is bd:  # a square of a canonical pair is canonical, as in __pow__
-        return _new(_pmul(an, an), _pmul(ad, ad))
-    return _canonical(_pmul(an, bn), _pmul(ad, bd))
+        return _new(pmul(an, an), pmul(ad, ad))
+    return from_pair(pmul(an, bn), pmul(ad, bd))
 
 
 ZERO = _new((), (1,))

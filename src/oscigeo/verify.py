@@ -468,6 +468,8 @@ _NULL_PER_FAMILY = 60
 # directions per family for the f1 and scaling relations, and the scale factors
 _RELATED_PER_FAMILY = 10
 _SCALINGS = (Scalar(2), Scalar(Fraction(-3, 2)), PI, -1 / PI, PI * PI / 3)
+# closing non-null directions proved on each of the nine families
+_CLOSING_PER_FAMILY = 12
 
 
 def suite_quotients(rng: random.Random) -> SuiteResult:
@@ -570,6 +572,28 @@ def suite_quotients(rng: random.Random) -> SuiteResult:
                 T_c = None if T is None else T / abs(c)
                 expected = PeriodicityVerdict(verdict.kind, T_c, verdict.witness_m)
                 res.check(classify_geodesic(L, scaled) == (causal, expected), f"({c}) {X} on {L}: not T/|c|")
+
+    # closing non-null directions: a3 off the null value by r/pi gives |X|^2 = 2 a0 r/pi, so A
+    # is rational, A = 4 r k quarters/|a0| here.  The proof reads zq and never A, so the two
+    # agree only where the classifier's A and the evaluators' zq are both right
+    for L in _families():
+        for _ in range(_CLOSING_PER_FAMILY):
+            a0 = Fraction(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice([-1, 1])
+            if rng.random() < 0.5:  # slopes in (1/2)Z: the odd quarter turns have an integral u
+                a1, a2 = (a0 * Fraction(rng.randint(-4, 4), 2) for _ in range(2))
+            else:
+                a1, a2 = _rand_fraction(rng), _rand_fraction(rng)
+            r = _rand_fraction(rng) or Fraction(1, 2)
+            X = TangentVector.of(a0, a1, a2, Scalar(r) / PI - (a1 * a1 + a2 * a2) / (2 * a0))
+            causal, verdict = classify_geodesic(L, X)
+            closes = causal is not CausalType.NULL and verdict.kind is VerdictKind.PERIODIC
+            res.check(closes, f"{X} on {L}: {causal.value}, {verdict.kind.value}, not a closing non-null direction")
+            if closes:
+                try:
+                    proved, detail = minimal_period(L, X) == verdict.minimal_T, ""
+                except AssertionError as exc:
+                    proved, detail = False, f": {exc}"
+                res.check(proved, f"closing verdict of {X} on {L} proved minimal by its residue classes{detail}")
     return res
 
 

@@ -43,8 +43,8 @@ ANSWER_PINS = {
 }
 WORK_PINS = {
     # (Scalars built, _pgcd calls, _enclosures steps)
-    "classify": (2823, 117, 18),
-    "prove": (2204, 105, 18),
+    "classify": (1908, 57, 19),
+    "prove": (1370, 47, 19),
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscigeo.scalar import ONE, PI, PI_HALF, ZERO, Scalar
+from oscigeo.scalar import ONE, PI, PI_HALF, ZERO, Scalar, pair, pmul
 from oscigeo.groups import (
     GroupElement,
     IDENTITY,
@@ -384,9 +384,9 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     # one evaluation of exp(m u X) per residue class, m = r for r = 1..cycle with
     # u = t_step/|a0|, whatever the witness; each constant of the direction is
     # computed at most once, and only where a turn count reads it: the whole turn
-    # reads zq, from the norm the classifier kept, and no slope; a half turn adds
-    # the slopes, which the classifier of a half or quarter twist computes for the
-    # evaluator too; only an odd quarter turn reads rho
+    # reads zq and no slope; a half turn adds the slopes, which only the evaluator
+    # computes, since the classifier reads them as integer ratios; only an odd
+    # quarter turn reads rho
     calls = []
     computed = []
     evaluate = quotients.exp_turns
@@ -412,7 +412,7 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
         return names
 
     monkeypatch.setattr(quotients, "exp_turns", counted)
-    names = ("_norm_sq", "slopes", "quarter_turn", "zq", "rho")
+    names = ("slopes", "quarter_turn", "zq", "rho")
     for name in names:
         descriptor = TangentVector.__dict__[name]
         monkeypatch.setattr(descriptor, "func", counted_constant(name, descriptor.func))
@@ -421,12 +421,12 @@ def test_minimal_period_evaluates_exp_without_scaling_the_direction(monkeypatch)
     T = minimal_period(L20, X)
     # a full twist has one class: u = 2 pi/2, and m = 300
     assert T == 300 * PI and calls == [1]
-    assert constants_of(X) == ["_norm_sq", "quarter_turn", "zq"]
+    assert constants_of(X) == ["quarter_turn", "zq"]
     # a half twist has two: the full turn first, then the half turn r = 1; m = 3
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
     T = minimal_period(L1H, X)
     assert T == 3 * PI and calls == [2, 1]
-    assert constants_of(X) == ["_norm_sq", "quarter_turn", "slopes", "zq"]
+    assert constants_of(X) == ["quarter_turn", "slopes", "zq"]
     # a quarter twist has four: the full turn first, then r = 1, 2, 3; m = 3
     X = parse_vector("a0=1,a1=1,a2=0,a3=-1/2 + 1/(3*pi)")
     T = minimal_period(L1Q, X)
@@ -445,27 +445,37 @@ _SLOPE_PROBES = (
 
 def test_the_classifier_reads_the_slopes_off_whole_turns_only(monkeypatch):
     # a full twist has the one residue of whole turns, where u = 0 and B = 0, so its
-    # verdict needs no slope; a half or quarter twist reads them once for all its
-    # residues, and a non-closed direction is decided before any residue
+    # verdict needs no slope; a half or quarter twist tests both slopes for rationality
+    # once for all its residues, and a non-closed direction is decided before any
+    # residue.  The classifier reads the slopes as integer ratios, n1 d0 against d1 n0,
+    # and never builds the Scalar pair TangentVector.slopes
     families = [(L, tuple(classify_geodesic(L, parse_vector(v)) for v in _SLOPE_PROBES)) for L in ALL_FAMILIES]
     assert [verdict.kind for _, verdict in families[0][1]] == [VerdictKind.PERIODIC] * 3 + [VerdictKind.NON_CLOSED]
     descriptor = TangentVector.__dict__["slopes"]
-    compute = descriptor.func
+    test = quotients.proportion
     reads = []
 
     def slopes(X):
-        if L.twist is Twist.FULL:
-            raise RuntimeError("the classifier read the slopes on a full twist")
-        reads.append(X)
-        return compute(X)
+        raise RuntimeError("the classifier built the slopes")
+
+    def proportion(a, b):
+        reads.append((a, b))
+        return test(a, b)
 
     monkeypatch.setattr(descriptor, "func", slopes)
+    monkeypatch.setattr(quotients, "proportion", proportion)
     for L, expected in families:
         for text, answer in zip(_SLOPE_PROBES, expected):
+            X = parse_vector(text)
+            (n0, d0), (n1, d1), (n2, d2) = (pair(a) for a in X.components[:3])
+            slope_tests = [(pmul(n1, d0), pmul(d1, n0)), (pmul(n2, d0), pmul(d2, n0))]
             reads.clear()
-            assert classify_geodesic(L, parse_vector(text)) == answer, (L, text)
+            assert classify_geodesic(L, X) == answer, (L, text)
             closes = answer[1].kind is VerdictKind.PERIODIC
-            assert len(reads) == (closes and L.twist is not Twist.FULL), (L, text)
+            # the tests of A, for a non-null direction, then of p and q where they are read
+            read_slopes = [args for args in reads if args in slope_tests]
+            assert read_slopes == (slope_tests if closes and L.twist is not Twist.FULL else []), (L, text)
+            assert len(reads) == len(read_slopes) + (not X.norm_sq().is_zero()), (L, text)
 
 
 def test_minimal_period_reads_no_angle_on_rotating_directions(monkeypatch):
@@ -574,6 +584,39 @@ def test_answers_match_the_pinned_corpus():
         digest.update(line.encode())
     assert {(L, kind) for L in ALL_FAMILIES for kind in (VerdictKind.PERIODIC, VerdictKind.NON_CLOSED)} <= kinds
     assert digest.hexdigest() == _PINNED_ANSWERS
+
+
+# ROADMAP item 2's degree-64 input and the first two inputs of its finding 1, each
+# 1 KB or less: a classifier that reduced |X|^2 and A ran for seconds to minutes in
+# the polynomial gcd on each, and answered spacelike and non-closed
+_NINES = "9" * 999
+_ADVERSARIAL = (
+    (
+        "k=3,twist=quarter",
+        "a0=(pi^64+1)/(pi^63+2),a1=(pi^60+1)/(pi^61+3),a2=(pi^62+5)/(pi^59+7),a3=(pi^64+11)/(pi^64+13)",
+    ),
+    ("k=1,twist=full", f"(pi^64+1)*1/pi,2,pi^2-(1+pi)-1/{_NINES},2*pi+1"),
+    ("k=1,twist=full", f"(1+pi)--1*{_NINES},1/pi,0,{_NINES}/(pi^64+1)/{_NINES}"),
+)
+
+
+def test_the_classifier_takes_a_polynomial_gcd_only_for_a_period(monkeypatch):
+    # the decision reads unreduced products of the canonical pairs: a non-closed verdict
+    # takes no polynomial gcd, and a periodic one at most one, to reduce its T
+    cases = _pinned_corpus() + [(LatticeSpec.parse(L), parse_vector(v)) for L, v in _ADVERSARIAL]
+    calls = []
+    pgcd = scalar._pgcd
+    monkeypatch.setattr(scalar, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    periodic = 0
+    for L, X in cases:
+        calls.clear()
+        causal, verdict = classify_geodesic(L, X)
+        assert len(calls) <= (verdict.kind is VerdictKind.PERIODIC), (L, X, verdict)
+        periodic += bool(calls)
+    assert periodic  # a period of a direction with a0 of degree >= 1 needs its gcd
+    assert [classify_geodesic(L, X) for L, X in cases[-3:]] == [
+        (CausalType.SPACELIKE, PeriodicityVerdict(VerdictKind.NON_CLOSED))
+    ] * 3
 
 
 def test_f1_image_gets_the_same_verdict():

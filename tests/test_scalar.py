@@ -19,7 +19,12 @@ from oscigeo.scalar import (
     PI_HALF,
     Scalar,
     _pi_scaled,
+    from_pair,
+    pair,
+    pair_sign,
     parse_scalar,
+    pmul,
+    proportion,
     quarter_turns,
 )
 
@@ -638,3 +643,24 @@ def test_parser_outcomes_match_the_pinned_corpus():
     for text in _parser_corpus():
         digest.update(repr(_outcome(parse_scalar, text)).encode() + b"\n")
     assert digest.hexdigest() == _PINNED_PARSER_OUTCOMES
+
+
+_POLYS = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(lambda c: scalar._strip(list(c)))
+_NONZERO_POLYS = _POLYS.filter(bool)
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@hypothesis.given(_POLYS, _NONZERO_POLYS, _NONZERO_POLYS, st.integers(-5, 5).filter(bool), st.integers(-5, 5).filter(bool))
+def test_unreduced_pairs_decide_as_their_canonical_scalar(n, d, g, c, e):
+    # n g / (d g) has the value of n / d: its sign, and whether it is rational, need no gcd
+    value = from_pair(n, d)
+    assert pair(value) == (value._n, value._d)
+    un, ud = pmul(n, g), pmul(d, g)
+    assert pair_sign(un, ud) == value.sign()
+    ratio = proportion(un, ud)
+    assert (ratio is not None) == value.is_rational()
+    if ratio is not None:
+        assert ratio[1] > 0 and Fraction(*ratio) == Fraction(*value.as_integer_ratio())
+    # c/e times a polynomial is proportional to it, with the ratio unreduced
+    multiple = proportion(pmul((c,), ud), pmul((e,), ud))
+    assert multiple[1] > 0 and Fraction(*multiple) == Fraction(c, e)

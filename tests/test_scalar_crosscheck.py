@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from oscigeo import scalar
-from oscigeo.scalar import PI, ZERO, Scalar, _canonical
+from oscigeo.scalar import PI, ZERO, Scalar, from_pair
 
 from .builders import from_coeffs
 
@@ -222,8 +222,8 @@ def test_rational_constructor_matches_the_general_form():
     values = [0, 1, -1, 7, -12, 10**40, -(10**40)]
     values += [Fraction(0), Fraction(3, 4), Fraction(-5, 6), Fraction(10**30, 7), Fraction(-1, 10**30)]
     for v in values:
-        # the general form: _canonical on the integer pair
-        fast, general = Scalar(v), _canonical(*_pair(v))
+        # the general form: from_pair on the integer pair
+        fast, general = Scalar(v), from_pair(*_pair(v))
         assert fast == general == v, v
         assert (fast._n, fast._d) == (general._n, general._d), v
         assert hash(fast) == hash(general) == hash(v), v
@@ -258,16 +258,16 @@ def _pair(x):
 
 
 def _general_pair(op, a, b):
-    """The canonical pair of op(a, b) through _canonical, the general path, from the pairs of a and b."""
+    """The canonical pair of op(a, b) through from_pair, the general path, from the pairs of a and b."""
     (an, ad), (bn, bd) = _pair(a), _pair(b)
     if op is operator.sub:
         op, bn = operator.add, tuple(-v for v in bn)
     if op is operator.truediv:
         op, bn, bd = operator.mul, bd, bn
     if op is operator.add:
-        s = _canonical(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)), _ref_mul(ad, bd))
+        s = from_pair(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)), _ref_mul(ad, bd))
     else:
-        s = _canonical(_ref_mul(an, bn), _ref_mul(ad, bd)) if an and bn else ZERO
+        s = from_pair(_ref_mul(an, bn), _ref_mul(ad, bd)) if an and bn else ZERO
     return s._n, s._d
 
 
@@ -356,7 +356,7 @@ def _short_values():
 
 
 def test_short_operand_fast_paths_match_the_general_form_and_sympy():
-    # length <= 2 operands take the tuple fast cases of _padd, _pscale and the
+    # length <= 2 operands take the tuple fast cases of padd, _pscale and the
     # content division, and ints in -256..256 the shared table; each op, plain
     # and reflected, must give the pair of the test-local general path and of sympy
     sympy = pytest.importorskip("sympy")

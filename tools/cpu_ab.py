@@ -12,14 +12,16 @@ the checkout's ``src/`` and the workloads from the ``perfbench/`` next
 to this script, so both sides run the same requests.  The children of
 the two checkouts alternate, and the order flips every pair.  A child
 builds ``--rounds`` rounds of the workload for ``--seed``, runs and
-checks each request once, counts the ``Scalar``s one more untimed pass
-builds, then times ``--loops`` passes over all of them: per pass the
-CPU time divided by the number of requests, and per request its own CPU
-time.  The count wraps ``oscigeo.scalar._alloc``, through which every
-``Scalar`` is allocated, for that pass only, so the timed passes run
-the checkout's own code.  The script prints, per side, the ``Scalar``s
-built per request, the minimum CPU time over all passes of all its
-children and the ratio of the two.  Per
+checks each request once, counts the work of one more untimed pass,
+then times ``--loops`` passes over all of them: per pass the CPU time
+divided by the number of requests, and per request its own CPU time.
+The count wraps, for that pass only, ``oscigeo.scalar._alloc``, through
+which every ``Scalar`` is allocated, ``_pgcd``, the polynomial gcd, and
+``_enclosures``, the one loop that refines pi, whose steps it counts;
+so the timed passes run the checkout's own code.  The script prints,
+per side, the ``Scalar``s built, ``_pgcd`` calls and enclosure steps
+per request, the minimum CPU time over all passes of all its children
+and the ratio of the two.  Per
 request tag and per request slot (``Request.slot``, the request's place
 in the round mix) it prints the median over the requests of each one's
 least time in one child, the least such median over the side's children.
@@ -68,7 +70,7 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
             error = workload.check(req, workload.run(req))
             if error is not None:
                 failures.append(f"{req.tag}: {error}")
-        scalars = count_scalars(workload.run, requests)
+        work = count_work(workload.run, requests)
         per_pass = []
         per_request = [float("inf")] * len(requests)
         run = workload.run
@@ -86,7 +88,7 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
         by_tag[req.tag].append(dt)
         by_slot[req.slot].append(dt)
     return {
-        "scalars_per_request": scalars,
+        "work_per_request": work,
         "min_us": min(per_pass) * 1e6,
         "tags_us": {tag: statistics.median(v) * 1e6 for tag, v in sorted(by_tag.items())},
         "slots_us": {slot: statistics.median(v) * 1e6 for slot, v in sorted(by_slot.items())},
@@ -94,27 +96,43 @@ def child(checkout: Path, workload_name: str, seed: int, rounds: int, loops: int
     }
 
 
-def count_scalars(run, requests) -> float | None:
-    """Scalars built per request over one pass, or None for a checkout without ``scalar._alloc``."""
+def count_work(run, requests) -> dict:
+    """Scalars built, _pgcd calls and _enclosures steps per request over one pass.
+
+    A name the checkout lacks counts as None.
+    """
     from oscigeo import scalar
 
-    alloc = getattr(scalar, "_alloc", None)
-    if alloc is None:
-        return None
-    built = 0
+    counts = {"scalars": 0, "gcds": 0, "steps": 0}
 
-    def counted(cls):
-        nonlocal built
-        built += 1
-        return alloc(cls)
+    def counted(name, key):
+        original = getattr(scalar, name, None)
+        if original is None:
+            counts[key] = None
+            return None
 
-    scalar._alloc = counted
+        def call(*args):
+            counts[key] += 1
+            return original(*args)
+
+        def steps(n, d):
+            for step in original(n, d):
+                counts[key] += 1
+                yield step
+
+        setattr(scalar, name, steps if name == "_enclosures" else call)
+        return original
+
+    originals = {name: counted(name, key) for name, key in
+                 (("_alloc", "scalars"), ("_pgcd", "gcds"), ("_enclosures", "steps"))}
     try:
         for req in requests:
             run(req)
     finally:
-        scalar._alloc = alloc
-    return built / len(requests)
+        for name, original in originals.items():
+            if original is not None:
+                setattr(scalar, name, original)
+    return {key: None if n is None else n / len(requests) for key, n in counts.items()}
 
 
 def measure(checkout: Path, args) -> dict:
@@ -153,9 +171,10 @@ def main(argv=None) -> int:
 
     best = {side: min(r["min_us"] for r in runs) for side, runs in results.items()}
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, {args.loops} loops x {args.pairs} pairs")
-    counts = {side: runs[0]["scalars_per_request"] for side, runs in results.items()}
-    print("Scalars built per request: " + ", ".join(
-        f"{side} {'n/a' if n is None else format(n, '.2f')}" for side, n in counts.items()))
+    for key, label in (("scalars", "Scalars built"), ("gcds", "_pgcd calls"), ("steps", "enclosure steps")):
+        counts = {side: runs[0]["work_per_request"][key] for side, runs in results.items()}
+        print(f"{label} per request: " + ", ".join(
+            f"{side} {'n/a' if n is None else format(n, '.2f')}" for side, n in counts.items()))
     print(f"CPU time per request, minimum: base {best['base']:.2f} us, head {best['head']:.2f} us, "
           f"head/base {best['head'] / best['base']:.3f}")
     def least(side: str, key: str) -> dict:

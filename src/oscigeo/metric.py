@@ -52,6 +52,7 @@ class _cached:
 
 # the constants f X shares with X for every f != 0
 _SCALE_FREE = ("slopes", "zq", "rho")
+_MINUS_PI_HALF = -PI_HALF
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class TangentVector:
         and a period u m is this unit times the integer quarters m.
         """
         sign = self.a0.sign()
-        return sign, (PI_HALF if sign > 0 else -PI_HALF) / self.a0
+        return sign, (PI_HALF if sign > 0 else _MINUS_PI_HALF) / self.a0
 
     @_cached
     def zq(self) -> Scalar:

@@ -225,11 +225,11 @@ def classify_geodesic(L: LatticeSpec, X: TangentVector) -> tuple[CausalType, Per
     """Causal type plus an exact periodicity verdict for the direction X."""
     N, dd, ff = X.norm_numerator()
     causal = CAUSAL_BY_SIGN[pair_sign(N, dd)]
+    if not X.a0.is_zero():
+        return causal, _classify_rotating(L, X, N, ff)
     if X.is_zero():
         return causal, PeriodicityVerdict(VerdictKind.STATIONARY_POINT)
-    if X.a0.is_zero():
-        return causal, _classify_line(L, X)
-    return causal, _classify_rotating(L, X, N, ff)
+    return causal, _classify_line(L, X)
 
 
 def _prove_line(L: LatticeSpec, X: TangentVector, verdict: PeriodicityVerdict) -> None:

@@ -43,8 +43,8 @@ ANSWER_PINS = {
 }
 WORK_PINS = {
     # (Scalars built, _pgcd calls, _enclosures steps)
-    "classify": (1908, 57, 19),
-    "prove": (1370, 47, 19),
+    "classify": (1876, 57, 19),
+    "prove": (1322, 47, 19),
 }
 
 

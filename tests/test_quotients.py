@@ -607,13 +607,13 @@ def test_the_classifier_takes_a_polynomial_gcd_only_for_a_period(monkeypatch):
     calls = []
     pgcd = scalar._pgcd
     monkeypatch.setattr(scalar, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
-    periodic = 0
+    reduced = 0
     for L, X in cases:
         calls.clear()
-        causal, verdict = classify_geodesic(L, X)
+        _, verdict = classify_geodesic(L, X)
         assert len(calls) <= (verdict.kind is VerdictKind.PERIODIC), (L, X, verdict)
-        periodic += bool(calls)
-    assert periodic  # a period of a direction with a0 of degree >= 1 needs its gcd
+        reduced += bool(calls)
+    assert reduced  # the T of a direction with a0 of degree >= 1 takes its gcd
     assert [classify_geodesic(L, X) for L, X in cases[-3:]] == [
         (CausalType.SPACELIKE, PeriodicityVerdict(VerdictKind.NON_CLOSED))
     ] * 3

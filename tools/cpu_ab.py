@@ -103,36 +103,34 @@ def count_work(run, requests) -> dict:
     """
     from oscigeo import scalar
 
-    counts = {"scalars": 0, "gcds": 0, "steps": 0}
+    names = {"scalars": "_alloc", "gcds": "_pgcd", "steps": "_enclosures"}
+    originals = {key: getattr(scalar, name, None) for key, name in names.items()}
+    counts = dict.fromkeys(names, 0)
 
-    def counted(name, key):
-        original = getattr(scalar, name, None)
-        if original is None:
-            counts[key] = None
-            return None
-
-        def call(*args):
+    def call(key, original):
+        def counted(*args):
             counts[key] += 1
             return original(*args)
+        return counted
 
-        def steps(n, d):
+    def steps(original):
+        def counted(n, d):
             for step in original(n, d):
-                counts[key] += 1
+                counts["steps"] += 1
                 yield step
+        return counted
 
-        setattr(scalar, name, steps if name == "_enclosures" else call)
-        return original
-
-    originals = {name: counted(name, key) for name, key in
-                 (("_alloc", "scalars"), ("_pgcd", "gcds"), ("_enclosures", "steps"))}
+    for key, original in originals.items():
+        if original is not None:
+            setattr(scalar, names[key], steps(original) if key == "steps" else call(key, original))
     try:
         for req in requests:
             run(req)
     finally:
-        for name, original in originals.items():
+        for key, original in originals.items():
             if original is not None:
-                setattr(scalar, name, original)
-    return {key: None if n is None else n / len(requests) for key, n in counts.items()}
+                setattr(scalar, names[key], original)
+    return {key: None if originals[key] is None else n / len(requests) for key, n in counts.items()}
 
 
 def measure(checkout: Path, args) -> dict:
